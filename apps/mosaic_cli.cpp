@@ -53,7 +53,6 @@
 #include "geometry/raster.hpp"
 #include "io/glp.hpp"
 #include "litho/simulator.hpp"
-#include "math/backend.hpp"
 #include "opc/baselines.hpp"
 #include "opc/edge_opc.hpp"
 #include "opc/levelset.hpp"
@@ -91,19 +90,6 @@ void applyThreads(int threads) {
 constexpr const char* kThreadsHelp =
     "total executor workers shared by tile and nested pixel loops "
     "(0 = hardware default)";
-
-/// Apply --backend: resolve the name and install it process-wide (the
-/// library default is cpu_scalar; the apps default to auto-detection).
-void applyBackend(const std::string& name) {
-  const exec::Backend* backend = exec::findBackend(name);
-  MOSAIC_CHECK(backend != nullptr, "unknown --backend '"
-                                       << name << "' (expected one of: "
-                                       << exec::backendNames() << ")");
-  exec::setCurrentBackend(*backend);
-}
-
-constexpr const char* kBackendHelp =
-    "execution backend: auto | cpu_scalar | cpu_simd | cpu_simd_f32";
 
 /// Shared telemetry wiring of the long-running subcommands
 /// (docs/observability.md): --metrics-out, --trace-out, --run-log and
@@ -224,7 +210,6 @@ int cmdRun(int argc, char** argv) {
   double deadline = 0.0;
   int maxRecoveries = 3;
   int threads = 0;
-  std::string backend = "auto";
   TelemetryFlags tele;
 
   double maskLow = 0.0;
@@ -252,12 +237,10 @@ int cmdRun(int argc, char** argv) {
   cli.addInt("max-recoveries", &maxRecoveries,
              "non-finite rollbacks before aborting with best-so-far");
   cli.addInt("threads", &threads, kThreadsHelp);
-  cli.addString("backend", &backend, kBackendHelp);
   tele.addOptions(cli);
   if (!cli.parse(argc, argv)) return 0;
   setLogLevel(parseLogLevel(logLevel));
   applyThreads(threads);
-  applyBackend(backend);
   if (!failpoints.empty()) failpoint::configure(failpoints);
   const std::unique_ptr<telemetry::RunLog> runLog = tele.begin();
 
@@ -397,7 +380,6 @@ int cmdBatch(int argc, char** argv) {
   double deadline = 0.0;
   int backoffMs = 50;
   int threads = 0;
-  std::string backend = "auto";
   std::string checkpointDir;
   int checkpointEvery = 5;
   bool resume = false;
@@ -418,7 +400,6 @@ int cmdBatch(int argc, char** argv) {
                 "per-clip optimizer wall-clock budget in seconds");
   cli.addInt("backoff-ms", &backoffMs, "retry backoff in milliseconds");
   cli.addInt("threads", &threads, kThreadsHelp);
-  cli.addString("backend", &backend, kBackendHelp);
   cli.addString("checkpoint-dir", &checkpointDir,
                 "directory for per-clip optimizer checkpoints (B<i>.ckpt)");
   cli.addInt("checkpoint-every", &checkpointEvery,
@@ -429,7 +410,6 @@ int cmdBatch(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   setLogLevel(parseLogLevel(logLevel));
   applyThreads(threads);
-  applyBackend(backend);
   if (!failpoints.empty()) failpoint::configure(failpoints);
   MOSAIC_CHECK(retries >= 0, "--retries must be >= 0");
   MOSAIC_CHECK(backoffMs >= 0, "--backoff-ms must be >= 0");
@@ -665,9 +645,7 @@ int cmdChip(int argc, char** argv) {
   int tileSize = 1024;
   int halo = -1;
   int threads = 0;
-  bool pinWorkers = false;
   bool noCacheOrder = false;
-  std::string backend = "auto";
   int retries = 1;
   int backoffMs = 50;
   double deadline = 0.0;
@@ -700,11 +678,8 @@ int cmdChip(int argc, char** argv) {
   cli.addInt("halo", &halo,
              "halo margin in nm (-1 = 2x optical interaction radius)");
   cli.addInt("threads", &threads, kThreadsHelp);
-  cli.addFlag("pin-workers", &pinWorkers,
-              "pin executor workers round-robin onto CPUs");
   cli.addFlag("no-cache-order", &noCacheOrder,
               "disable cache-aware tile ordering (representatives first)");
-  cli.addString("backend", &backend, kBackendHelp);
   cli.addInt("retries", &retries, "retries per tile on failure");
   cli.addInt("backoff-ms", &backoffMs, "retry backoff in milliseconds");
   cli.addDouble("deadline", &deadline,
@@ -734,9 +709,7 @@ int cmdChip(int argc, char** argv) {
   tele.addOptions(cli);
   if (!cli.parse(argc, argv)) return 0;
   setLogLevel(parseLogLevel(logLevel));
-  setWorkerPinning(pinWorkers);
   applyThreads(threads);
-  applyBackend(backend);
   if (!failpoints.empty()) failpoint::configure(failpoints);
   const std::unique_ptr<telemetry::RunLog> runLog = tele.begin();
 
@@ -901,7 +874,6 @@ int cmdSimulate(int argc, char** argv) {
   double dose = 1.0;
   std::string images;
   std::string logLevel = "warn";
-  std::string backend = "auto";
 
   CliParser cli("mosaic_cli simulate",
                 "forward-simulate a mask at a process corner");
@@ -912,10 +884,8 @@ int cmdSimulate(int argc, char** argv) {
   cli.addDouble("dose", &dose, "relative exposure dose");
   cli.addString("images", &images, "directory for PGM dumps");
   cli.addString("log", &logLevel, "log level");
-  cli.addString("backend", &backend, kBackendHelp);
   if (!cli.parse(argc, argv)) return 0;
   setLogLevel(parseLogLevel(logLevel));
-  applyBackend(backend);
 
   const Layout layout = loadTarget(input, caseIndex);
   LithoSimulator sim = makeSim(pixel);
@@ -953,7 +923,6 @@ int cmdEvaluate(int argc, char** argv) {
   int targetCase = 0;
   int pixel = 4;
   std::string logLevel = "warn";
-  std::string backend = "auto";
 
   CliParser cli("mosaic_cli evaluate",
                 "contest metrics + MRC for a mask against a target");
@@ -962,10 +931,8 @@ int cmdEvaluate(int argc, char** argv) {
   cli.addInt("target-case", &targetCase, "built-in target testcase (1..10)");
   cli.addInt("pixel", &pixel, "pixel size in nm");
   cli.addString("log", &logLevel, "log level");
-  cli.addString("backend", &backend, kBackendHelp);
   if (!cli.parse(argc, argv)) return 0;
   setLogLevel(parseLogLevel(logLevel));
-  applyBackend(backend);
 
   MOSAIC_CHECK(!input.empty(), "--input <mask.glp> is required");
   const Layout maskLayout = readGlpFile(input);

@@ -17,7 +17,6 @@
 #include <fstream>
 #include <memory>
 
-#include "math/backend.hpp"
 #include "serve/http.hpp"
 #include "serve/server.hpp"
 #include "support/cli.hpp"
@@ -39,7 +38,6 @@ int serveMain(int argc, char** argv) {
   int httpPort = -1;
   int workers = 2;
   int poolThreads = 0;
-  bool pinWorkers = false;
   int queueCapacity = 8;
   int backoffMs = 25;
   bool cold = false;
@@ -49,7 +47,6 @@ int serveMain(int argc, char** argv) {
   std::string failpoints;
   std::string metricsOut;
   std::string runLogPath;
-  std::string backend = "auto";
 
   CliParser cli("mosaic_serve",
                 "fault-tolerant ILT job service over line-delimited JSON");
@@ -64,8 +61,6 @@ int serveMain(int argc, char** argv) {
   cli.addInt("pool-threads", &poolThreads,
              "work-stealing executor size shared by every job's nested "
              "loops (0 = hardware default)");
-  cli.addFlag("pin-workers", &pinWorkers,
-              "pin executor workers round-robin onto CPUs");
   cli.addInt("queue", &queueCapacity,
              "bounded queue capacity (admission control)");
   cli.addInt("backoff-ms", &backoffMs, "retry backoff per failed attempt");
@@ -83,21 +78,10 @@ int serveMain(int argc, char** argv) {
                 "write the metrics snapshot (JSON) here at exit");
   cli.addString("run-log", &runLogPath,
                 "append per-iteration/job JSONL telemetry here");
-  cli.addString("backend", &backend,
-                "execution backend: auto | cpu_scalar | cpu_simd | "
-                "cpu_simd_f32");
   if (!cli.parse(argc, argv)) return 0;
   setLogLevel(parseLogLevel(logLevel));
   MOSAIC_CHECK(!workDir.empty(), "--work-dir is required");
-  {
-    const exec::Backend* chosen = exec::findBackend(backend);
-    MOSAIC_CHECK(chosen != nullptr, "unknown --backend '"
-                                        << backend << "' (expected one of: "
-                                        << exec::backendNames() << ")");
-    exec::setCurrentBackend(*chosen);
-  }
   if (!failpoints.empty()) failpoint::configure(failpoints);
-  setWorkerPinning(pinWorkers);
   if (poolThreads > 0) setParallelism(poolThreads);
 
   // Flight recorder: always on. A fatal signal (SIGSEGV/SIGABRT/SIGBUS)

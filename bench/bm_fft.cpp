@@ -1,18 +1,16 @@
 /// \file bm_fft.cpp
-/// Legacy-vs-new FFT engine benchmark (docs/performance.md). Times the
-/// 2-D forward+inverse pair on the frozen legacy transforms (the seed
-/// implementation: per-stage radix-2 butterflies, per-column
-/// gather/scatter) against the rebuilt engine (fused stage pairs,
-/// row-vector column butterflies) and its real-input/real-output fast
-/// path, across grid sizes and thread counts. Each thread transforms its
-/// own grid through the shared plan, which is the tile scheduler's access
-/// pattern. Emits BENCH_fft.json; with --min-speedup S it exits nonzero
-/// when the new engine is not at least S times faster than legacy at the
-/// gate size (enforced at 1.0 -- "never slower" -- by the fft_perf_smoke
-/// ctest; the recorded full-run numbers are the >= 2x evidence).
+/// FFT and SOCS engine benchmark (docs/performance.md). Two series, both
+/// written to BENCH_fft.json:
+///   rows      the 2-D forward+inverse pair on the complex path and on
+///             the real-input/real-output path, across grid sizes and
+///             thread counts. Each thread transforms its own grid through
+///             the shared plan, which is the tile scheduler's access
+///             pattern.
+///   backends  the batched SOCS aerial sum and gradient chains
+///             (math/backend) over 24 synthetic pupil-disc kernels at
+///             512^2 and 1024^2, single thread.
 
 #include <algorithm>
-#include <cmath>
 #include <complex>
 #include <cstdio>
 #include <exception>
@@ -75,16 +73,15 @@ double timeBatch(int threads, int iters, int reps, const PairFn& pair) {
 struct Row {
   int size = 0;
   int threads = 0;
-  double legacyMs = 0.0;
-  double newMs = 0.0;
+  double complexMs = 0.0;
   double realMs = 0.0;
 };
 
 // ---------------------------------------------------------------------------
-// Execution-backend series: the batched SOCS aerial + gradient hot path
-// (docs/performance.md "Execution backends"). Synthetic pupil-disc
-// kernels reproduce the sparsity structure the cpu_simd pruning exploits
-// (support ~ a disc around DC, a few percent of rows at production size).
+// SOCS series: the batched aerial + gradient hot path (docs/performance.md,
+// "The SOCS engine"). Synthetic pupil-disc kernels reproduce the sparsity
+// structure the engine's pruning exploits (support ~ a disc around DC, a
+// few percent of rows at production size).
 // ---------------------------------------------------------------------------
 
 struct SyntheticKernels {
@@ -123,75 +120,27 @@ struct SyntheticKernels {
 };
 
 struct BackendRow {
-  const char* backend = nullptr;
   int size = 0;
   double aerialMs = 0.0;
   double gradMs = 0.0;
-  double speedup = 0.0;  ///< scalar total / this total
 };
-
-double maxAbsDiff(const RealGrid& a, const RealGrid& b) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    m = std::max(m, std::abs(a.data()[i] - b.data()[i]));
-  }
-  return m;
-}
-
-double maxAbsDiff(const ComplexGrid& a, const ComplexGrid& b) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    m = std::max(m, std::abs(a.data()[i] - b.data()[i]));
-  }
-  return m;
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   int reps = 3;
-  int gateSize = 1024;
-  double minSpeedup = -1.0;
-  bool smoke = false;
-  bool simdSmoke = false;
-  double simdGate = -1.0;
   std::string jsonPath = "BENCH_fft.json";
 
   CliParser cli("bm_fft",
-                "legacy vs rebuilt FFT engine: 2-D forward+inverse pair");
+                "FFT forward+inverse pairs and the batched SOCS engine");
   cli.addInt("reps", &reps, "repetitions per config (minimum is reported)");
-  cli.addInt("gate-size", &gateSize, "grid size the --min-speedup gate uses");
-  cli.addDouble("min-speedup", &minSpeedup,
-                "fail when new is not this many times faster than legacy "
-                "at the gate size, single thread (<0 = off)");
-  cli.addFlag("smoke", &smoke,
-              "gate size only, single thread (the tier-1 perf smoke)");
-  cli.addFlag("simd-smoke", &simdSmoke,
-              "backend series only, at the gate size (the fft_simd_smoke "
-              "tier-1 test); skips cleanly without AVX2");
-  cli.addDouble("simd-gate", &simdGate,
-                "fail when cpu_simd is not this many times faster than "
-                "cpu_scalar on the batched aerial+gradient path at the "
-                "gate size, and verify scalar/SIMD equivalence (<0 = off)");
   cli.addString("json", &jsonPath, "output JSON path");
   try {
     if (!cli.parse(argc, argv)) return 0;
     MOSAIC_CHECK(reps > 0, "reps must be positive");
-    MOSAIC_CHECK(Fft2d(gateSize, gateSize).rows() == gateSize,
-                 "gate size must be a power of two");
-
-    const std::vector<int> sizes =
-        simdSmoke ? std::vector<int>{}
-        : smoke   ? std::vector<int>{gateSize}
-                  : std::vector<int>{256, 512, 1024, 2048};
-    const std::vector<int> threadCounts =
-        smoke ? std::vector<int>{1} : std::vector<int>{1, 2, 4};
 
     std::vector<Row> rows;
-    double gateLegacyMs = 0.0;
-    double gateNewMs = 0.0;
-
-    for (const int n : sizes) {
+    for (const int n : {256, 512, 1024, 2048}) {
       const Fft2d& fft = fft2dFor(n, n);
       // Keep each batch around the cost of a few 1024^2 pairs so small
       // sizes are timed over many iterations and large ones stay quick.
@@ -199,30 +148,24 @@ int main(int argc, char** argv) {
       const int iters =
           std::max(1, static_cast<int>((1024LL * 1024 * 2) / px));
 
-      const int maxThreads = threadCounts.back();
+      constexpr int kMaxThreads = 4;
       std::vector<ComplexGrid> complexGrids;
       std::vector<RealGrid> realGrids;
       std::vector<ComplexGrid> spectra;
       std::vector<RealGrid> realOut;
-      for (int t = 0; t < maxThreads; ++t) {
+      for (int t = 0; t < kMaxThreads; ++t) {
         complexGrids.push_back(randomGrid(n, 100u + static_cast<unsigned>(t)));
         realGrids.push_back(randomRealGrid(n, 200u + static_cast<unsigned>(t)));
         spectra.emplace_back(n, n);
         realOut.emplace_back(n, n);
       }
 
-      for (const int threads : threadCounts) {
+      for (const int threads : {1, 2, kMaxThreads}) {
         Row row;
         row.size = n;
         row.threads = threads;
         const double scale = 1000.0 / iters;
-
-        row.legacyMs = scale * timeBatch(threads, iters, reps, [&](int t) {
-          auto& g = complexGrids[static_cast<std::size_t>(t)];
-          fft.forwardLegacy(g);
-          fft.inverseLegacy(g);
-        });
-        row.newMs = scale * timeBatch(threads, iters, reps, [&](int t) {
+        row.complexMs = scale * timeBatch(threads, iters, reps, [&](int t) {
           auto& g = complexGrids[static_cast<std::size_t>(t)];
           fft.forward(g);
           fft.inverse(g);
@@ -233,141 +176,62 @@ int main(int argc, char** argv) {
           fft.inverseRealInto(spectra[i], realOut[i]);
         });
         rows.push_back(row);
-        if (n == gateSize && threads == 1) {
-          gateLegacyMs = row.legacyMs;
-          gateNewMs = row.newMs;
-        }
-        std::printf("size %4d  threads %d  legacy %8.2f ms  new %8.2f ms "
-                    "(%.2fx)  real %8.2f ms (%.2fx)\n",
-                    n, threads, row.legacyMs, row.newMs,
-                    row.legacyMs / row.newMs, row.realMs,
-                    row.legacyMs / row.realMs);
+        std::printf("size %4d  threads %d  complex %8.2f ms  real %8.2f ms\n",
+                    n, threads, row.complexMs, row.realMs);
         std::fflush(stdout);
       }
     }
 
-    // ---- execution-backend series (batched SOCS aerial + gradient) ----
     std::vector<BackendRow> backendRows;
-    bool simdSkipped = false;
-    bool backendEquivOk = true;
-    double gateSimdSpeedup = 0.0;
-    if (!smoke) {
-      if (simdSmoke && !exec::cpuHasAvx2()) {
-        std::printf("fft_simd_smoke: CPU has no AVX2+FMA, skipping the "
-                    "backend gate\n");
-        simdSkipped = true;
-      } else {
-        const std::vector<int> backendSizes =
-            simdSmoke ? std::vector<int>{gateSize}
-                      : std::vector<int>{512, 1024};
-        constexpr int kKernels = 24;  // one focus' SOCS kernel count
-        for (const int n : backendSizes) {
-          const Fft2d& fft = fft2dFor(n, n);
-          const SyntheticKernels kern(n, kKernels);
-          const ComplexGrid spectrum = randomGrid(n, 7);
-          const RealGrid gField = randomRealGrid(n, 8);
-          const exec::Backend* backends[] = {&exec::scalarBackend(),
-                                             &exec::simdBackend(),
-                                             &exec::simdFloatBackend()};
-          RealGrid intensityRef(n, n, 0.0);
-          ComplexGrid accumRef(n, n, {0.0, 0.0});
-          double intensityScale = 1.0;
-          double accumScale = 1.0;
-          double scalarTotal = 0.0;
-          for (const exec::Backend* backend : backends) {
-            RealGrid intensity(n, n, 0.0);
-            ComplexGrid accum(n, n, {0.0, 0.0});
-            BackendRow row;
-            row.backend = backend->name();
-            row.size = n;
-            row.aerialMs = 1000.0 * timeBatch(1, 1, reps, [&](int) {
-              intensity.fill(0.0);
-              backend->accumulateCoherentIntensity(
-                  fft, spectrum, kern.views.data(), kern.weights.data(),
-                  kKernels, 1.05, intensity);
-            });
-            row.gradMs = 1000.0 * timeBatch(1, 1, reps, [&](int) {
-              accum.fill({0.0, 0.0});
-              backend->accumulateGradientChains(
-                  fft, spectrum, kern.views.data(), kern.weights.data(),
-                  kKernels, gField, accum);
-            });
-            const double total = row.aerialMs + row.gradMs;
-            if (backend == &exec::scalarBackend()) {
-              scalarTotal = total;
-              row.speedup = 1.0;
-              intensityRef = intensity;
-              accumRef = accum;
-              for (const double v : intensityRef) {
-                intensityScale = std::max(intensityScale, std::abs(v));
-              }
-              for (const auto& v : accumRef) {
-                accumScale = std::max(accumScale, std::abs(v));
-              }
-            } else {
-              row.speedup = scalarTotal / total;
-              // Per-backend equivalence vs the scalar oracle, relative to
-              // the result magnitude (f32 gets the documented loose
-              // aerial tolerance; its gradient path is double).
-              const bool isF32 = backend == &exec::simdFloatBackend();
-              const double aerialRel =
-                  maxAbsDiff(intensity, intensityRef) / intensityScale;
-              const double gradRel =
-                  maxAbsDiff(accum, accumRef) / accumScale;
-              const double aerialTol = isF32 ? 1e-4 : 1e-9;
-              if (aerialRel > aerialTol || gradRel > 1e-9) {
-                backendEquivOk = false;
-                std::fprintf(stderr,
-                             "bm_fft: %s diverges from cpu_scalar at %d^2 "
-                             "(aerial rel %.2e, grad rel %.2e)\n",
-                             backend->name(), n, aerialRel, gradRel);
-              }
-              if (backend == &exec::simdBackend() && n == gateSize) {
-                gateSimdSpeedup = row.speedup;
-              }
-            }
-            backendRows.push_back(row);
-            std::printf("backend %-12s size %4d  aerial %8.2f ms  grad "
-                        "%8.2f ms  (%.2fx vs scalar)\n",
-                        row.backend, n, row.aerialMs, row.gradMs,
-                        row.speedup);
-            std::fflush(stdout);
-          }
-        }
-      }
+    constexpr int kKernels = 24;  // one focus' SOCS kernel count
+    for (const int n : {512, 1024}) {
+      const Fft2d& fft = fft2dFor(n, n);
+      const SyntheticKernels kern(n, kKernels);
+      const ComplexGrid spectrum = randomGrid(n, 7);
+      const RealGrid gField = randomRealGrid(n, 8);
+      RealGrid intensity(n, n, 0.0);
+      ComplexGrid accum(n, n, {0.0, 0.0});
+      BackendRow row;
+      row.size = n;
+      row.aerialMs = 1000.0 * timeBatch(1, 1, reps, [&](int) {
+        intensity.fill(0.0);
+        exec::accumulateCoherentIntensity(fft, spectrum, kern.views.data(),
+                                          kern.weights.data(), kKernels, 1.05,
+                                          intensity);
+      });
+      row.gradMs = 1000.0 * timeBatch(1, 1, reps, [&](int) {
+        accum.fill({0.0, 0.0});
+        exec::accumulateGradientChains(fft, spectrum, kern.views.data(),
+                                       kern.weights.data(), kKernels, gField,
+                                       accum);
+      });
+      backendRows.push_back(row);
+      std::printf("socs size %4d  aerial %8.2f ms  grad %8.2f ms\n", n,
+                  row.aerialMs, row.gradMs);
+      std::fflush(stdout);
     }
 
     TextTable table;
-    table.setHeader({"size", "threads", "legacy ms", "new ms", "speedup",
-                     "real ms", "real speedup"});
+    table.setHeader({"size", "threads", "complex ms", "real ms"});
     for (const Row& row : rows) {
       table.addRow({std::to_string(row.size), std::to_string(row.threads),
-                    TextTable::num(row.legacyMs, 2),
-                    TextTable::num(row.newMs, 2),
-                    TextTable::num(row.legacyMs / row.newMs, 2),
-                    TextTable::num(row.realMs, 2),
-                    TextTable::num(row.legacyMs / row.realMs, 2)});
+                    TextTable::num(row.complexMs, 2),
+                    TextTable::num(row.realMs, 2)});
     }
-    if (!rows.empty()) {
-      std::printf("\n== bm_fft: forward+inverse pair per thread, best of %d "
-                  "reps ==\n%s",
-                  reps, table.render().c_str());
-    }
+    std::printf("\n== bm_fft: forward+inverse pair per thread, best of %d "
+                "reps ==\n%s",
+                reps, table.render().c_str());
 
-    if (!backendRows.empty()) {
-      TextTable btable;
-      btable.setHeader(
-          {"backend", "size", "aerial ms", "grad ms", "vs scalar"});
-      for (const BackendRow& row : backendRows) {
-        btable.addRow({row.backend, std::to_string(row.size),
-                       TextTable::num(row.aerialMs, 2),
-                       TextTable::num(row.gradMs, 2),
-                       TextTable::num(row.speedup, 2)});
-      }
-      std::printf("\n== bm_fft: batched SOCS aerial + gradient (24 kernels) "
-                  "per backend ==\n%s",
-                  btable.render().c_str());
+    TextTable btable;
+    btable.setHeader({"size", "aerial ms", "grad ms"});
+    for (const BackendRow& row : backendRows) {
+      btable.addRow({std::to_string(row.size), TextTable::num(row.aerialMs, 2),
+                     TextTable::num(row.gradMs, 2)});
     }
+    std::printf("\n== bm_fft: batched SOCS aerial + gradient (%d kernels, "
+                "avx2 %s) ==\n%s",
+                kKernels, exec::cpuHasAvx2() ? "yes" : "no",
+                btable.render().c_str());
 
     FILE* json = std::fopen(jsonPath.c_str(), "w");
     MOSAIC_CHECK(json != nullptr, "cannot write " << jsonPath);
@@ -378,62 +242,23 @@ int main(int argc, char** argv) {
       const Row& row = rows[i];
       std::fprintf(json,
                    "    {\"size\": %d, \"threads\": %d, "
-                   "\"legacy_ms\": %.3f, \"new_ms\": %.3f, "
-                   "\"speedup\": %.3f, \"real_ms\": %.3f, "
-                   "\"real_speedup\": %.3f}%s\n",
-                   row.size, row.threads, row.legacyMs, row.newMs,
-                   row.legacyMs / row.newMs, row.realMs,
-                   row.legacyMs / row.realMs,
+                   "\"complex_ms\": %.3f, \"real_ms\": %.3f}%s\n",
+                   row.size, row.threads, row.complexMs, row.realMs,
                    i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(json, "  ],\n  \"backends\": [\n");
+    std::fprintf(json, "  ],\n  \"avx2\": %s,\n  \"backends\": [\n",
+                 exec::cpuHasAvx2() ? "true" : "false");
     for (std::size_t i = 0; i < backendRows.size(); ++i) {
       const BackendRow& row = backendRows[i];
       std::fprintf(json,
-                   "    {\"backend\": \"%s\", \"size\": %d, "
-                   "\"aerial_ms\": %.3f, \"grad_ms\": %.3f, "
-                   "\"speedup_vs_scalar\": %.3f}%s\n",
-                   row.backend, row.size, row.aerialMs, row.gradMs,
-                   row.speedup, i + 1 < backendRows.size() ? "," : "");
+                   "    {\"backend\": \"cpu_simd\", \"size\": %d, "
+                   "\"aerial_ms\": %.3f, \"grad_ms\": %.3f}%s\n",
+                   row.size, row.aerialMs, row.gradMs,
+                   i + 1 < backendRows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
     std::printf("wrote %s\n", jsonPath.c_str());
-
-    if (minSpeedup >= 0.0) {
-      MOSAIC_CHECK(gateLegacyMs > 0.0,
-                   "gate size " << gateSize << " was not measured");
-      const double speedup = gateLegacyMs / gateNewMs;
-      if (speedup < minSpeedup) {
-        std::fprintf(stderr,
-                     "bm_fft: new engine speedup %.2fx at %d^2 is below "
-                     "the %.2fx gate\n",
-                     speedup, gateSize, minSpeedup);
-        return 1;
-      }
-      std::printf("gate: %.2fx >= %.2fx at %d^2, ok\n", speedup, minSpeedup,
-                  gateSize);
-    }
-
-    if (simdGate >= 0.0 && !simdSkipped) {
-      if (!backendEquivOk) {
-        std::fprintf(stderr,
-                     "bm_fft: backend equivalence check failed (above)\n");
-        return 1;
-      }
-      MOSAIC_CHECK(gateSimdSpeedup > 0.0,
-                   "cpu_simd at gate size " << gateSize
-                                            << " was not measured");
-      if (gateSimdSpeedup < simdGate) {
-        std::fprintf(stderr,
-                     "bm_fft: cpu_simd speedup %.2fx at %d^2 is below the "
-                     "%.2fx gate\n",
-                     gateSimdSpeedup, gateSize, simdGate);
-        return 1;
-      }
-      std::printf("simd gate: %.2fx >= %.2fx at %d^2, equivalence ok\n",
-                  gateSimdSpeedup, simdGate, gateSize);
-    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bm_fft: %s\n", e.what());
     return 1;

@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "eval/evaluator.hpp"
-#include "math/backend.hpp"
 #include "geometry/raster.hpp"
 #include "litho/simulator.hpp"
 #include "opc/mosaic.hpp"
@@ -53,35 +52,6 @@ BENCHMARK(BM_ObjectiveEvaluation)
     ->Arg(static_cast<int>(OpcMethod::kMosaicFast))
     ->Arg(static_cast<int>(OpcMethod::kMosaicExact))
     ->Arg(static_cast<int>(OpcMethod::kIltBaseline))
-    ->Unit(benchmark::kMillisecond);
-
-// Same objective evaluation routed through each execution backend
-// (docs/performance.md, "Execution backends"). Backends lacking hardware
-// support on this machine are skipped rather than silently falling back,
-// so the reported series always measures what its label claims.
-void BM_ObjectiveEvaluationBackend(benchmark::State& state) {
-  const exec::Backend* backends[] = {&exec::scalarBackend(),
-                                     &exec::simdBackend(),
-                                     &exec::simdFloatBackend()};
-  const exec::Backend& backend = *backends[state.range(0)];
-  if (backend.accelerated() && !exec::cpuHasAvx2()) {
-    state.SkipWithError("AVX2 not available on this machine");
-    return;
-  }
-  env().sim.setBackend(&backend);
-  IltConfig cfg = defaultIltConfig(OpcMethod::kMosaicFast, 4);
-  IltObjective obj(env().sim, env().target, cfg);
-  for (auto _ : state) {
-    auto eval = obj.evaluate(env().mask, true);
-    benchmark::DoNotOptimize(eval.value);
-  }
-  env().sim.setBackend(nullptr);
-  state.SetLabel(backend.name());
-}
-BENCHMARK(BM_ObjectiveEvaluationBackend)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullOptimization(benchmark::State& state) {

@@ -1,22 +1,18 @@
 /// \file bm_parallel.cpp
 /// Executor benchmarks (docs/performance.md, "Threading model"): the
-/// persistent work-stealing pool against the legacy spawn-per-call
-/// scheduler, and cache-aware chip scheduling against unordered dispatch.
+/// persistent work-stealing pool's dispatch cost and nested scaling, and
+/// cache-aware chip scheduling against unordered dispatch.
 ///
 /// Three phases, all recorded in BENCH_parallel.json:
-///   dispatch  per-call overhead of parallelFor on a small range — the
-///             pool reuses warm workers where the legacy path spawns and
-///             joins fresh std::threads every call.
+///   dispatch  per-call overhead of parallelFor on a small range, where
+///             the pool hands chunks to warm workers.
 ///   nested    a replicated chip through the tile scheduler at 1/2/4
-///             workers on the pool (outer tile loop + inner PV-corner
-///             loops share the worker set), with the stitched mask checked
-///             bit-for-bit against the spawn scheduler.
+///             workers (outer tile loop + inner PV-corner loops share the
+///             worker set), with the 1- and 4-worker stitched masks
+///             checked bit for bit.
 ///   cache     a repetitive 10x10 cell chip, cold, with cache-aware
 ///             ordering (representatives first, then exact-hit pastes)
 ///             versus the same cold run unordered.
-///
-/// --dispatch-only with --min-dispatch-speedup 1.0 is the tier-1
-/// `parallel_pool_smoke` ctest: the pool must never lose to spawn.
 
 #include <algorithm>
 #include <cstdio>
@@ -38,16 +34,10 @@ namespace {
 
 using namespace mosaic;
 
-struct DispatchResult {
-  double spawnUsPerCall = 0.0;
-  double poolUsPerCall = 0.0;
-  double speedup = 0.0;
-};
-
-/// Per-call parallelFor overhead on a small range: the body is a handful
-/// of arithmetic per index, so the measurement is dominated by dispatch
-/// (thread spawn/join vs enqueue/wakeup), not by work.
-DispatchResult runDispatchPhase(int workers, int range, int calls) {
+/// Per-call parallelFor overhead on a small range, in microseconds: the
+/// body is a handful of arithmetic per index, so the measurement is
+/// dominated by dispatch (enqueue/wakeup/join), not by work.
+double runDispatchPhase(int workers, int range, int calls) {
   setParallelism(workers);
   std::vector<double> sink(static_cast<std::size_t>(range), 0.0);
   const auto body = [&sink](std::size_t i) {
@@ -55,29 +45,18 @@ DispatchResult runDispatchPhase(int workers, int range, int calls) {
     x = x * 1.0000001 + 0.5 / x;
     sink[i] += x;
   };
-  const auto measure = [&](ParallelBackend backend) {
-    setParallelBackend(backend);
-    for (int c = 0; c < calls / 10 + 1; ++c) {  // warm-up: threads, pages
-      parallelFor(0, static_cast<std::size_t>(range), body);
-    }
-    WallTimer timer;
-    for (int c = 0; c < calls; ++c) {
-      parallelFor(0, static_cast<std::size_t>(range), body);
-    }
-    return timer.seconds() * 1e6 / calls;
-  };
-
-  DispatchResult r;
-  r.poolUsPerCall = measure(ParallelBackend::kPool);
-  r.spawnUsPerCall = measure(ParallelBackend::kSpawn);
-  setParallelBackend(ParallelBackend::kPool);
-  r.speedup = r.poolUsPerCall > 0.0 ? r.spawnUsPerCall / r.poolUsPerCall
-                                    : 0.0;
+  for (int c = 0; c < calls / 10 + 1; ++c) {  // warm-up: threads, pages
+    parallelFor(0, static_cast<std::size_t>(range), body);
+  }
+  WallTimer timer;
+  for (int c = 0; c < calls; ++c) {
+    parallelFor(0, static_cast<std::size_t>(range), body);
+  }
+  const double usPerCall = timer.seconds() * 1e6 / calls;
   std::printf("== dispatch overhead: range %d, %d workers, %d calls ==\n",
               range, workers, calls);
-  std::printf("spawn: %8.1f us/call\npool:  %8.1f us/call  (%.1fx lower)\n",
-              r.spawnUsPerCall, r.poolUsPerCall, r.speedup);
-  return r;
+  std::printf("pool: %8.1f us/call\n", usPerCall);
+  return usPerCall;
 }
 
 bool masksIdentical(const BitGrid& a, const BitGrid& b) {
@@ -118,29 +97,23 @@ ChipConfig chipConfig(const std::string& kernelCache) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool dispatchOnly = false;
   int dispatchRange = 64;
   int dispatchCalls = 300;
   int dispatchWorkers = 4;
   int replicate = 10;
-  double minDispatchSpeedup = 0.0;
   double maxNestedRatio = 0.0;
   double minHitRate = 0.0;
   std::string jsonPath = "BENCH_parallel.json";
   std::string logLevel = "warn";
 
   CliParser cli("bm_parallel",
-                "work-stealing executor vs spawn-per-call dispatch, nested "
-                "chip scaling, cache-aware tile ordering");
-  cli.addFlag("dispatch-only", &dispatchOnly,
-              "run only the dispatch-overhead phase (the ctest gate)");
+                "work-stealing executor dispatch cost, nested chip "
+                "scaling, cache-aware tile ordering");
   cli.addInt("range", &dispatchRange, "parallelFor range per dispatch call");
   cli.addInt("calls", &dispatchCalls, "timed parallelFor calls");
   cli.addInt("workers", &dispatchWorkers, "worker count for the dispatch phase");
   cli.addInt("replicate", &replicate,
              "cell replication per axis for the cache-aware phase");
-  cli.addDouble("min-dispatch-speedup", &minDispatchSpeedup,
-                "fail unless pool dispatch beats spawn by this (0 = report)");
   cli.addDouble("max-nested-ratio", &maxNestedRatio,
                 "fail unless 2-worker chip time <= ratio * 1-worker time "
                 "(0 = report)");
@@ -156,172 +129,150 @@ int main(int argc, char** argv) {
     bool ok = true;
 
     // Phase 1: dispatch overhead.
-    const DispatchResult dispatch =
+    const double dispatchUs =
         runDispatchPhase(dispatchWorkers, dispatchRange, dispatchCalls);
-    if (minDispatchSpeedup > 0.0 && dispatch.speedup < minDispatchSpeedup) {
-      std::fprintf(stderr,
-                   "FAIL: pool dispatch speedup %.2fx below the %.2fx floor\n",
-                   dispatch.speedup, minDispatchSpeedup);
-      ok = false;
-    }
+
+    // Phase 2: nested chip scaling; 1 and 4 workers must agree bit for
+    // bit.
+    const std::string kernelCache = "bm_parallel_kernels";
+    const Layout smallChip = replicateLayout(buildTestcase(1), 2, 2);
+    ChipConfig cfg = chipConfig(kernelCache);
+    setParallelism(1);
+    const ChipResult warm = optimizeChip(smallChip, cfg);  // kernel cache
+    MOSAIC_CHECK(warm.allOk(), "warm-up chip run failed");
 
     struct NestedRun {
       int workers;
       double seconds;
     };
     std::vector<NestedRun> nested;
-    double nestedRatio2 = 0.0;
     bool bitIdentical = true;
-    double orderedSeconds = 0.0, unorderedSeconds = 0.0, hitRate = 0.0;
-    int representatives = 0, tiles = 0;
-
-    if (!dispatchOnly) {
-      // Phase 2: nested chip scaling, pool vs the spawn oracle.
-      const std::string kernelCache = "bm_parallel_kernels";
-      const Layout smallChip =
-          replicateLayout(buildTestcase(1), 2, 2);
-      ChipConfig cfg = chipConfig(kernelCache);
-      setParallelism(1);
-      const ChipResult warm = optimizeChip(smallChip, cfg);  // kernel cache
-      MOSAIC_CHECK(warm.allOk(), "warm-up chip run failed");
-
-      TextTable table;
-      table.setHeader({"workers", "time (s)", "speedup"});
-      for (const int workers : {1, 2, 4}) {
-        setParallelism(workers);
-        const ChipResult res = optimizeChip(smallChip, cfg);
-        MOSAIC_CHECK(res.allOk(), "chip run failed at " << workers
-                                                        << " workers");
-        nested.push_back({workers, res.wallSeconds});
-        table.addRow({std::to_string(workers),
-                      TextTable::num(res.wallSeconds, 2),
-                      TextTable::num(nested.front().seconds / res.wallSeconds,
-                                     2)});
-        if (workers == 2) {
-          setParallelBackend(ParallelBackend::kSpawn);
-          const ChipResult oracle = optimizeChip(smallChip, cfg);
-          setParallelBackend(ParallelBackend::kPool);
-          MOSAIC_CHECK(oracle.allOk(), "spawn oracle chip run failed");
-          bitIdentical = masksIdentical(res.stitched.maskBinary,
-                                        oracle.stitched.maskBinary);
-        }
+    TextTable table;
+    table.setHeader({"workers", "time (s)", "speedup"});
+    BitGrid serialMask;
+    for (const int workers : {1, 2, 4}) {
+      setParallelism(workers);
+      const ChipResult res = optimizeChip(smallChip, cfg);
+      MOSAIC_CHECK(res.allOk(), "chip run failed at " << workers
+                                                      << " workers");
+      nested.push_back({workers, res.wallSeconds});
+      table.addRow({std::to_string(workers),
+                    TextTable::num(res.wallSeconds, 2),
+                    TextTable::num(nested.front().seconds / res.wallSeconds,
+                                   2)});
+      if (workers == 1) serialMask = res.stitched.maskBinary;
+      if (workers == 4) {
+        bitIdentical = masksIdentical(res.stitched.maskBinary, serialMask);
       }
-      nestedRatio2 = nested[1].seconds / nested[0].seconds;
-      std::printf("== nested chip: %d tiles, pool backend ==\n",
-                  warm.partition.tileCount());
-      std::printf("%s", table.render().c_str());
-      const int hwThreads =
-          std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-      std::printf("2-worker/1-worker ratio: %.2f (on %d hardware "
-                  "thread(s)), mask vs spawn backend: %s\n",
-                  nestedRatio2, hwThreads,
-                  bitIdentical ? "bit-identical" : "DIFFERS");
-      const PoolStats stats = poolStats();
-      std::printf("pool: %llu tasks, %llu stolen, %llu idle trims\n",
-                  static_cast<unsigned long long>(stats.tasksExecuted),
-                  static_cast<unsigned long long>(stats.tasksStolen),
-                  static_cast<unsigned long long>(stats.idleTrims));
-      if (!bitIdentical) {
+    }
+    const double nestedRatio2 = nested[1].seconds / nested[0].seconds;
+    std::printf("== nested chip: %d tiles ==\n",
+                warm.partition.tileCount());
+    std::printf("%s", table.render().c_str());
+    const int hwThreads =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    std::printf("2-worker/1-worker ratio: %.2f (on %d hardware "
+                "thread(s)), 4-worker mask vs 1-worker: %s\n",
+                nestedRatio2, hwThreads,
+                bitIdentical ? "bit-identical" : "DIFFERS");
+    const PoolStats stats = poolStats();
+    std::printf("pool: %llu tasks, %llu stolen, %llu idle trims\n",
+                static_cast<unsigned long long>(stats.tasksExecuted),
+                static_cast<unsigned long long>(stats.tasksStolen),
+                static_cast<unsigned long long>(stats.idleTrims));
+    if (!bitIdentical) {
+      std::fprintf(stderr,
+                   "FAIL: 4-worker mask differs from the 1-worker mask\n");
+      ok = false;
+    }
+    if (maxNestedRatio > 0.0 && nestedRatio2 > maxNestedRatio) {
+      if (hwThreads < 2) {
+        // A second worker cannot speed anything up on one CPU; report
+        // instead of failing.
+        std::printf("nested-ratio gate skipped: 1 hardware thread\n");
+      } else {
         std::fprintf(stderr,
-                     "FAIL: pool-scheduled mask differs from spawn oracle\n");
+                     "FAIL: 2-worker ratio %.2f above the %.2f ceiling\n",
+                     nestedRatio2, maxNestedRatio);
         ok = false;
       }
-      if (maxNestedRatio > 0.0 && nestedRatio2 > maxNestedRatio) {
-        if (hwThreads < 2) {
-          // A second worker cannot speed anything up on one CPU; report
-          // instead of failing (mirrors fft_simd_smoke without AVX2).
-          std::printf("nested-ratio gate skipped: 1 hardware thread\n");
-        } else {
-          std::fprintf(stderr,
-                       "FAIL: 2-worker ratio %.2f above the %.2f ceiling\n",
-                       nestedRatio2, maxNestedRatio);
-          ok = false;
-        }
-      }
-
-      // Phase 3: cache-aware ordering, cold ordered vs cold unordered.
-      setParallelism(4);
-      const Layout chip = repetitiveChip(replicate);
-      const auto coldRun = [&](bool ordered) {
-        const std::string store = ordered ? "bm_parallel_cache_ordered"
-                                          : "bm_parallel_cache_unordered";
-        std::filesystem::remove_all(store);  // cold means cold
-        ChipConfig c = chipConfig(kernelCache);
-        c.patternCacheDir = store;
-        c.cacheAwareOrder = ordered;
-        const ChipResult res = optimizeChip(chip, c);
-        MOSAIC_CHECK(res.allOk(), "cache phase chip run failed");
-        return res;
-      };
-      const ChipResult ordered = coldRun(true);
-      const ChipResult unordered = coldRun(false);
-      orderedSeconds = ordered.wallSeconds;
-      unorderedSeconds = unordered.wallSeconds;
-      representatives = ordered.representatives;
-      int pasted = 0;
-      tiles = 0;
-      for (const TileOutcome& o : ordered.outcomes) {
-        if (o.skippedEmpty) continue;
-        ++tiles;
-        if (o.fromCache) ++pasted;
-      }
-      hitRate = tiles > 0 ? static_cast<double>(pasted) / tiles : 0.0;
-      std::printf("== cache-aware ordering: %d tiles, %d classes ==\n",
-                  tiles, representatives);
-      std::printf("ordered cold:   %.2f s (%d optimized, %d pasted, %.1f%% "
-                  "paste rate)\n",
-                  orderedSeconds, representatives, pasted, 100.0 * hitRate);
-      std::printf("unordered cold: %.2f s (%.2fx slower)\n", unorderedSeconds,
-                  orderedSeconds > 0.0 ? unorderedSeconds / orderedSeconds
-                                       : 0.0);
-      if (minHitRate > 0.0) {
-        if (hitRate < minHitRate) {
-          std::fprintf(stderr,
-                       "FAIL: paste rate %.3f below the %.3f floor\n",
-                       hitRate, minHitRate);
-          ok = false;
-        }
-        if (orderedSeconds >= unorderedSeconds) {
-          std::fprintf(stderr,
-                       "FAIL: ordered cold run (%.2f s) did not beat the "
-                       "unordered run (%.2f s)\n",
-                       orderedSeconds, unorderedSeconds);
-          ok = false;
-        }
-      }
-      setParallelism(0);
     }
+
+    // Phase 3: cache-aware ordering, cold ordered vs cold unordered.
+    setParallelism(4);
+    const Layout chip = repetitiveChip(replicate);
+    const auto coldRun = [&](bool ordered) {
+      const std::string store = ordered ? "bm_parallel_cache_ordered"
+                                        : "bm_parallel_cache_unordered";
+      std::filesystem::remove_all(store);  // cold means cold
+      ChipConfig c = chipConfig(kernelCache);
+      c.patternCacheDir = store;
+      c.cacheAwareOrder = ordered;
+      const ChipResult res = optimizeChip(chip, c);
+      MOSAIC_CHECK(res.allOk(), "cache phase chip run failed");
+      return res;
+    };
+    const ChipResult ordered = coldRun(true);
+    const ChipResult unordered = coldRun(false);
+    const double orderedSeconds = ordered.wallSeconds;
+    const double unorderedSeconds = unordered.wallSeconds;
+    const int representatives = ordered.representatives;
+    int pasted = 0;
+    int tiles = 0;
+    for (const TileOutcome& o : ordered.outcomes) {
+      if (o.skippedEmpty) continue;
+      ++tiles;
+      if (o.fromCache) ++pasted;
+    }
+    const double hitRate =
+        tiles > 0 ? static_cast<double>(pasted) / tiles : 0.0;
+    std::printf("== cache-aware ordering: %d tiles, %d classes ==\n",
+                tiles, representatives);
+    std::printf("ordered cold:   %.2f s (%d optimized, %d pasted, %.1f%% "
+                "paste rate)\n",
+                orderedSeconds, representatives, pasted, 100.0 * hitRate);
+    std::printf("unordered cold: %.2f s (%.2fx slower)\n", unorderedSeconds,
+                orderedSeconds > 0.0 ? unorderedSeconds / orderedSeconds
+                                     : 0.0);
+    if (minHitRate > 0.0) {
+      if (hitRate < minHitRate) {
+        std::fprintf(stderr,
+                     "FAIL: paste rate %.3f below the %.3f floor\n",
+                     hitRate, minHitRate);
+        ok = false;
+      }
+      if (orderedSeconds >= unorderedSeconds) {
+        std::fprintf(stderr,
+                     "FAIL: ordered cold run (%.2f s) did not beat the "
+                     "unordered run (%.2f s)\n",
+                     orderedSeconds, unorderedSeconds);
+        ok = false;
+      }
+    }
+    setParallelism(0);
 
     FILE* json = std::fopen(jsonPath.c_str(), "w");
     MOSAIC_CHECK(json != nullptr, "cannot write " << jsonPath);
     std::fprintf(json,
                  "{\n  \"bench\": \"bm_parallel\",\n"
                  "  \"dispatch\": {\"range\": %d, \"workers\": %d, "
-                 "\"spawn_us_per_call\": %.2f, \"pool_us_per_call\": %.2f, "
-                 "\"speedup\": %.2f}",
-                 dispatchRange, dispatchWorkers, dispatch.spawnUsPerCall,
-                 dispatch.poolUsPerCall, dispatch.speedup);
-    if (!dispatchOnly) {
-      std::fprintf(json, ",\n  \"nested\": {\"runs\": [");
-      for (std::size_t i = 0; i < nested.size(); ++i) {
-        std::fprintf(json, "{\"workers\": %d, \"seconds\": %.4f}%s",
-                     nested[i].workers, nested[i].seconds,
-                     i + 1 < nested.size() ? ", " : "");
-      }
-      std::fprintf(json,
-                   "], \"ratio_2w\": %.3f, \"hardware_threads\": %d, "
-                   "\"bit_identical\": %s}",
-                   nestedRatio2,
-                   std::max(1, static_cast<int>(
-                                   std::thread::hardware_concurrency())),
-                   bitIdentical ? "true" : "false");
-      std::fprintf(json,
-                   ",\n  \"cache_aware\": {\"tiles\": %d, \"classes\": %d, "
-                   "\"paste_rate\": %.4f, \"ordered_seconds\": %.4f, "
-                   "\"unordered_seconds\": %.4f}",
-                   tiles, representatives, hitRate, orderedSeconds,
-                   unorderedSeconds);
+                 "\"pool_us_per_call\": %.2f},\n  \"nested\": {\"runs\": [",
+                 dispatchRange, dispatchWorkers, dispatchUs);
+    for (std::size_t i = 0; i < nested.size(); ++i) {
+      std::fprintf(json, "{\"workers\": %d, \"seconds\": %.4f}%s",
+                   nested[i].workers, nested[i].seconds,
+                   i + 1 < nested.size() ? ", " : "");
     }
+    std::fprintf(json,
+                 "], \"ratio_2w\": %.3f, \"hardware_threads\": %d, "
+                 "\"bit_identical\": %s}",
+                 nestedRatio2, hwThreads, bitIdentical ? "true" : "false");
+    std::fprintf(json,
+                 ",\n  \"cache_aware\": {\"tiles\": %d, \"classes\": %d, "
+                 "\"paste_rate\": %.4f, \"ordered_seconds\": %.4f, "
+                 "\"unordered_seconds\": %.4f}",
+                 tiles, representatives, hitRate, orderedSeconds,
+                 unorderedSeconds);
     std::fprintf(json, "\n}\n");
     std::fclose(json);
     std::printf("wrote %s\n", jsonPath.c_str());

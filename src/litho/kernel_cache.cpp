@@ -108,12 +108,6 @@ KernelSet loadKernelSet(const std::string& path) {
   return set;
 }
 
-std::string kernelCacheName(int gridSize, double focusNm) {
-  return "kernels_g" + std::to_string(gridSize) + "_f" +
-         std::to_string(static_cast<long long>(std::llround(focusNm * 10))) +
-         ".bin";
-}
-
 std::uint64_t opticsParameterDigest(const OpticsConfig& optics) {
   Fnv1a h;
   h.mix(optics.wavelengthNm);

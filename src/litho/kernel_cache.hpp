@@ -21,12 +21,6 @@ void saveKernelSet(const std::string& path, const KernelSet& set);
 /// version mismatch.
 KernelSet loadKernelSet(const std::string& path);
 
-/// Deterministic cache filename from grid size + focus only, e.g.
-/// "kernels_g256_f250.bin" (focus in tenths of nm). Legacy key: two
-/// kernel sets built under different pupil/source settings map to the
-/// same name — prefer the OpticsConfig overload for on-disk caches.
-std::string kernelCacheName(int gridSize, double focusNm);
-
 /// Deterministic cache filename covering *every* optical parameter, e.g.
 /// "kernels_g256_f250_o1a2b3c4d5e6f708.bin". The trailing token is an
 /// FNV-1a hash over wavelength, NA, source sigmas, immersion index,

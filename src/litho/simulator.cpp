@@ -2,6 +2,7 @@
 
 #include "litho/kernel_cache.hpp"
 #include "litho/tcc.hpp"
+#include "math/backend.hpp"
 #include "math/convolution.hpp"
 #include "support/failpoint.hpp"
 #include "support/telemetry/metrics.hpp"
@@ -107,11 +108,10 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
                         : std::min(maxKernels, set.kernelCount());
   const Fft2d& fft = fft2dFor(n, n);
   RealGrid intensity(n, n, 0.0);
-  // The SOCS sum runs on the selected execution backend. The dose factor
-  // is applied exactly once, inside the backend (however it folds it);
-  // the resist blur below stays outside so it also applies exactly once
-  // regardless of backend (regression-tested in tests/test_backend.cpp
-  // for dose != 1 combined with blur > 0).
+  // The dose factor is applied exactly once, inside the SOCS sum; the
+  // resist blur below stays outside so it also applies exactly once
+  // (regression-tested in tests/test_backend.cpp for dose != 1 combined
+  // with blur > 0).
   std::vector<exec::SpectrumView> views(static_cast<std::size_t>(count));
   for (int k = 0; k < count; ++k) {
     const SparseSpectrum& spec = set.kernels[static_cast<std::size_t>(k)];
@@ -119,9 +119,9 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
                                           spec.value.data(),
                                           spec.flatIndex.size()};
   }
-  activeBackend().accumulateCoherentIntensity(fft, spectrum, views.data(),
-                                              set.weights.data(), count,
-                                              corner.dose, intensity);
+  exec::accumulateCoherentIntensity(fft, spectrum, views.data(),
+                                    set.weights.data(), count, corner.dose,
+                                    intensity);
   if (resist_.diffusionSigmaNm > 0.0) {
     intensity = gaussianBlur(
         intensity, resist_.diffusionSigmaNm / optics_.pixelNm);

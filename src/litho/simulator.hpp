@@ -10,7 +10,6 @@
 
 #include "litho/kernels.hpp"
 #include "litho/optics.hpp"
-#include "math/backend.hpp"
 #include "math/fft.hpp"
 #include "math/grid.hpp"
 
@@ -58,17 +57,6 @@ class LithoSimulator {
   /// worker threads (the tile scheduler calls this before fan-out).
   void warmKernels(const std::vector<double>& focusValuesNm) const;
 
-  /// Execution backend for the SOCS hot loops (aerial sum; the gradient
-  /// chains in opc/objective follow this too). nullptr (the default)
-  /// defers to the process-wide exec::currentBackend(), so a simulator
-  /// normally inherits the --backend selection; tests and benchmarks pin
-  /// one explicitly. Not thread-safe against concurrent use — set it
-  /// before sharing the simulator.
-  void setBackend(const exec::Backend* backend) { backend_ = backend; }
-  [[nodiscard]] const exec::Backend& activeBackend() const {
-    return backend_ ? *backend_ : exec::currentBackend();
-  }
-
   /// Forward FFT of a real mask.
   [[nodiscard]] ComplexGrid maskSpectrum(const RealGrid& mask) const;
 
@@ -109,7 +97,6 @@ class LithoSimulator {
   OpticsConfig optics_;
   ResistModel resist_;
   std::string cacheDir_;
-  const exec::Backend* backend_ = nullptr;
   /// Guards only the map itself (entry lookup/insert), never kernel
   /// computation. Entries are shared_ptrs so references stay stable after
   /// the lock is released.

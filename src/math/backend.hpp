@@ -1,36 +1,22 @@
 #pragma once
 /// \file backend.hpp
-/// Execution-backend layer for the SOCS hot path (docs/performance.md).
+/// The SOCS hot path (docs/performance.md, "The SOCS engine").
 ///
 /// One ILT iteration spends nearly all of its time in two math-level
 /// primitives: the aerial-intensity sum over the SOCS kernel set
 /// (per-kernel sparse product + inverse FFT + weighted |.|^2 accumulate,
 /// Eq. 2) and the gradient convolution chains (inverse FFT, element-wise
-/// product, forward FFT, flipped sparse accumulate, Eq. 17). A Backend
-/// implements exactly those two primitives, so the simulator and the
-/// objective stay algorithm-shaped while the execution strategy —
-/// scalar loops, AVX2 lanes, pruned transforms, float32 — is swappable
-/// at runtime and GPU-shaped backends have a socket to land in later.
+/// product, forward FFT, flipped sparse accumulate, Eq. 17). Both run on
+/// one engine: batched multi-spectrum inverse transforms that skip the
+/// all-zero rows of the band-limited kernel spectra, a liveness-aware
+/// column pass, explicit AVX2/FMA butterflies (portable lanes when the CPU
+/// lacks AVX2), and fused weighted-|.|^2 accumulation. tests/reference.hpp
+/// holds the direct-DFT oracle both primitives are tested against.
 ///
-/// Implementations:
-///  - `cpu_scalar`: the pre-backend code paths, frozen operation-for-
-///    operation so results are bit-identical to the historical engine.
-///    This is the library default and the equivalence oracle.
-///  - `cpu_simd`: batched multi-spectrum inverse transforms that skip
-///    all-zero rows of the band-limited kernel spectra, a liveness-aware
-///    column pass, explicit AVX2/FMA butterflies (portable 4-wide lanes
-///    when AVX2 is unavailable), and fused weighted-|.|^2 accumulation.
-///    Agrees with cpu_scalar to ~1e-12 (tested at 1e-10).
-///  - `cpu_simd_f32`: opt-in single-precision aerial path (gradients stay
-///    double); gated by the acceptance tests in tests/test_backend.cpp.
-///
-/// Thread-safety: backends are immutable singletons; every method is
-/// const and uses only per-thread scratch. The process-wide selection
-/// (currentBackend/setCurrentBackend) is an atomic pointer — set it once
-/// at startup (CLI `--backend`), not concurrently with running work.
+/// Thread-safety: both primitives use only per-thread scratch, so any
+/// number of threads may call them concurrently.
 
 #include <complex>
-#include <string>
 #include <string_view>
 
 #include "math/fft.hpp"
@@ -48,70 +34,47 @@ struct SpectrumView {
   std::size_t count = 0;
 };
 
-class Backend {
- public:
-  virtual ~Backend() = default;
+/// intensity += dose * sum_k weights[k] * |ifft(kernels[k] .* spectrum)|^2.
+/// `intensity` is accumulated into (callers pass a zeroed grid); the dose
+/// is folded into the per-kernel weights.
+void accumulateCoherentIntensity(const Fft2d& fft, const ComplexGrid& spectrum,
+                                 const SpectrumView* kernels,
+                                 const double* weights, int count, double dose,
+                                 RealGrid& intensity);
 
-  /// Stable identifier used by --backend and the bench/JSON output.
-  [[nodiscard]] virtual const char* name() const = 0;
+/// accum += sum_k weights[k] * flip(kernels[k]) .*
+///          fft(gField .* conj(ifft(kernels[k] .* maskSpectrum)))
+///
+/// The gradient convolution chain of Eq. 17, summed over a kernel set
+/// into the spectral accumulator (the caller inverse-transforms `accum`
+/// once per evaluation). flip(s) moves the sample at (r, c) to
+/// ((R-r)%R, (C-c)%C) with the value unchanged.
+void accumulateGradientChains(const Fft2d& fft,
+                              const ComplexGrid& maskSpectrum,
+                              const SpectrumView* kernels,
+                              const double* weights, int count,
+                              const RealGrid& gField, ComplexGrid& accum);
 
-  /// True when the fast path actually runs hardware SIMD (AVX2+FMA) as
-  /// opposed to portable fallback lanes.
-  [[nodiscard]] virtual bool accelerated() const { return false; }
-
-  /// intensity += dose * sum_k weights[k] * |ifft(kernels[k] .* spectrum)|^2.
-  ///
-  /// `intensity` is accumulated into (callers pass a zeroed grid). How the
-  /// dose factor is applied is backend-defined: cpu_scalar replicates the
-  /// historical order (sum first, one dose sweep at the end) for bit
-  /// equality; SIMD backends fold it into the per-kernel weights. The two
-  /// orders agree to roundoff and the regression tests in
-  /// tests/test_backend.cpp pin the combination with resist blur.
-  virtual void accumulateCoherentIntensity(const Fft2d& fft,
-                                           const ComplexGrid& spectrum,
-                                           const SpectrumView* kernels,
-                                           const double* weights, int count,
-                                           double dose,
-                                           RealGrid& intensity) const = 0;
-
-  /// accum += sum_k weights[k] * flip(kernels[k]) .*
-  ///          fft(gField .* conj(ifft(kernels[k] .* maskSpectrum)))
-  ///
-  /// The gradient convolution chain of Eq. 17, summed over a kernel set
-  /// into the spectral accumulator (the caller inverse-transforms `accum`
-  /// once per evaluation). flip(s) moves the sample at (r, c) to
-  /// ((R-r)%R, (C-c)%C) with the value unchanged.
-  virtual void accumulateGradientChains(const Fft2d& fft,
-                                        const ComplexGrid& maskSpectrum,
-                                        const SpectrumView* kernels,
-                                        const double* weights, int count,
-                                        const RealGrid& gField,
-                                        ComplexGrid& accum) const = 0;
-};
-
-/// The frozen pre-backend implementation (library default).
-const Backend& scalarBackend();
-/// Batched/pruned implementation; AVX2+FMA when the CPU has it.
-const Backend& simdBackend();
-/// Opt-in float32 aerial path on top of the SIMD structure.
-const Backend& simdFloatBackend();
-
-/// Runtime AVX2+FMA detection (x86 only; false elsewhere).
+/// Runtime AVX2+FMA detection (x86 only; false elsewhere). Picks the
+/// butterfly kernels; results agree either way to roundoff.
 bool cpuHasAvx2();
 
-/// Resolve a --backend name: "cpu_scalar", "cpu_simd", "cpu_simd_f32" or
-/// "auto" (detection: cpu_simd, whose kernels degrade to portable lanes
-/// without AVX2). Returns nullptr for unknown names.
-const Backend* findBackend(std::string_view name);
+/// Name handle on the engine for callers that report it (bench/e2e prints
+/// `currentBackend().name()`). There is one engine, so there is nothing
+/// to select: findBackend knows "auto" and "cpu_simd", and
+/// setCurrentBackend is a no-op.
+class Backend {
+ public:
+  [[nodiscard]] const char* name() const { return "cpu_simd"; }
+};
 
-/// Comma-separated list of accepted --backend names (for help/usage text).
-std::string backendNames();
+inline constexpr Backend kEngine{};
 
-/// Process-wide backend selection. Defaults to cpu_scalar so library
-/// consumers (and the existing test corpus) keep bit-identical behavior;
-/// the apps resolve --backend (default "auto") and set this at startup.
-const Backend& currentBackend();
-void setCurrentBackend(const Backend& backend);
+inline const Backend* findBackend(std::string_view name) {
+  return name == "auto" || name == "cpu_simd" ? &kEngine : nullptr;
+}
+inline const Backend& currentBackend() { return kEngine; }
+inline void setCurrentBackend(const Backend&) {}
 
 }  // namespace exec
 }  // namespace mosaic

@@ -94,37 +94,6 @@ void FftPlan::transform(std::complex<double>* data, bool invert) const {
   }
 }
 
-void FftPlan::transformReference(std::complex<double>* data,
-                                 bool invert) const {
-  // The seed engine's butterflies, frozen: one radix-2 sweep per stage
-  // and a separate scaling pass on inverse. forwardLegacy/inverseLegacy
-  // run on this so the legacy baseline in bench/bm_fft measures the
-  // original engine, not one that silently inherits new-path speedups.
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  for (std::size_t h = 1; h < n_; h <<= 1) {
-    const std::size_t len = h << 1;
-    for (std::size_t base = 0; base < n_; base += len) {
-      const std::complex<double>* tw = &twiddle_[h];
-      std::complex<double>* lo = data + base;
-      std::complex<double>* hi = lo + h;
-      for (std::size_t j = 0; j < h; ++j) {
-        const std::complex<double> w =
-            invert ? std::conj(tw[j]) : tw[j];
-        const std::complex<double> t = hi[j] * w;
-        hi[j] = lo[j] - t;
-        lo[j] += t;
-      }
-    }
-  }
-  if (invert) {
-    const double scale = 1.0 / static_cast<double>(n_);
-    for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
-  }
-}
-
 void FftPlan::forward(std::complex<double>* data) const {
   transform(data, /*invert=*/false);
 }
@@ -271,21 +240,6 @@ void Fft2d::transformCols(ComplexGrid& grid, bool invert,
   }
 }
 
-void Fft2d::transformRowsLegacy(ComplexGrid& grid, bool invert) const {
-  for (int r = 0; r < rows_; ++r) {
-    rowPlan_.transformReference(grid.rowPtr(r), invert);
-  }
-}
-
-void Fft2d::transformColsLegacy(ComplexGrid& grid, bool invert) const {
-  std::vector<std::complex<double>> col(static_cast<std::size_t>(rows_));
-  for (int c = 0; c < cols_; ++c) {
-    for (int r = 0; r < rows_; ++r) col[static_cast<std::size_t>(r)] = grid(r, c);
-    colPlan_.transformReference(col.data(), invert);
-    for (int r = 0; r < rows_; ++r) grid(r, c) = col[static_cast<std::size_t>(r)];
-  }
-}
-
 void Fft2d::forward(ComplexGrid& grid) const {
   MOSAIC_CHECK(grid.rows() == rows_ && grid.cols() == cols_,
                "grid shape " << grid.rows() << "x" << grid.cols()
@@ -305,22 +259,6 @@ void Fft2d::inverse(ComplexGrid& grid) const {
   MOSAIC_SPAN("fft.inverse");
   transformRows(grid, true);
   transformCols(grid, true, cols_);
-}
-
-void Fft2d::forwardLegacy(ComplexGrid& grid) const {
-  MOSAIC_CHECK(grid.rows() == rows_ && grid.cols() == cols_,
-               "grid shape mismatch in legacy forward FFT");
-  MOSAIC_SPAN("fft.forward_legacy");
-  transformRowsLegacy(grid, false);
-  transformColsLegacy(grid, false);
-}
-
-void Fft2d::inverseLegacy(ComplexGrid& grid) const {
-  MOSAIC_CHECK(grid.rows() == rows_ && grid.cols() == cols_,
-               "grid shape mismatch in legacy inverse FFT");
-  MOSAIC_SPAN("fft.inverse_legacy");
-  transformRowsLegacy(grid, true);
-  transformColsLegacy(grid, true);
 }
 
 ComplexGrid Fft2d::forwardReal(const RealGrid& grid) const {

@@ -17,9 +17,8 @@
 ///    transform and only runs the column pass on the non-redundant half
 ///    of the spectrum; the other half is reconstructed from Hermitian
 ///    symmetry. Same trick in reverse for real output (gaussianBlur).
-///  - forwardLegacy/inverseLegacy keep the original per-column
-///    gather/scatter path as a bit-exact reference for tests and the
-///    legacy-vs-new benchmark (bench/bm_fft).
+///
+/// tests/reference.hpp holds the direct DFT this engine is tested against.
 
 #include <complex>
 #include <memory>
@@ -44,11 +43,6 @@ class FftPlan {
 
   /// In-place inverse DFT including the 1/n normalization.
   void inverse(std::complex<double>* data) const;
-
-  /// The seed implementation's butterflies (one radix-2 sweep per stage),
-  /// kept frozen as the reference/legacy path for equivalence tests and
-  /// the legacy-vs-new benchmark.
-  void transformReference(std::complex<double>* data, bool invert) const;
 
   [[nodiscard]] static bool isPowerOfTwo(std::size_t n) {
     return n != 0 && (n & (n - 1)) == 0;
@@ -111,13 +105,8 @@ class Fft2d {
   /// `spectrum` actually being (half of) a Hermitian spectrum.
   void inverseRealInto(ComplexGrid& spectrum, RealGrid& out) const;
 
-  /// Original per-column gather/scatter implementation, kept as the
-  /// reference the rebuilt engine is validated and benchmarked against.
-  void forwardLegacy(ComplexGrid& grid) const;
-  void inverseLegacy(ComplexGrid& grid) const;
-
-  /// The cached 1-D plans, exposed so execution backends (math/backend)
-  /// can drive their own pruned/batched passes off the same twiddle and
+  /// The cached 1-D plans, exposed so the SOCS engine (math/backend) can
+  /// drive its own pruned/batched passes off the same twiddle and
   /// bit-reversal tables instead of rebuilding them.
   [[nodiscard]] const FftPlan& rowPlan() const { return rowPlan_; }
   [[nodiscard]] const FftPlan& colPlan() const { return colPlan_; }
@@ -126,10 +115,6 @@ class Fft2d {
   void transformRows(ComplexGrid& grid, bool invert) const;
   /// Row-vector-butterfly column pass over columns [0, colLimit).
   void transformCols(ComplexGrid& grid, bool invert, int colLimit) const;
-  /// Legacy passes: reference 1-D butterflies per row, and per-column
-  /// gather / transform / scatter.
-  void transformRowsLegacy(ComplexGrid& grid, bool invert) const;
-  void transformColsLegacy(ComplexGrid& grid, bool invert) const;
 
   int rows_;
   int cols_;

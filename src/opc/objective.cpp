@@ -149,11 +149,10 @@ void IltObjective::accumulateGradient(const ComplexGrid& maskSpectrum,
   const int n = kernels.gridSize;
   const Fft2d& fft = fft2dFor(n, n);
 
-  // The per-kernel convolution chains of Eq. 17 run on the simulator's
-  // execution backend (same selection as the aerial path). The backend
-  // accumulates into the spectral accumulator, including the flip —
-  // equivalent to the old spec.flipped().accumulateProduct() without
-  // materializing a flipped copy per kernel per iteration.
+  // The per-kernel convolution chains of Eq. 17 accumulate into the
+  // spectral accumulator, including the flip — equivalent to
+  // spec.flipped().accumulateProduct() without materializing a flipped
+  // copy per kernel per iteration.
   std::vector<exec::SpectrumView> views;
   std::vector<double> weights;
   if (config_.gradientMode == GradientMode::kCombinedKernel) {
@@ -177,7 +176,7 @@ void IltObjective::accumulateGradient(const ComplexGrid& maskSpectrum,
   scratch::ComplexLease accumLease(n, n);
   ComplexGrid& accum = *accumLease;
   accum.fill({0.0, 0.0});
-  sim_.activeBackend().accumulateGradientChains(
+  exec::accumulateGradientChains(
       fft, maskSpectrum, views.data(), weights.data(),
       static_cast<int>(views.size()), gField, accum);
   fft.inverse(accum);

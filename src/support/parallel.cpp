@@ -4,18 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "support/error.hpp"
 #include "support/telemetry/metrics.hpp"
@@ -26,11 +19,9 @@ namespace {
 
 std::atomic<int> g_workers{0};  // 0 == hardware default
 std::atomic<int> g_idleTrimMs{2000};
-std::atomic<bool> g_pinWorkers{false};
-std::atomic<int> g_backend{-1};  // -1 = unresolved (env), else ParallelBackend
 
 /// Depth of parallelFor bodies executing on this thread. Non-zero inside a
-/// task (pool worker or helping caller) and inside serial fallbacks.
+/// task (pool worker or helping caller) and inside serial runs.
 thread_local int t_parallelDepth = 0;
 
 struct DepthGuard {
@@ -53,20 +44,6 @@ int resolveWorkers() {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-ParallelBackend resolveBackend() {
-  int b = g_backend.load(std::memory_order_acquire);
-  if (b < 0) {
-    b = static_cast<int>(ParallelBackend::kPool);
-    if (const char* env = std::getenv("MOSAIC_PARALLEL")) {
-      if (std::string(env) == "spawn") {
-        b = static_cast<int>(ParallelBackend::kSpawn);
-      }
-    }
-    g_backend.store(b, std::memory_order_release);
-  }
-  return static_cast<ParallelBackend>(b);
 }
 
 // ---------------------------------------------------------------- group
@@ -132,13 +109,12 @@ class Pool {
     queues_.clear();
     threads_.clear();
     stop_.store(false, std::memory_order_relaxed);
-    const bool pin = g_pinWorkers.load(std::memory_order_relaxed);
     for (int i = 0; i < threads; ++i) {
       queues_.push_back(std::make_unique<WorkerQueue>());
     }
     threads_.reserve(static_cast<std::size_t>(threads));
     for (int i = 0; i < threads; ++i) {
-      threads_.emplace_back([this, i, pin] { workerMain(i, pin); });
+      threads_.emplace_back([this, i] { workerMain(i); });
     }
     liveThreads_.store(threads, std::memory_order_relaxed);
     workersGauge_->set(static_cast<double>(threads));
@@ -301,9 +277,8 @@ class Pool {
     return false;
   }
 
-  void workerMain(int index, bool pin) {
+  void workerMain(int index) {
     t_workerIndex = index;
-    if (pin) pinToCpu(index);
     bool trimmed = false;
     bool idleTimed = false;
     WallTimer idleTimer;
@@ -375,19 +350,6 @@ class Pool {
     t_workerIndex = -1;
   }
 
-  static void pinToCpu(int index) {
-#if defined(__linux__)
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) return;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<unsigned>(index) % hw, &set);
-    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-    (void)index;
-#endif
-  }
-
   std::mutex startMu_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_{false};
@@ -411,97 +373,6 @@ class Pool {
 };
 
 thread_local int Pool::t_workerIndex = -1;
-
-// -------------------------------------------------- legacy spawn engine
-
-/// The seed scheduler, frozen: spawn workers-1 threads per call, chunk by
-/// atomic counter, nested calls degrade to serial. Kept selectable as the
-/// bit-for-bit equivalence oracle and the bm_parallel baseline.
-void parallelForSpawn(std::size_t begin, std::size_t end,
-                      const std::function<void(std::size_t)>& fn) {
-  const std::size_t n = end - begin;
-  const int workers = t_parallelDepth > 0
-                          ? 1  // nested call: run serially on this worker
-                          : std::min<std::size_t>(resolveWorkers(), n);
-  if (workers <= 1) {
-    DepthGuard depth;
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{begin};
-  std::exception_ptr firstError;
-  std::mutex errorMutex;
-  const std::size_t chunk = std::max<std::size_t>(1, n / (4 * workers));
-
-  auto worker = [&] {
-    DepthGuard depth;
-    for (;;) {
-      const std::size_t lo = next.fetch_add(chunk);
-      if (lo >= end) return;
-      const std::size_t hi = std::min(end, lo + chunk);
-      try {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(errorMutex);
-        if (!firstError) firstError = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int t = 1; t < workers; ++t) {
-    threads.emplace_back([&worker] {
-      worker();
-      runWorkerTeardowns();
-    });
-  }
-  worker();
-  for (auto& thread : threads) thread.join();
-  if (firstError) std::rethrow_exception(firstError);
-}
-
-// --------------------------------------------------- pool-backed ranges
-
-void parallelForPool(std::size_t begin, std::size_t end,
-                     const std::function<void(std::size_t)>& fn) {
-  const std::size_t n = end - begin;
-  const int workers = resolveWorkers();
-  if (workers <= 1 || n == 1) {
-    DepthGuard depth;
-    for (std::size_t i = begin; i < end; ++i) {
-      fn(i);
-    }
-    return;
-  }
-
-  Pool& pool = Pool::instance();
-  pool.ensureStarted(workers - 1);
-
-  // Chunking: enough chunks that idle workers can steal meaningful slack
-  // (4 per worker, the seed's granularity), never more chunks than items.
-  const std::size_t targetChunks =
-      std::min<std::size_t>(n, static_cast<std::size_t>(workers) * 4);
-  const std::size_t chunk = (n + targetChunks - 1) / targetChunks;
-
-  auto group = std::make_shared<GroupState>();
-  for (std::size_t lo = begin; lo < end; lo += chunk) {
-    const std::size_t hi = std::min(end, lo + chunk);
-    pool.submit({group, [lo, hi, &fn] {
-                   for (std::size_t i = lo; i < hi; ++i) fn(i);
-                 }});
-  }
-  pool.waitGroup(group);
-
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(group->mu);
-    error = group->error;
-  }
-  if (error) std::rethrow_exception(error);
-}
 
 }  // namespace
 
@@ -541,16 +412,6 @@ void runWorkerTeardowns() {
   for (void (*hook)() : hooks) hook();
 }
 
-void setParallelBackend(ParallelBackend backend) {
-  g_backend.store(static_cast<int>(backend), std::memory_order_release);
-}
-
-ParallelBackend parallelBackend() { return resolveBackend(); }
-
-void setWorkerPinning(bool pin) {
-  g_pinWorkers.store(pin, std::memory_order_relaxed);
-}
-
 void setPoolIdleTrimMs(int ms) {
   MOSAIC_CHECK(ms >= 0, "idle trim interval must be >= 0");
   g_idleTrimMs.store(ms, std::memory_order_relaxed);
@@ -563,11 +424,40 @@ PoolStats poolStats() { return Pool::instance().stats(); }
 void parallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
-  if (resolveBackend() == ParallelBackend::kSpawn) {
-    parallelForSpawn(begin, end, fn);
-  } else {
-    parallelForPool(begin, end, fn);
+  const std::size_t n = end - begin;
+  const int workers = resolveWorkers();
+  if (workers <= 1 || n == 1) {
+    DepthGuard depth;
+    for (std::size_t i = begin; i < end; ++i) {
+      fn(i);
+    }
+    return;
   }
+
+  Pool& pool = Pool::instance();
+  pool.ensureStarted(workers - 1);
+
+  // Chunking: enough chunks that idle workers can steal meaningful slack
+  // (4 per worker), never more chunks than items.
+  const std::size_t targetChunks =
+      std::min<std::size_t>(n, static_cast<std::size_t>(workers) * 4);
+  const std::size_t chunk = (n + targetChunks - 1) / targetChunks;
+
+  auto group = std::make_shared<GroupState>();
+  for (std::size_t lo = begin; lo < end; lo += chunk) {
+    const std::size_t hi = std::min(end, lo + chunk);
+    pool.submit({group, [lo, hi, &fn] {
+                   for (std::size_t i = lo; i < hi; ++i) fn(i);
+                 }});
+  }
+  pool.waitGroup(group);
+
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(group->mu);
+    error = group->error;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 // ------------------------------------------------------------ TaskGroup

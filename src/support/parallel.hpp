@@ -75,29 +75,10 @@ void registerWorkerTeardown(void (*hook)());
 /// Run every registered teardown hook on the calling thread.
 void runWorkerTeardowns();
 
-/// Which dispatch engine parallelFor uses. kPool is the product path;
-/// kSpawn is the seed spawn-per-call scheduler kept as an equivalence
-/// oracle (tests compare chip masks bit-for-bit across the two) and as
-/// the baseline bm_parallel measures dispatch overhead against.
-enum class ParallelBackend {
-  kPool,   ///< persistent work-stealing executor (default)
-  kSpawn,  ///< legacy: spawn/join std::threads per call, nested = serial
-};
-
-/// Select the dispatch engine (also via env MOSAIC_PARALLEL=pool|spawn,
-/// read once at first use; the explicit setter wins). Not meant to be
-/// flipped while parallel work is in flight.
-void setParallelBackend(ParallelBackend backend);
-ParallelBackend parallelBackend();
-
-/// Pin pool workers round-robin onto CPUs (Linux; no-op elsewhere). Also
-/// via env MOSAIC_PIN_WORKERS=1. Takes effect when the pool (re)starts.
-void setWorkerPinning(bool pin);
-
 /// A pool worker idle for longer than this runs the worker teardown hooks
 /// once (dropping its cached scratch grids) and keeps sleeping; the next
-/// task re-warms its state. 0 disables trimming. Default 2000 ms, or env
-/// MOSAIC_POOL_IDLE_TRIM_MS. Takes effect immediately.
+/// task re-warms its state. 0 disables trimming. Default 2000 ms. Takes
+/// effect immediately.
 void setPoolIdleTrimMs(int ms);
 
 /// Shut the pool down synchronously: every worker runs the teardown hooks

@@ -1,0 +1,122 @@
+#pragma once
+/// \file reference.hpp
+/// Test-only oracle: a deliberately naive direct DFT and the SOCS sums
+/// written on top of it straight from the formulas (Eq. 2 and the Eq. 17
+/// gradient chain). It calls no Fft2d/FftPlan code, so agreement with the
+/// engine is evidence rather than a tautology. A 2-D transform costs
+/// O(rows * cols * (rows + cols)): keep grids at 128^2 or below.
+
+#include <cmath>
+#include <complex>
+#include <cstddef>
+#include <numbers>
+#include <vector>
+
+#include "math/backend.hpp"
+#include "math/grid.hpp"
+
+namespace mosaic {
+namespace reference {
+
+using Complex = std::complex<double>;
+
+/// Direct 1-D DFT: X[k] = sum_j x[j] exp(-2 pi i jk / n); the inverse
+/// conjugates the twiddles and divides by n. Twiddles exp(-+2 pi i m / n)
+/// are tabulated once per call and indexed by jk mod n.
+inline std::vector<Complex> dft(const std::vector<Complex>& x, bool inverse) {
+  const std::size_t n = x.size();
+  const double sign = inverse ? 1.0 : -1.0;
+  std::vector<Complex> twiddle(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const double a = sign * 2.0 * std::numbers::pi * static_cast<double>(m) /
+                     static_cast<double>(n);
+    twiddle[m] = {std::cos(a), std::sin(a)};
+  }
+  std::vector<Complex> y(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    Complex sum = 0.0;
+    std::size_t m = 0;  // j * k mod n
+    for (std::size_t j = 0; j < n; ++j) {
+      sum += x[j] * twiddle[m];
+      m += k;
+      if (m >= n) m -= n;
+    }
+    y[k] = inverse ? sum / static_cast<double>(n) : sum;
+  }
+  return y;
+}
+
+/// Separable direct 2-D DFT: every row, then every column.
+inline ComplexGrid dft2d(ComplexGrid grid, bool inverse) {
+  const int rows = grid.rows();
+  const int cols = grid.cols();
+  std::vector<Complex> line(static_cast<std::size_t>(cols));
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) line[c] = grid(r, c);
+    line = dft(line, inverse);
+    for (int c = 0; c < cols; ++c) grid(r, c) = line[c];
+  }
+  line.resize(static_cast<std::size_t>(rows));
+  for (int c = 0; c < cols; ++c) {
+    for (int r = 0; r < rows; ++r) line[r] = grid(r, c);
+    line = dft(line, inverse);
+    for (int r = 0; r < rows; ++r) grid(r, c) = line[r];
+  }
+  return grid;
+}
+
+/// ifft(kernel .* spectrum) for a sparse kernel.
+inline ComplexGrid kernelField(const ComplexGrid& spectrum,
+                               const exec::SpectrumView& kernel) {
+  ComplexGrid field(spectrum.rows(), spectrum.cols(), Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < kernel.count; ++i) {
+    const auto flat = static_cast<std::size_t>(kernel.flatIndex[i]);
+    field.data()[flat] = spectrum.data()[flat] * kernel.value[i];
+  }
+  return dft2d(field, /*inverse=*/true);
+}
+
+/// SOCS aerial image: dose * sum_k weights[k] |ifft(kernels[k] .* S)|^2.
+inline RealGrid aerial(const ComplexGrid& spectrum,
+                       const exec::SpectrumView* kernels,
+                       const double* weights, int count, double dose) {
+  RealGrid out(spectrum.rows(), spectrum.cols(), 0.0);
+  for (int k = 0; k < count; ++k) {
+    const ComplexGrid field = kernelField(spectrum, kernels[k]);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out.data()[i] += weights[k] * std::norm(field.data()[i]);
+    }
+  }
+  for (double& v : out) v *= dose;
+  return out;
+}
+
+/// Spectral gradient accumulator of Eq. 17:
+/// sum_k weights[k] flip(kernels[k]) .* fft(g .* conj(ifft(kernels[k] .* S)))
+/// where flip moves the sample at (r, c) to ((R-r)%R, (C-c)%C).
+inline ComplexGrid gradientChains(const ComplexGrid& maskSpectrum,
+                                  const exec::SpectrumView* kernels,
+                                  const double* weights, int count,
+                                  const RealGrid& g) {
+  const int rows = maskSpectrum.rows();
+  const int cols = maskSpectrum.cols();
+  ComplexGrid accum(rows, cols, Complex(0.0, 0.0));
+  for (int k = 0; k < count; ++k) {
+    ComplexGrid field = kernelField(maskSpectrum, kernels[k]);
+    for (std::size_t i = 0; i < field.size(); ++i) {
+      field.data()[i] = g.data()[i] * std::conj(field.data()[i]);
+    }
+    field = dft2d(field, /*inverse=*/false);
+    for (std::size_t i = 0; i < kernels[k].count; ++i) {
+      const int r = kernels[k].flatIndex[i] / cols;
+      const int c = kernels[k].flatIndex[i] % cols;
+      const int fr = (rows - r) % rows;
+      const int fc = (cols - c) % cols;
+      accum(fr, fc) += weights[k] * kernels[k].value[i] * field(fr, fc);
+    }
+  }
+  return accum;
+}
+
+}  // namespace reference
+}  // namespace mosaic

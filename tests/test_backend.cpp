@@ -1,15 +1,18 @@
-/// Backend equivalence suite (ISSUE 9): cpu_scalar is the frozen oracle;
-/// cpu_simd must agree to 1e-10 on aerial, gradient, and binary print
-/// across non-square grids, non-power-of-two kernel counts, and
-/// maxKernels-truncated sets; cpu_simd_f32 is accepted only within the
-/// documented float32 tolerances (docs/performance.md).
+/// SOCS engine suite: the aerial sum and the gradient chains of
+/// math/backend must match the direct-DFT reference (tests/reference.hpp)
+/// to 1e-10 across square and non-square grids, kernel counts that leave
+/// a partial batch, off-nominal dose, and the full 24-kernel set; tiny
+/// grids down to 1x1 match to 1e-14. Through the simulator, the aerial
+/// image, the binary print and maxKernels truncation match the reference
+/// built from the real SOCS kernels.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
-#include <cstdlib>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "eval/evaluator.hpp"
@@ -20,6 +23,7 @@
 #include "math/fft.hpp"
 #include "math/grid.hpp"
 #include "math/scratch.hpp"
+#include "reference.hpp"
 #include "support/telemetry/metrics.hpp"
 
 namespace mosaic {
@@ -104,119 +108,103 @@ double maxAbsDiff(const ComplexGrid& a, const ComplexGrid& b) {
   return m;
 }
 
-void expectAerialEquivalence(const exec::Backend& test, int rows, int cols,
-                             int kernelCount, double dose, double tol) {
+void expectAerialMatchesReference(int rows, int cols, int kernelCount,
+                                  double dose, double tol) {
   Fixture fx(rows, cols, kernelCount);
-  const Fft2d& fft = fft2dFor(rows, cols);
-  RealGrid ref(rows, cols, 0.0);
   RealGrid got(rows, cols, 0.0);
-  exec::scalarBackend().accumulateCoherentIntensity(
-      fft, fx.spectrum, fx.views.data(), fx.weights.data(), kernelCount,
-      dose, ref);
-  test.accumulateCoherentIntensity(fft, fx.spectrum, fx.views.data(),
-                                   fx.weights.data(), kernelCount, dose,
-                                   got);
+  exec::accumulateCoherentIntensity(fft2dFor(rows, cols), fx.spectrum,
+                                    fx.views.data(), fx.weights.data(),
+                                    kernelCount, dose, got);
+  const RealGrid ref = reference::aerial(fx.spectrum, fx.views.data(),
+                                         fx.weights.data(), kernelCount, dose);
   EXPECT_LT(maxAbsDiff(ref, got), tol)
-      << test.name() << " aerial mismatch at " << rows << "x" << cols
-      << " K=" << kernelCount << " dose=" << dose;
+      << "aerial mismatch at " << rows << "x" << cols << " K=" << kernelCount
+      << " dose=" << dose;
 }
 
-void expectGradientEquivalence(const exec::Backend& test, int rows, int cols,
-                               int kernelCount, double tol) {
+void expectGradientMatchesReference(int rows, int cols, int kernelCount,
+                                    double tol) {
   Fixture fx(rows, cols, kernelCount);
-  const Fft2d& fft = fft2dFor(rows, cols);
-  ComplexGrid ref(rows, cols, {0.0, 0.0});
   ComplexGrid got(rows, cols, {0.0, 0.0});
-  exec::scalarBackend().accumulateGradientChains(
-      fft, fx.spectrum, fx.views.data(), fx.weights.data(), kernelCount,
-      fx.gField, ref);
-  test.accumulateGradientChains(fft, fx.spectrum, fx.views.data(),
-                                fx.weights.data(), kernelCount, fx.gField,
-                                got);
+  exec::accumulateGradientChains(fft2dFor(rows, cols), fx.spectrum,
+                                 fx.views.data(), fx.weights.data(),
+                                 kernelCount, fx.gField, got);
+  const ComplexGrid ref =
+      reference::gradientChains(fx.spectrum, fx.views.data(),
+                                fx.weights.data(), kernelCount, fx.gField);
   EXPECT_LT(maxAbsDiff(ref, got), tol)
-      << test.name() << " gradient mismatch at " << rows << "x" << cols
+      << "gradient mismatch at " << rows << "x" << cols
       << " K=" << kernelCount;
 }
 
-TEST(BackendRegistry, NamesResolveAndAutoIsSimd) {
-  EXPECT_EQ(exec::findBackend("cpu_scalar"), &exec::scalarBackend());
-  EXPECT_EQ(exec::findBackend("scalar"), &exec::scalarBackend());
-  EXPECT_EQ(exec::findBackend("cpu_simd"), &exec::simdBackend());
-  EXPECT_EQ(exec::findBackend("auto"), &exec::simdBackend());
-  EXPECT_EQ(exec::findBackend("cpu_simd_f32"), &exec::simdFloatBackend());
+TEST(Engine, KeptNamesResolveToTheOneEngine) {
+  ASSERT_NE(exec::findBackend("auto"), nullptr);
+  EXPECT_EQ(exec::findBackend("cpu_simd"), exec::findBackend("auto"));
+  EXPECT_EQ(exec::findBackend("cpu_scalar"), nullptr);
   EXPECT_EQ(exec::findBackend("gpu_magic"), nullptr);
-  EXPECT_STREQ(exec::scalarBackend().name(), "cpu_scalar");
-  EXPECT_STREQ(exec::simdBackend().name(), "cpu_simd");
-  EXPECT_STREQ(exec::simdFloatBackend().name(), "cpu_simd_f32");
-  // Library default stays the frozen scalar oracle.
-  EXPECT_FALSE(exec::scalarBackend().accelerated());
+  exec::setCurrentBackend(*exec::findBackend("auto"));
+  EXPECT_STREQ(exec::currentBackend().name(), "cpu_simd");
 }
 
-TEST(BackendEquivalence, AerialSquare) {
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 8, 1.0, 1e-10);
+TEST(EngineVsReference, AerialSquare) {
+  expectAerialMatchesReference(64, 64, 8, 1.0, 1e-10);
 }
 
-TEST(BackendEquivalence, AerialNonSquare) {
-  expectAerialEquivalence(exec::simdBackend(), 32, 128, 6, 1.0, 1e-10);
-  expectAerialEquivalence(exec::simdBackend(), 128, 32, 6, 1.0, 1e-10);
+TEST(EngineVsReference, AerialNonSquare) {
+  expectAerialMatchesReference(32, 128, 6, 1.0, 1e-10);
+  expectAerialMatchesReference(128, 32, 6, 1.0, 1e-10);
 }
 
-TEST(BackendEquivalence, AerialNonPow2KernelCount) {
-  // 5 and 7 kernels exercise the partial final batch (batch width 4).
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 5, 1.0, 1e-10);
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 7, 1.0, 1e-10);
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 1, 1.0, 1e-10);
+TEST(EngineVsReference, AerialKernelCounts) {
+  // 5 and 7 kernels exercise the partial final batch (batch width 4); 24
+  // is one focus' full SOCS set.
+  for (const int k : {1, 2, 3, 4, 5, 6, 7, 8, 24}) {
+    expectAerialMatchesReference(64, 64, k, 1.0, 1e-10);
+  }
 }
 
-TEST(BackendEquivalence, AerialWithDose) {
-  // Off-nominal dose exercises the backend-specific dose fold order.
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 8, 1.07, 1e-10);
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 8, 0.93, 1e-10);
+TEST(EngineVsReference, AerialWithDose) {
+  // The engine folds the dose into the per-kernel weights; the reference
+  // applies it once at the end.
+  expectAerialMatchesReference(64, 64, 8, 1.07, 1e-10);
+  expectAerialMatchesReference(64, 64, 8, 0.93, 1e-10);
 }
 
-TEST(BackendEquivalence, AerialTinyGridFallsBackToScalar) {
-  expectAerialEquivalence(exec::simdBackend(), 4, 4, 3, 1.1, 1e-14);
+TEST(EngineVsReference, AerialTinyGrids) {
+  // Widths below the AVX2 lane and batch sizes, down to a single pixel.
+  for (const auto& [rows, cols] : {std::pair{1, 1}, std::pair{2, 2},
+                                   std::pair{4, 4}, std::pair{2, 16},
+                                   std::pair{16, 4}}) {
+    expectAerialMatchesReference(rows, cols, 3, 1.1, 1e-14);
+  }
 }
 
-TEST(BackendEquivalence, GradientSquare) {
-  expectGradientEquivalence(exec::simdBackend(), 64, 64, 8, 1e-10);
+TEST(EngineVsReference, GradientSquare) {
+  expectGradientMatchesReference(64, 64, 8, 1e-10);
 }
 
-TEST(BackendEquivalence, GradientNonSquare) {
-  expectGradientEquivalence(exec::simdBackend(), 32, 128, 6, 1e-10);
-  expectGradientEquivalence(exec::simdBackend(), 128, 32, 6, 1e-10);
+TEST(EngineVsReference, GradientNonSquare) {
+  expectGradientMatchesReference(32, 128, 6, 1e-10);
+  expectGradientMatchesReference(128, 32, 6, 1e-10);
 }
 
-TEST(BackendEquivalence, GradientNonPow2KernelCount) {
-  expectGradientEquivalence(exec::simdBackend(), 64, 64, 5, 1e-10);
-  expectGradientEquivalence(exec::simdBackend(), 64, 64, 7, 1e-10);
+TEST(EngineVsReference, GradientKernelCounts) {
+  for (const int k : {1, 2, 3, 4, 5, 6, 7, 8, 24}) {
+    expectGradientMatchesReference(64, 64, k, 1e-10);
+  }
 }
 
-TEST(BackendEquivalence, Float32AerialWithinTolerance) {
-  // Documented float32 acceptance: relative aerial error vs the double
-  // oracle stays below 1e-4 of the intensity range (docs/performance.md).
-  Fixture fx(64, 64, 8);
-  const Fft2d& fft = fft2dFor(64, 64);
-  RealGrid ref(64, 64, 0.0);
-  RealGrid got(64, 64, 0.0);
-  exec::scalarBackend().accumulateCoherentIntensity(
-      fft, fx.spectrum, fx.views.data(), fx.weights.data(), 8, 1.05, ref);
-  exec::simdFloatBackend().accumulateCoherentIntensity(
-      fft, fx.spectrum, fx.views.data(), fx.weights.data(), 8, 1.05, got);
-  double range = 0.0;
-  for (const auto& v : ref) range = std::max(range, std::abs(v));
-  ASSERT_GT(range, 0.0);
-  EXPECT_LT(maxAbsDiff(ref, got) / range, 1e-4);
-}
-
-TEST(BackendEquivalence, Float32GradientStaysDouble) {
-  // The f32 backend delegates gradient chains to the double SIMD path.
-  expectGradientEquivalence(exec::simdFloatBackend(), 64, 64, 6, 1e-10);
+TEST(EngineVsReference, GradientTinyGrids) {
+  for (const auto& [rows, cols] : {std::pair{1, 1}, std::pair{2, 2},
+                                   std::pair{4, 4}, std::pair{2, 16},
+                                   std::pair{16, 4}}) {
+    expectGradientMatchesReference(rows, cols, 3, 1e-14);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Litho-level equivalence: the same checks through the real simulator with
-// real SOCS kernels (coarse 8 nm pixel keeps the grid at 128^2).
+// Through the simulator with real SOCS kernels (coarse 8 nm pixel keeps
+// the grid at 128^2).
 
 OpticsConfig smallOptics() {
   OpticsConfig o;
@@ -242,81 +230,95 @@ RealGrid testMask(int n) {
   return mask;
 }
 
-TEST(LithoBackendEquivalence, AerialAndBinaryPrintMatchScalar) {
+/// Engine views of the first `count` kernels of a real SOCS set.
+std::vector<exec::SpectrumView> kernelViews(const KernelSet& set, int count) {
+  std::vector<exec::SpectrumView> views;
+  for (int k = 0; k < count; ++k) {
+    const SparseSpectrum& spec = set.kernels[static_cast<std::size_t>(k)];
+    views.push_back(
+        {spec.flatIndex.data(), spec.value.data(), spec.flatIndex.size()});
+  }
+  return views;
+}
+
+/// The reference aerial image of `mask` at `corner` over the first
+/// `count` kernels, from the reference forward DFT of the mask.
+RealGrid referenceAerial(const LithoSimulator& sim, const RealGrid& mask,
+                         const ProcessCorner& corner, int count) {
+  const KernelSet& set = sim.kernels(corner.focusNm);
+  const std::vector<exec::SpectrumView> views = kernelViews(set, count);
+  return reference::aerial(reference::dft2d(toComplex(mask), false),
+                           views.data(), set.weights.data(), count,
+                           corner.dose);
+}
+
+TEST(LithoEngine, AerialAndBinaryPrintMatchReference) {
   LithoSimulator sim(smallOptics());
   const int n = sim.gridSize();
   const RealGrid mask = testMask(n);
   const ProcessCorner corner{25.0, 1.02};
-  sim.setBackend(&exec::scalarBackend());
-  const RealGrid refAerial = sim.aerial(mask, corner);
+  const RealGrid refAerial = referenceAerial(
+      sim, mask, corner, sim.kernels(corner.focusNm).kernelCount());
   const BitGrid refPrint = sim.printBinary(refAerial);
-  sim.setBackend(&exec::simdBackend());
   const RealGrid gotAerial = sim.aerial(mask, corner);
   const BitGrid gotPrint = sim.printBinary(gotAerial);
   EXPECT_LT(maxAbsDiff(refAerial, gotAerial), 1e-10);
   EXPECT_EQ(refPrint, gotPrint);
 }
 
-TEST(LithoBackendEquivalence, MaxKernelsTruncation) {
+TEST(LithoEngine, MaxKernelsTruncation) {
   LithoSimulator sim(smallOptics());
   const RealGrid mask = testMask(sim.gridSize());
   const ComplexGrid spectrum = sim.maskSpectrum(mask);
   const ProcessCorner corner{0.0, 0.98};
+  const int setSize = sim.kernels(corner.focusNm).kernelCount();
   for (const int maxK : {1, 3, 24, 999}) {
-    sim.setBackend(&exec::scalarBackend());
-    const RealGrid ref = sim.aerialFromSpectrum(spectrum, corner, maxK);
-    sim.setBackend(&exec::simdBackend());
+    const RealGrid ref =
+        referenceAerial(sim, mask, corner, std::min(maxK, setSize));
     const RealGrid got = sim.aerialFromSpectrum(spectrum, corner, maxK);
     EXPECT_LT(maxAbsDiff(ref, got), 1e-10) << "maxKernels=" << maxK;
   }
   // A request beyond the set size clamps to the full sum (bit-identical
-  // to maxKernels = 0 on the same backend).
+  // to maxKernels = 0).
   const RealGrid clamped = sim.aerialFromSpectrum(spectrum, corner, 999);
   const RealGrid full = sim.aerialFromSpectrum(spectrum, corner, 0);
   EXPECT_EQ(maxAbsDiff(clamped, full), 0.0);
 }
 
-// Satellite 3 regression: when an off-nominal dose combines with a resist
+// Regression: when an off-nominal dose combines with a resist
 // blur, each must apply exactly once. Double-dose would make the aerial
 // scale quadratically with dose; double-blur (or dose inside the blur)
 // would break agreement with the manually assembled blur(dose * raw).
-TEST(LithoBackendEquivalence, DoseAndBlurApplyExactlyOnce) {
+TEST(LithoEngine, DoseAndBlurApplyExactlyOnce) {
   const double sigmaNm = 20.0;
   LithoSimulator plainSim(smallOptics());
   LithoSimulator blurSim(smallOptics(), blurResist(sigmaNm));
   const int n = plainSim.gridSize();
   const RealGrid mask = testMask(n);
   const ProcessCorner corner{25.0, 1.05};
-  const exec::Backend* backends[] = {&exec::scalarBackend(),
-                                     &exec::simdBackend()};
-  for (const exec::Backend* backend : backends) {
-    plainSim.setBackend(backend);
-    blurSim.setBackend(backend);
-    const ComplexGrid spectrum = plainSim.maskSpectrum(mask);
+  const ComplexGrid spectrum = plainSim.maskSpectrum(mask);
 
-    // Dose linearity: I(dose) == dose * I(1) elementwise (blur is linear,
-    // so this holds with the blur epilogue active too).
-    const RealGrid unit =
-        blurSim.aerialFromSpectrum(spectrum, {corner.focusNm, 1.0});
-    const RealGrid dosed = blurSim.aerialFromSpectrum(spectrum, corner);
-    RealGrid scaledUnit = unit;
-    for (auto& v : scaledUnit) v *= corner.dose;
-    EXPECT_LT(maxAbsDiff(dosed, scaledUnit), 1e-10)
-        << backend->name() << ": dose applied more than once";
+  // Dose linearity: I(dose) == dose * I(1) elementwise (blur is linear,
+  // so this holds with the blur epilogue active too).
+  const RealGrid unit =
+      blurSim.aerialFromSpectrum(spectrum, {corner.focusNm, 1.0});
+  const RealGrid dosed = blurSim.aerialFromSpectrum(spectrum, corner);
+  RealGrid scaledUnit = unit;
+  for (auto& v : scaledUnit) v *= corner.dose;
+  EXPECT_LT(maxAbsDiff(dosed, scaledUnit), 1e-10)
+      << "dose applied more than once";
 
-    // Blur applied exactly once, after the dose: the blurred-sim output
-    // must match a single manual gaussianBlur of the unblurred aerial.
-    const RealGrid raw = plainSim.aerialFromSpectrum(spectrum, corner);
-    const RealGrid manual =
-        gaussianBlur(raw, sigmaNm / plainSim.optics().pixelNm);
-    EXPECT_LT(maxAbsDiff(dosed, manual), 1e-10)
-        << backend->name() << ": blur/dose epilogue mismatch";
-  }
+  // Blur applied exactly once, after the dose: the blurred-sim output
+  // must match a single manual gaussianBlur of the unblurred aerial.
+  const RealGrid raw = plainSim.aerialFromSpectrum(spectrum, corner);
+  const RealGrid manual =
+      gaussianBlur(raw, sigmaNm / plainSim.optics().pixelNm);
+  EXPECT_LT(maxAbsDiff(dosed, manual), 1e-10) << "blur/dose epilogue mismatch";
 }
 
-// Satellite 1 regression: one full evaluation (nominal print + EPE + PV
+// Regression: one full evaluation (nominal print + EPE + PV
 // band over all corners) pays exactly one forward mask FFT.
-TEST(LithoBackendEquivalence, OneMaskSpectrumPerEvaluation) {
+TEST(LithoEngine, OneMaskSpectrumPerEvaluation) {
   LithoSimulator sim(smallOptics());
   const RealGrid mask = testMask(sim.gridSize());
   const BitGrid target = thresholdGrid(mask, 0.5);
@@ -327,7 +329,7 @@ TEST(LithoBackendEquivalence, OneMaskSpectrumPerEvaluation) {
   EXPECT_EQ(spectra.value() - before, 1u);
 }
 
-TEST(LithoBackendEquivalence, PvBandSpectrumOverloadIdentical) {
+TEST(LithoEngine, PvBandSpectrumOverloadIdentical) {
   LithoSimulator sim(smallOptics());
   const RealGrid mask = testMask(sim.gridSize());
   const std::vector<ProcessCorner> corners = evaluationCorners();
@@ -340,7 +342,7 @@ TEST(LithoBackendEquivalence, PvBandSpectrumOverloadIdentical) {
   EXPECT_EQ(fromMask.inner, fromSpectrum.inner);
 }
 
-// Satellite 2: the resident-bytes accounting follows the pool through
+// The resident-bytes accounting follows the pool through
 // lease, release, and clearThreadPool, and the gauge mirrors it.
 TEST(ScratchPool, ResidentBytesTracksPoolAndClear) {
   scratch::clearThreadPool();

@@ -1,6 +1,6 @@
-/// Property tests for the rebuilt FFT engine: invariants (Parseval,
-/// round-trip, Hermitian symmetry of real-input spectra), equivalence
-/// against the frozen legacy transforms, the spectral-vs-spatial blur
+/// Property tests for the FFT engine: invariants (Parseval, round-trip,
+/// Hermitian symmetry of real-input spectra), equivalence against the
+/// direct DFT of tests/reference.hpp, the spectral-vs-spatial blur
 /// regression, scratch-pool reuse, and a thread hammer on the lock-free
 /// plan cache.
 
@@ -17,6 +17,7 @@
 #include "math/fft.hpp"
 #include "math/grid.hpp"
 #include "math/scratch.hpp"
+#include "reference.hpp"
 #include "support/telemetry/metrics.hpp"
 
 namespace mosaic {
@@ -112,76 +113,73 @@ TEST(FftEngine, RealSpectrumIsHermitian) {
   }
 }
 
-// -------------------------------------------- equivalence against legacy
+// ------------------------------------ equivalence against the direct DFT
 
-TEST(FftEngine, ForwardMatchesLegacy) {
+TEST(FftEngine, ForwardMatchesReference) {
   for (const int n : {4, 32, 128}) {
     const ComplexGrid x = randomComplexGrid(n, n, 41u + n);
     ComplexGrid fast = x;
-    ComplexGrid legacy = x;
     const Fft2d& fft = fft2dFor(n, n);
     fft.forward(fast);
-    fft.forwardLegacy(legacy);
-    EXPECT_LT(maxDiff(fast, legacy), 1e-10) << "size " << n;
+    const ComplexGrid spectrum = reference::dft2d(x, /*inverse=*/false);
+    EXPECT_LT(maxDiff(fast, spectrum), 1e-10) << "size " << n;
 
     fft.inverse(fast);
-    fft.inverseLegacy(legacy);
-    EXPECT_LT(maxDiff(fast, legacy), 1e-12) << "size " << n;
+    EXPECT_LT(maxDiff(fast, reference::dft2d(spectrum, /*inverse=*/true)),
+              1e-12)
+        << "size " << n;
   }
 }
 
-TEST(FftEngine, ForwardRealMatchesLegacy) {
-  for (const auto [rows, cols] :
+TEST(FftEngine, ForwardRealMatchesReference) {
+  for (const auto& [rows, cols] :
        {std::pair{16, 16}, std::pair{8, 64}, std::pair{128, 32}}) {
     const RealGrid x = randomRealGrid(rows, cols, 53u + rows + cols);
-    const Fft2d& fft = fft2dFor(rows, cols);
-    const ComplexGrid fast = fft.forwardReal(x);
-    ComplexGrid legacy = toComplex(x);
-    fft.forwardLegacy(legacy);
-    EXPECT_LT(maxDiff(fast, legacy), 1e-10)
+    const ComplexGrid fast = fft2dFor(rows, cols).forwardReal(x);
+    EXPECT_LT(maxDiff(fast, reference::dft2d(toComplex(x), false)), 1e-10)
         << rows << "x" << cols;
   }
 }
 
-TEST(FftEngine, InverseRealMatchesLegacy) {
-  for (const auto [rows, cols] :
+TEST(FftEngine, InverseRealMatchesReference) {
+  for (const auto& [rows, cols] :
        {std::pair{16, 16}, std::pair{64, 8}, std::pair{32, 128}}) {
     const RealGrid x = randomRealGrid(rows, cols, 67u + rows + cols);
     const Fft2d& fft = fft2dFor(rows, cols);
 
     // Forward once, inverse through both paths: inverseRealInto only sees
-    // the non-redundant half of the spectrum, the legacy path the full
+    // the non-redundant half of the spectrum, the reference the full
     // grid; both must reproduce the original real signal.
     ComplexGrid spectrum = fft.forwardReal(x);
-    ComplexGrid legacy = spectrum;
-    fft.inverseLegacy(legacy);
+    const ComplexGrid direct = reference::dft2d(spectrum, /*inverse=*/true);
 
     RealGrid fast(rows, cols);
     fft.inverseRealInto(spectrum, fast);
     for (int r = 0; r < rows; ++r) {
       for (int c = 0; c < cols; ++c) {
-        EXPECT_NEAR(fast(r, c), legacy(r, c).real(), 1e-10);
+        EXPECT_NEAR(fast(r, c), direct(r, c).real(), 1e-10);
         EXPECT_NEAR(fast(r, c), x(r, c), 1e-10);
       }
     }
   }
 }
 
-TEST(FftEngine, Reference1dMatchesFastPlan) {
+TEST(FftEngine, PlanMatchesReference1d) {
   const FftPlan plan(256);
   Rng rng(97u);
   std::vector<std::complex<double>> fast(256);
   for (auto& v : fast) v = {rng.uniform() - 0.5, rng.uniform() - 0.5};
-  std::vector<std::complex<double>> ref = fast;
+  const std::vector<std::complex<double>> spectrum =
+      reference::dft(fast, /*inverse=*/false);
   plan.forward(fast.data());
-  plan.transformReference(ref.data(), /*invert=*/false);
   for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_LT(std::abs(fast[i] - ref[i]), 1e-11);
+    EXPECT_LT(std::abs(fast[i] - spectrum[i]), 1e-11);
   }
+  const std::vector<std::complex<double>> signal =
+      reference::dft(fast, /*inverse=*/true);
   plan.inverse(fast.data());
-  plan.transformReference(ref.data(), /*invert=*/true);
   for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_LT(std::abs(fast[i] - ref[i]), 1e-12);
+    EXPECT_LT(std::abs(fast[i] - signal[i]), 1e-12);
   }
 }
 

@@ -257,7 +257,7 @@ TEST(KernelCache, RoundTripPreservesEverything) {
   const KernelSet& original = sim.kernels(25.0);
 
   const auto path = std::filesystem::temp_directory_path() /
-                    kernelCacheName(original.gridSize, original.focusNm);
+                    kernelCacheName(optics, original.focusNm);
   saveKernelSet(path.string(), original);
   const KernelSet loaded = loadKernelSet(path.string());
 
@@ -285,11 +285,6 @@ TEST(KernelCache, RejectsGarbageAndMissing) {
   }
   EXPECT_THROW(loadKernelSet(path.string()), InvalidArgument);
   std::filesystem::remove(path);
-}
-
-TEST(KernelCache, CacheNameEncodesGridAndFocus) {
-  EXPECT_EQ(kernelCacheName(256, 25.0), "kernels_g256_f250.bin");
-  EXPECT_EQ(kernelCacheName(128, 0.0), "kernels_g128_f0.bin");
 }
 
 TEST(KernelCache, OpticsAwareNameSeparatesPupilAndSourceSettings) {

@@ -3,14 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "geometry/raster.hpp"
 #include "litho/pupil.hpp"
 #include "litho/simulator.hpp"
 #include "litho/tcc.hpp"
 #include "math/stats.hpp"
+#include "reference.hpp"
 #include "support/failpoint.hpp"
 #include "support/timer.hpp"
 
@@ -435,11 +438,10 @@ TEST(Simulator, SameFocusComputesExactlyOnceUnderContention) {
   EXPECT_EQ(failpoint::hitCount("litho.kernel_load"), 1);
 }
 
-TEST(Simulator, NewFftEngineMatchesLegacyPath) {
-  // The acceptance bar for the rebuilt FFT engine: the imaging pipeline
-  // (real-input mask spectrum + fast inverse per kernel) must reproduce
-  // the frozen legacy transforms to 1e-10 on the continuous images and
-  // bit-exactly on the binary print.
+TEST(Simulator, FftEngineMatchesReferencePath) {
+  // The imaging pipeline (real-input mask spectrum + pruned inverse per
+  // kernel) must reproduce the direct-DFT reference to 1e-10 on the
+  // continuous images and bit-exactly on the binary print.
   LithoSimulator& sim = sharedSim();
   const int n = sim.gridSize();
   const BitGrid target = rasterize(lineLayout(64), 8);
@@ -448,49 +450,42 @@ TEST(Simulator, NewFftEngineMatchesLegacyPath) {
   const ComplexGrid spectrum = sim.maskSpectrum(mask);
   const RealGrid aerial = sim.aerialFromSpectrum(spectrum, nominalCorner());
 
-  const Fft2d& fft = fft2dFor(n, n);
-  ComplexGrid legacySpectrum(n, n);
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) legacySpectrum(r, c) = {mask(r, c), 0.0};
-  }
-  fft.forwardLegacy(legacySpectrum);
+  const ComplexGrid refSpectrum =
+      reference::dft2d(toComplex(mask), /*inverse=*/false);
   double specDiff = 0.0;
   for (std::size_t i = 0; i < spectrum.size(); ++i) {
     specDiff = std::max(
-        specDiff, std::abs(spectrum.data()[i] - legacySpectrum.data()[i]));
+        specDiff, std::abs(spectrum.data()[i] - refSpectrum.data()[i]));
   }
   EXPECT_LT(specDiff, 1e-10);
 
-  // Legacy SOCS sum: per-kernel multiply + legacy inverse transform.
   const KernelSet& set = sim.kernels(0.0);
-  RealGrid legacyAerial(n, n, 0.0);
-  ComplexGrid field(n, n);
-  for (int k = 0; k < set.kernelCount(); ++k) {
-    set.kernels[static_cast<std::size_t>(k)].multiplyInto(legacySpectrum,
-                                                          field);
-    fft.inverseLegacy(field);
-    const double w = set.weights[static_cast<std::size_t>(k)];
-    for (std::size_t i = 0; i < legacyAerial.size(); ++i) {
-      legacyAerial.data()[i] += w * std::norm(field.data()[i]);
-    }
+  std::vector<exec::SpectrumView> views;
+  for (const SparseSpectrum& spec : set.kernels) {
+    views.push_back(
+        {spec.flatIndex.data(), spec.value.data(), spec.flatIndex.size()});
   }
+  const RealGrid refAerial =
+      reference::aerial(refSpectrum, views.data(), set.weights.data(),
+                        set.kernelCount(), nominalCorner().dose);
+  ASSERT_EQ(refAerial.rows(), n);
 
   double aerialDiff = 0.0;
   for (std::size_t i = 0; i < aerial.size(); ++i) {
     aerialDiff = std::max(
-        aerialDiff, std::fabs(aerial.data()[i] - legacyAerial.data()[i]));
+        aerialDiff, std::fabs(aerial.data()[i] - refAerial.data()[i]));
   }
   EXPECT_LT(aerialDiff, 1e-10);
 
   const RealGrid zNew = sim.printContinuous(aerial);
-  const RealGrid zLegacy = sim.printContinuous(legacyAerial);
+  const RealGrid zRef = sim.printContinuous(refAerial);
   for (std::size_t i = 0; i < zNew.size(); ++i) {
-    ASSERT_NEAR(zNew.data()[i], zLegacy.data()[i], 1e-10);
+    ASSERT_NEAR(zNew.data()[i], zRef.data()[i], 1e-10);
   }
   const BitGrid printNew = sim.printBinary(aerial);
-  const BitGrid printLegacy = sim.printBinary(legacyAerial);
+  const BitGrid printRef = sim.printBinary(refAerial);
   for (std::size_t i = 0; i < printNew.size(); ++i) {
-    ASSERT_EQ(printNew.data()[i], printLegacy.data()[i]);
+    ASSERT_EQ(printNew.data()[i], printRef.data()[i]);
   }
 }
 

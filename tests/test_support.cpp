@@ -460,24 +460,6 @@ TEST(Parallel, ThrowCancelsRemainingChunksPromptly) {
   EXPECT_LT(executed.load(), kRange / 2);
 }
 
-TEST(Parallel, SpawnBackendStillServesAsOracle) {
-  // The legacy spawn scheduler stays available for equivalence testing:
-  // nested calls degrade to serial there, and results match the pool.
-  setParallelBackend(ParallelBackend::kSpawn);
-  EXPECT_EQ(parallelBackend(), ParallelBackend::kSpawn);
-  setParallelism(4);
-  std::vector<std::atomic<int>> cells(8 * 64);
-  for (auto& c : cells) c.store(0);
-  parallelFor(0, 8, [&](std::size_t outer) {
-    parallelFor(0, 64, [&](std::size_t inner) {
-      cells[outer * 64 + inner].fetch_add(1);
-    });
-  });
-  for (const auto& c : cells) EXPECT_EQ(c.load(), 1);
-  setParallelism(0);
-  setParallelBackend(ParallelBackend::kPool);
-}
-
 TEST(Parallel, TaskGroupRunsWaitsAndRethrows) {
   setParallelism(4);
   {

@@ -277,25 +277,23 @@ TEST(TileScheduler, CheckpointsAreWrittenPerTile) {
   EXPECT_TRUE(resumed.allOk());
 }
 
-TEST(TileScheduler, PoolSchedulingMatchesSpawnOracleBitForBit) {
+TEST(TileScheduler, MaskIsWorkerCountInvariantBitForBit) {
   // The work-stealing executor (nested tile + PV-corner parallelism) must
-  // produce exactly the mask the legacy spawn-per-call scheduler did —
-  // the optimizer is deterministic and the executor must not perturb it.
+  // not perturb the deterministic optimizer: one worker and four workers
+  // stitch exactly the same chip mask.
   const Layout chip = replicateLayout(buildTestcase(1), 2, 2);
   const ChipConfig cfg = fastChipConfig();
 
-  setParallelism(2);
-  setParallelBackend(ParallelBackend::kPool);
-  const ChipResult pool = optimizeChip(chip, cfg);
-  setParallelBackend(ParallelBackend::kSpawn);
-  const ChipResult spawn = optimizeChip(chip, cfg);
-  setParallelBackend(ParallelBackend::kPool);
+  setParallelism(1);
+  const ChipResult serial = optimizeChip(chip, cfg);
+  setParallelism(4);
+  const ChipResult pooled = optimizeChip(chip, cfg);
   setParallelism(0);
 
-  ASSERT_TRUE(pool.allOk());
-  ASSERT_TRUE(spawn.allOk());
-  const BitGrid& a = pool.stitched.maskBinary;
-  const BitGrid& b = spawn.stitched.maskBinary;
+  ASSERT_TRUE(serial.allOk());
+  ASSERT_TRUE(pooled.allOk());
+  const BitGrid& a = serial.stitched.maskBinary;
+  const BitGrid& b = pooled.stitched.maskBinary;
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
   for (int r = 0; r < a.rows(); ++r) {
