@@ -1,7 +1,11 @@
 #include "litho/kernel_cache.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 
 #include "support/error.hpp"
@@ -69,19 +73,37 @@ SparseSpectrum readSparse(std::istream& in, int gridSize) {
 void saveKernelSet(const std::string& path, const KernelSet& set) {
   MOSAIC_CHECK(set.gridSize > 0 && !set.kernels.empty(),
                "cannot save an empty kernel set");
-  std::ofstream out(path, std::ios::binary);
-  MOSAIC_CHECK(out.good(), "cannot open for writing: " << path);
-  writeU32(out, kMagic);
-  writeU32(out, kVersion);
-  writeU32(out, static_cast<std::uint32_t>(set.gridSize));
-  writeF64(out, set.focusNm);
-  writeU32(out, static_cast<std::uint32_t>(set.kernels.size()));
-  for (std::size_t k = 0; k < set.kernels.size(); ++k) {
-    writeF64(out, set.weights[k]);
-    writeSparse(out, set.kernels[k]);
+  // Write a temp file unique to this process and call in the same
+  // directory, then rename it over `path`: a concurrent reader (another
+  // process sharing the cache directory) sees the old file or the whole
+  // new one, and a writer killed mid-file leaves no torn cache entry.
+  static std::atomic<std::uint64_t> counter{0};
+  const std::string tmpPath =
+      path + ".tmp" + std::to_string(::getpid()) + "_" +
+      std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+  std::error_code ec;
+  try {
+    std::ofstream out(tmpPath, std::ios::binary | std::ios::trunc);
+    MOSAIC_CHECK(out.good(), "cannot open for writing: " << tmpPath);
+    writeU32(out, kMagic);
+    writeU32(out, kVersion);
+    writeU32(out, static_cast<std::uint32_t>(set.gridSize));
+    writeF64(out, set.focusNm);
+    writeU32(out, static_cast<std::uint32_t>(set.kernels.size()));
+    for (std::size_t k = 0; k < set.kernels.size(); ++k) {
+      writeF64(out, set.weights[k]);
+      writeSparse(out, set.kernels[k]);
+    }
+    writeSparse(out, set.combined);
+    out.close();
+    MOSAIC_CHECK(out.good(), "write failed: " << tmpPath);
+    std::filesystem::rename(tmpPath, path, ec);
+    MOSAIC_CHECK(!ec, "cannot publish kernel cache " << path << ": "
+                                                     << ec.message());
+  } catch (...) {
+    std::filesystem::remove(tmpPath, ec);
+    throw;
   }
-  writeSparse(out, set.combined);
-  MOSAIC_CHECK(out.good(), "write failed: " << path);
 }
 
 KernelSet loadKernelSet(const std::string& path) {
@@ -105,6 +127,8 @@ KernelSet loadKernelSet(const std::string& path) {
     set.kernels.push_back(readSparse(in, set.gridSize));
   }
   set.combined = readSparse(in, set.gridSize);
+  MOSAIC_CHECK(in.peek() == std::ifstream::traits_type::eof(),
+               "kernel cache: trailing bytes in " << path);
   return set;
 }
 

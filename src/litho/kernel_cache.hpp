@@ -14,11 +14,13 @@
 
 namespace mosaic {
 
-/// Write a kernel set to a binary file.
+/// Write a kernel set to a binary file. The bytes go to a temp file in
+/// the same directory that is then renamed over `path`, so readers never
+/// see a torn file.
 void saveKernelSet(const std::string& path, const KernelSet& set);
 
-/// Read a kernel set back. Throws InvalidArgument on malformed files or
-/// version mismatch.
+/// Read a kernel set back. Throws InvalidArgument on malformed, truncated
+/// or over-long files and on version mismatch.
 KernelSet loadKernelSet(const std::string& path);
 
 /// Deterministic cache filename covering *every* optical parameter, e.g.

@@ -1,5 +1,7 @@
 #include "litho/simulator.hpp"
 
+#include <algorithm>
+
 #include "litho/kernel_cache.hpp"
 #include "litho/tcc.hpp"
 #include "math/backend.hpp"
@@ -7,6 +9,7 @@
 #include "support/failpoint.hpp"
 #include "support/telemetry/metrics.hpp"
 #include "support/log.hpp"
+#include "support/parallel.hpp"
 #include "support/telemetry/trace.hpp"
 #include "support/timer.hpp"
 
@@ -60,19 +63,33 @@ void LithoSimulator::computeInto(KernelEntry& entry, double focusNm) const {
 }
 
 const KernelSet& LithoSimulator::kernels(double focusNm) const {
-  // Two-level scheme: the mutex only covers finding/creating the per-focus
-  // entry; the expensive load/compute runs under that entry's call_once.
-  // Distinct focus values therefore compute concurrently, while duplicate
-  // requests for one focus still do the work exactly once. If the compute
-  // throws, call_once lets the next caller retry.
+  // Two-level scheme: the map mutex only covers finding/creating the
+  // per-focus entry; the expensive load/compute runs under that entry's
+  // own mutex. Distinct focus values therefore compute concurrently, while
+  // duplicate requests for one focus still do the work exactly once. If
+  // the compute throws, the entry stays empty and the next caller retries
+  // (a plain mutex rather than std::call_once, whose retry-after-throw
+  // hangs under ThreadSanitizer's pthread_once).
+  //
+  // Nothing under this entry mutex may use the executor (parallelFor,
+  // TaskGroup): a pool wait helps by running any task from the worker's
+  // own deque, and a sibling task that needs this same focus would then
+  // re-lock the entry on the same thread and deadlock. So computeInto,
+  // buildTcc and the eigensolvers stay serial; concurrency comes from
+  // building distinct focus values side by side (warmKernels).
   KernelEntry& entry = kernelEntry(focusNm);
-  std::call_once(entry.once, [&] { computeInto(entry, focusNm); });
+  std::lock_guard<std::mutex> lock(entry.mutex);
+  if (!entry.set) computeInto(entry, focusNm);
   return *entry.set;
 }
 
 void LithoSimulator::warmKernels(
     const std::vector<double>& focusValuesNm) const {
-  for (const double focus : focusValuesNm) (void)kernels(focus);
+  std::vector<double> focuses = focusValuesNm;
+  std::sort(focuses.begin(), focuses.end());
+  focuses.erase(std::unique(focuses.begin(), focuses.end()), focuses.end());
+  parallelFor(0, focuses.size(),
+              [&](std::size_t i) { (void)kernels(focuses[i]); });
 }
 
 ComplexGrid LithoSimulator::maskSpectrum(const RealGrid& mask) const {

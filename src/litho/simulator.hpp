@@ -23,14 +23,16 @@ namespace mosaic {
 ///
 /// Thread-safety contract: all const member functions are safe to call
 /// concurrently on one shared instance. The lazy per-focus kernel cache
-/// serializes only per focus value: each focus has its own std::call_once
-/// entry, so two corners with distinct focus values compute their kernel
-/// sets concurrently while a second request for the same focus blocks just
-/// until the first finishes (the returned KernelSet reference stays valid
-/// for the simulator's lifetime). The FFT layer keeps no shared mutable
-/// scratch. This is what lets the batch runner and the tile scheduler
-/// share one simulator — and its kernel sets — across workers. Non-const
-/// members (setKernelCacheDir) must not race with concurrent use.
+/// serializes only per focus value: each focus has its own entry mutex,
+/// held across that focus's build, so two corners with distinct focus
+/// values compute their kernel sets concurrently while a second request
+/// for the same focus blocks just until the first finishes (the returned
+/// KernelSet reference stays valid for the simulator's lifetime). A build
+/// that throws leaves its entry empty, and the next request retries. The
+/// FFT layer keeps no shared mutable scratch. This is what lets the batch
+/// runner and the tile scheduler share one simulator — and its kernel
+/// sets — across workers. Non-const members (setKernelCacheDir) must not
+/// race with concurrent use.
 class LithoSimulator {
  public:
   explicit LithoSimulator(OpticsConfig optics, ResistModel resist = {});
@@ -51,10 +53,12 @@ class LithoSimulator {
   /// Safe to call concurrently; see the class thread-safety contract.
   const KernelSet& kernels(double focusNm) const;
 
-  /// Eagerly compute/load the kernel sets for a list of focus values.
-  /// Purely a warm-up: concurrent first use is already correct, but
-  /// pre-warming keeps the expensive TCC eigendecompositions off the
-  /// worker threads (the tile scheduler calls this before fan-out).
+  /// Eagerly compute/load the kernel sets for a list of focus values,
+  /// the distinct values side by side (one parallelFor over them). Purely
+  /// a warm-up: concurrent first use is already correct, but pre-warming
+  /// overlaps the serial TCC eigendecompositions instead of paying them
+  /// one after the other at first use (the tile scheduler and the CLI call
+  /// this before fan-out). Rethrows the first failed computation.
   void warmKernels(const std::vector<double>& focusValuesNm) const;
 
   /// Forward FFT of a real mask.
@@ -83,12 +87,12 @@ class LithoSimulator {
                               const ProcessCorner& corner) const;
 
  private:
-  /// One lazily-computed kernel set. The once_flag gates computation so
+  /// One lazily-computed kernel set. Its own mutex gates computation so
   /// the map mutex is never held across computeKernelSet — distinct focus
   /// values proceed in parallel.
   struct KernelEntry {
-    std::once_flag once;
-    std::unique_ptr<KernelSet> set;
+    std::mutex mutex;
+    std::unique_ptr<KernelSet> set;  ///< null until a build succeeds
   };
 
   KernelEntry& kernelEntry(double focusNm) const;

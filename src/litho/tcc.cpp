@@ -5,6 +5,7 @@
 #include "litho/pupil.hpp"
 #include "math/eigen.hpp"
 #include "support/log.hpp"
+#include "support/telemetry/trace.hpp"
 
 namespace mosaic {
 
@@ -58,31 +59,36 @@ std::vector<std::complex<double>> buildTcc(
   MOSAIC_CHECK(!source.empty(), "source sampling produced no points");
 
   const int n = static_cast<int>(lattice.size());
-  // Precompute P(s + f_p) for every (source, lattice) pair.
-  std::vector<std::complex<double>> pupilAt(
-      source.size() * static_cast<std::size_t>(n));
-  for (std::size_t s = 0; s < source.size(); ++s) {
-    for (int p = 0; p < n; ++p) {
-      pupilAt[s * static_cast<std::size_t>(n) + static_cast<std::size_t>(p)] =
-          pupil.value(source[s].first + lattice[static_cast<std::size_t>(p)].fx,
-                      source[s].second + lattice[static_cast<std::size_t>(p)].fy);
-    }
-  }
-
   std::vector<std::complex<double>> tcc(static_cast<std::size_t>(n) * n,
                                         {0.0, 0.0});
-  const double norm = 1.0 / static_cast<double>(source.size());
-  for (std::size_t s = 0; s < source.size(); ++s) {
-    const std::complex<double>* row = &pupilAt[s * static_cast<std::size_t>(n)];
+  // Stream the source: evaluate the shifted pupil P(s + f_p) for one source
+  // point at a time and accumulate only over its nonzero support. A skipped
+  // product would be a signed zero, and adding +-0 never changes a sum that
+  // starts at +0, so every entry is the same sum, in the same source order,
+  // as the dense loop over all (p, q >= p).
+  std::vector<std::complex<double>> shifted(static_cast<std::size_t>(n));
+  std::vector<int> support;
+  support.reserve(static_cast<std::size_t>(n));
+  for (const auto& [sx, sy] : source) {
+    support.clear();
     for (int p = 0; p < n; ++p) {
-      if (row[p] == std::complex<double>{0.0, 0.0}) continue;
-      const std::complex<double> pp = row[p];
-      for (int q = p; q < n; ++q) {
-        tcc[static_cast<std::size_t>(p) * n + q] += pp * std::conj(row[q]);
+      const PupilSample& f = lattice[static_cast<std::size_t>(p)];
+      const std::complex<double> value = pupil.value(sx + f.fx, sy + f.fy);
+      shifted[static_cast<std::size_t>(p)] = value;
+      if (value != std::complex<double>{0.0, 0.0}) support.push_back(p);
+    }
+    for (std::size_t i = 0; i < support.size(); ++i) {
+      const int p = support[i];
+      const std::complex<double> pp = shifted[static_cast<std::size_t>(p)];
+      std::complex<double>* row = &tcc[static_cast<std::size_t>(p) * n];
+      for (std::size_t j = i; j < support.size(); ++j) {
+        const int q = support[j];
+        row[q] += pp * std::conj(shifted[static_cast<std::size_t>(q)]);
       }
     }
   }
   // Fill the lower triangle by Hermitian symmetry and apply normalization.
+  const double norm = 1.0 / static_cast<double>(source.size());
   for (int p = 0; p < n; ++p) {
     for (int q = p; q < n; ++q) {
       auto& upper = tcc[static_cast<std::size_t>(p) * n + q];
@@ -98,7 +104,11 @@ KernelSet computeKernelSet(const OpticsConfig& optics, double focusNm) {
   const int n = static_cast<int>(lattice.size());
   LOG_DEBUG("TCC lattice has " << n << " pupil samples (focus " << focusNm
                                << " nm)");
-  const auto tcc = buildTcc(optics, focusNm, lattice);
+  std::vector<std::complex<double>> tcc;
+  {
+    MOSAIC_SPAN("litho.tcc.assemble");
+    tcc = buildTcc(optics, focusNm, lattice);
+  }
   const int keep = std::min(optics.kernelCount, n);
   // Small lattices (every legacy 1024 nm clip) take the exact dense solve;
   // chip-scale tile windows double the frequency resolution and push the
@@ -106,10 +116,13 @@ KernelSet computeKernelSet(const OpticsConfig& optics, double focusNm) {
   // takes minutes -- there the truncated subspace solve recovers just the
   // leading SOCS kernels in seconds.
   constexpr int kDirectEigenLimit = 256;
-  const auto eig =
-      (n <= kDirectEigenLimit)
-          ? jacobiEigenHermitian(tcc, n)
-          : topEigenpairsHermitian(tcc, n, std::min(n, keep + 8));
+  HermitianEigenResult eig;
+  {
+    MOSAIC_SPAN("litho.tcc.eigen");
+    eig = (n <= kDirectEigenLimit)
+              ? jacobiEigenHermitian(std::move(tcc), n)
+              : topEigenpairsHermitian(tcc, n, std::min(n, keep + 8));
+  }
 
   KernelSet set;
   set.gridSize = optics.gridSize();

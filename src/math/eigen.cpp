@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 
 namespace mosaic {
 namespace {
@@ -20,22 +21,25 @@ double offDiagonalNorm(const Matrix& a) {
 
 }  // namespace
 
-SymmetricEigenResult jacobiEigenSymmetric(const Matrix& input, int maxSweeps) {
-  MOSAIC_CHECK(input.isSquare(), "eigendecomposition needs a square matrix");
-  const int n = input.rows();
+SymmetricEigenResult jacobiEigenSymmetric(Matrix a, int maxSweeps) {
+  MOSAIC_CHECK(a.isSquare(), "eigendecomposition needs a square matrix");
+  const int n = a.rows();
 
   double scale = 0.0;
   for (int r = 0; r < n; ++r) {
     for (int c = 0; c < n; ++c) {
-      scale = std::max(scale, std::fabs(input(r, c)));
-      MOSAIC_CHECK(std::fabs(input(r, c) - input(c, r)) <=
-                       1e-9 * std::max(1.0, scale),
+      scale = std::max(scale, std::fabs(a(r, c)));
+      MOSAIC_CHECK(std::fabs(a(r, c) - a(c, r)) <= 1e-9 * std::max(1.0, scale),
                    "matrix is not symmetric at (" << r << "," << c << ")");
     }
   }
 
-  Matrix a = input;
-  Matrix v = Matrix::identity(n);
+  // The eigenvectors accumulate as the rows of vt = V^T, so a rotation
+  // updates two contiguous rows rather than two strided columns. Each
+  // element still sees the same two products and one add or subtract, in
+  // the same order, as in the column form: the results are bit-identical
+  // (tests/reference.hpp keeps the column form as the oracle).
+  Matrix vt = Matrix::identity(n);
   const double tol = 1e-14 * std::max(1.0, scale) * n;
 
   for (int sweep = 0; sweep < maxSweeps; ++sweep) {
@@ -64,17 +68,21 @@ SymmetricEigenResult jacobiEigenSymmetric(const Matrix& input, int maxSweeps) {
           a(k, p) = c * akp - s * akq;
           a(k, q) = s * akp + c * akq;
         }
+        double* ap = a.row(p);
+        double* aq = a.row(q);
         for (int k = 0; k < n; ++k) {
-          const double apk = a(p, k);
-          const double aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
+          const double apk = ap[k];
+          const double aqk = aq[k];
+          ap[k] = c * apk - s * aqk;
+          aq[k] = s * apk + c * aqk;
         }
+        double* vp = vt.row(p);
+        double* vq = vt.row(q);
         for (int k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
+          const double vpk = vp[k];
+          const double vqk = vq[k];
+          vp[k] = c * vpk - s * vqk;
+          vq[k] = s * vpk + c * vqk;
         }
       }
     }
@@ -90,18 +98,17 @@ SymmetricEigenResult jacobiEigenSymmetric(const Matrix& input, int maxSweeps) {
 
   SymmetricEigenResult result;
   result.eigenvalues.reserve(static_cast<std::size_t>(n));
-  result.eigenvectors.reserve(static_cast<std::size_t>(n));
-  for (int idx : order) {
+  result.eigenvectors = Matrix(n, n);
+  for (int k = 0; k < n; ++k) {
+    const int idx = order[static_cast<std::size_t>(k)];
     result.eigenvalues.push_back(a(idx, idx));
-    std::vector<double> vec(static_cast<std::size_t>(n));
-    for (int k = 0; k < n; ++k) vec[static_cast<std::size_t>(k)] = v(k, idx);
-    result.eigenvectors.push_back(std::move(vec));
+    std::copy_n(vt.row(idx), n, result.eigenvectors.row(k));
   }
   return result;
 }
 
-HermitianEigenResult jacobiEigenHermitian(
-    const std::vector<std::complex<double>>& h, int n, int maxSweeps) {
+HermitianEigenResult jacobiEigenHermitian(std::vector<std::complex<double>> h,
+                                          int n, int maxSweeps) {
   MOSAIC_CHECK(n > 0, "matrix dimension must be positive");
   MOSAIC_CHECK(h.size() == static_cast<std::size_t>(n) * n,
                "matrix storage size mismatch");
@@ -130,7 +137,8 @@ HermitianEigenResult jacobiEigenHermitian(
     }
   }
 
-  SymmetricEigenResult real = jacobiEigenSymmetric(e, maxSweeps);
+  h = {};  // not needed past the embedding; free it before the sweep
+  const SymmetricEigenResult real = jacobiEigenSymmetric(std::move(e), maxSweeps);
 
   HermitianEigenResult result;
   result.eigenvalues.reserve(static_cast<std::size_t>(n));
@@ -146,11 +154,10 @@ HermitianEigenResult jacobiEigenHermitian(
        idx < real.eigenvalues.size() &&
        result.eigenvalues.size() < static_cast<std::size_t>(n);
        ++idx) {
+    const double* embedded = real.eigenvectors.row(static_cast<int>(idx));
     std::vector<std::complex<double>> vec(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      vec[static_cast<std::size_t>(i)] = {
-          real.eigenvectors[idx][static_cast<std::size_t>(i)],
-          real.eigenvectors[idx][static_cast<std::size_t>(i + n)]};
+      vec[static_cast<std::size_t>(i)] = {embedded[i], embedded[i + n]};
     }
     // Project out previously accepted vectors within the eigenvalue cluster.
     for (std::size_t k = 0; k < result.eigenvalues.size(); ++k) {
@@ -297,7 +304,7 @@ HermitianEigenResult topEigenpairsHermitian(
         projected[static_cast<std::size_t>(q) * block + p] = std::conj(mean);
       }
     }
-    small = jacobiEigenHermitian(projected, block);
+    small = jacobiEigenHermitian(std::move(projected), block);
 
     // Rotate the power-step image into the Ritz basis for the next round.
     std::vector<ComplexVec> rotated(static_cast<std::size_t>(block));

@@ -37,6 +37,10 @@ class Matrix {
   double operator()(int r, int c) const {
     return data_[static_cast<std::size_t>(r) * cols_ + c];
   }
+  double* row(int r) { return &data_[static_cast<std::size_t>(r) * cols_]; }
+  const double* row(int r) const {
+    return &data_[static_cast<std::size_t>(r) * cols_];
+  }
 
   [[nodiscard]] bool isSquare() const { return rows_ == cols_; }
 
@@ -47,18 +51,19 @@ class Matrix {
 };
 
 /// Result of a symmetric eigendecomposition A = V diag(w) V^T with
-/// eigenvalues sorted in descending order; eigenvectors are the columns
-/// of V (stored per-eigenpair as vectors here).
+/// eigenvalues sorted in descending order; the eigenvectors are the rows
+/// of one contiguous matrix, V^T.
 struct SymmetricEigenResult {
   std::vector<double> eigenvalues;
-  std::vector<std::vector<double>> eigenvectors;  ///< [k][i]
+  Matrix eigenvectors;  ///< row k is the eigenvector of eigenvalues[k]
 };
 
 /// Cyclic Jacobi eigensolver for a real symmetric matrix.
-/// \param a symmetric square matrix (symmetry is validated to tolerance).
+/// \param a symmetric square matrix (symmetry is validated to tolerance);
+///        taken by value because the sweep rotates it in place.
 /// \param maxSweeps maximum full sweeps before giving up (throws if the
 ///        off-diagonal norm has not converged by then).
-SymmetricEigenResult jacobiEigenSymmetric(const Matrix& a, int maxSweeps = 64);
+SymmetricEigenResult jacobiEigenSymmetric(Matrix a, int maxSweeps = 64);
 
 /// Result of a Hermitian eigendecomposition H = sum_k w_k v_k v_k^H with
 /// real eigenvalues sorted descending and orthonormal complex eigenvectors.
@@ -71,9 +76,11 @@ struct HermitianEigenResult {
 /// [[Re(H), -Im(H)], [Im(H), Re(H)]]. Each complex eigenpair appears twice
 /// in the embedding; the implementation deduplicates by complex
 /// Gram-Schmidt within eigenvalue clusters.
-/// \param h row-major n x n Hermitian matrix.
-HermitianEigenResult jacobiEigenHermitian(
-    const std::vector<std::complex<double>>& h, int n, int maxSweeps = 64);
+/// \param h row-major n x n Hermitian matrix; taken by value and released
+///        once the embedding is built, so a caller that moves it in does
+///        not hold both through the sweep.
+HermitianEigenResult jacobiEigenHermitian(std::vector<std::complex<double>> h,
+                                          int n, int maxSweeps = 64);
 
 /// Top-k eigenpairs of a Hermitian matrix via blocked subspace iteration
 /// with Rayleigh-Ritz extraction. Converges to the k algebraically largest

@@ -1,18 +1,22 @@
 #pragma once
 /// \file reference.hpp
-/// Test-only oracle: a deliberately naive direct DFT and the SOCS sums
+/// Test-only oracles: a deliberately naive direct DFT and the SOCS sums
 /// written on top of it straight from the formulas (Eq. 2 and the Eq. 17
-/// gradient chain). It calls no Fft2d/FftPlan code, so agreement with the
-/// engine is evidence rather than a tautology. A 2-D transform costs
+/// gradient chain), plus the column-form cyclic Jacobi eigensolver. The
+/// DFT calls no Fft2d/FftPlan code, so agreement with the engine is
+/// evidence rather than a tautology. A 2-D transform costs
 /// O(rows * cols * (rows + cols)): keep grids at 128^2 or below.
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstddef>
 #include <numbers>
+#include <numeric>
 #include <vector>
 
 #include "math/backend.hpp"
+#include "math/eigen.hpp"
 #include "math/grid.hpp"
 
 namespace mosaic {
@@ -116,6 +120,82 @@ inline ComplexGrid gradientChains(const ComplexGrid& maskSpectrum,
     }
   }
   return accum;
+}
+
+/// Column-form cyclic Jacobi, the loop the library ran before it kept its
+/// eigenvectors as rows: the rotation updates columns p and q of A, then
+/// rows p and q of A, then columns p and q of V. Returns the eigenvalues
+/// sorted descending and eigenvectors[k][i] = V(i, order[k]). The library
+/// solver must reproduce it bit for bit.
+struct JacobiResult {
+  std::vector<double> eigenvalues;
+  std::vector<std::vector<double>> eigenvectors;
+};
+
+inline JacobiResult jacobiColumnForm(Matrix a, int maxSweeps = 64) {
+  const int n = a.rows();
+  double scale = 0.0;
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) scale = std::max(scale, std::fabs(a(r, c)));
+  }
+  auto offDiagonalNorm = [&] {
+    double acc = 0.0;
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < n; ++c) {
+        if (r != c) acc += a(r, c) * a(r, c);
+      }
+    }
+    return std::sqrt(acc);
+  };
+  Matrix v = Matrix::identity(n);
+  const double tol = 1e-14 * std::max(1.0, scale) * n;
+  for (int sweep = 0; sweep < maxSweeps; ++sweep) {
+    if (offDiagonalNorm() <= tol) break;
+    for (int p = 0; p < n - 1; ++p) {
+      for (int q = p + 1; q < n; ++q) {
+        const double apq = a(p, q);
+        if (std::fabs(apq) <= tol / n) continue;
+        const double theta = (a(q, q) - a(p, p)) / (2.0 * apq);
+        const double t =
+            std::fabs(theta) > 1e150
+                ? 1.0 / (2.0 * theta)
+                : ((theta >= 0) ? 1.0 : -1.0) /
+                      (std::fabs(theta) + std::sqrt(1.0 + theta * theta));
+        const double c = 1.0 / std::sqrt(1.0 + t * t);
+        const double s = t * c;
+        for (int k = 0; k < n; ++k) {
+          const double akp = a(k, p);
+          const double akq = a(k, q);
+          a(k, p) = c * akp - s * akq;
+          a(k, q) = s * akp + c * akq;
+        }
+        for (int k = 0; k < n; ++k) {
+          const double apk = a(p, k);
+          const double aqk = a(q, k);
+          a(p, k) = c * apk - s * aqk;
+          a(q, k) = s * apk + c * aqk;
+        }
+        for (int k = 0; k < n; ++k) {
+          const double vkp = v(k, p);
+          const double vkq = v(k, q);
+          v(k, p) = c * vkp - s * vkq;
+          v(k, q) = s * vkp + c * vkq;
+        }
+      }
+    }
+  }
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](int x, int y) { return a(x, x) > a(y, y); });
+  JacobiResult result;
+  for (int idx : order) {
+    result.eigenvalues.push_back(a(idx, idx));
+    std::vector<double> vec(static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) vec[static_cast<std::size_t>(k)] = v(k, idx);
+    result.eigenvectors.push_back(std::move(vec));
+  }
+  return result;
 }
 
 }  // namespace reference

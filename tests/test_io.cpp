@@ -4,7 +4,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "geometry/polygon.hpp"
 #include "geometry/raster.hpp"
@@ -285,6 +288,55 @@ TEST(KernelCache, RejectsGarbageAndMissing) {
   }
   EXPECT_THROW(loadKernelSet(path.string()), InvalidArgument);
   std::filesystem::remove(path);
+}
+
+TEST(KernelCache, TornOrPaddedFileIsRecomputedAndRewritten) {
+  // A truncated file (a writer killed mid-file) and one with trailing
+  // bytes must each load as a miss, be recomputed, and be republished
+  // byte-identical through the temp-file-and-rename path, leaving only
+  // the cache file itself in the directory.
+  OpticsConfig optics;
+  optics.pixelNm = 16;
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mosaic_kcache_torn";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto file = dir / kernelCacheName(optics, 0.0);
+  auto readBytes = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  auto listDir = [&dir] {
+    std::vector<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      names.push_back(e.path().filename().string());
+    }
+    return names;
+  };
+  {
+    LithoSimulator sim(optics);
+    sim.setKernelCacheDir(dir.string());
+    (void)sim.kernels(0.0);
+  }
+  const std::string good = readBytes(file);
+  ASSERT_GT(good.size(), 1000u);
+  EXPECT_EQ(listDir(), std::vector<std::string>{file.filename().string()});
+
+  const std::string damaged[] = {good.substr(0, good.size() / 2),
+                                 good + "trailing garbage"};
+  for (const std::string& bytes : damaged) {
+    {
+      std::ofstream out(file, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    EXPECT_THROW(loadKernelSet(file.string()), InvalidArgument);
+    LithoSimulator sim(optics);
+    sim.setKernelCacheDir(dir.string());
+    (void)sim.kernels(0.0);
+    EXPECT_EQ(readBytes(file), good) << bytes.size() << "-byte file";
+    EXPECT_EQ(listDir(), std::vector<std::string>{file.filename().string()});
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(KernelCache, OpticsAwareNameSeparatesPupilAndSourceSettings) {

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 
 #include "math/convolution.hpp"
 #include "math/eigen.hpp"
@@ -12,6 +14,7 @@
 #include "math/grid.hpp"
 #include "math/resample.hpp"
 #include "math/stats.hpp"
+#include "reference.hpp"
 #include "support/rng.hpp"
 
 namespace mosaic {
@@ -523,9 +526,43 @@ TEST(Eigen, Known2x2) {
   EXPECT_NEAR(r.eigenvalues[0], 3.0, 1e-12);
   EXPECT_NEAR(r.eigenvalues[1], 1.0, 1e-12);
   // eigenvector for 3 is (1,1)/sqrt(2) up to sign
-  EXPECT_NEAR(std::fabs(r.eigenvectors[0][0]), 1 / std::sqrt(2.0), 1e-10);
-  EXPECT_NEAR(r.eigenvectors[0][0], r.eigenvectors[0][1], 1e-10);
+  EXPECT_NEAR(std::fabs(r.eigenvectors(0, 0)), 1 / std::sqrt(2.0), 1e-10);
+  EXPECT_NEAR(r.eigenvectors(0, 0), r.eigenvectors(0, 1), 1e-10);
 }
+
+class JacobiOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(JacobiOracle, RowStoredEigenvectorsMatchColumnFormBitForBit) {
+  // The solver keeps V^T (contiguous rows) where the oracle keeps V
+  // (strided columns); every element sees the same operations in the same
+  // order, so eigenvalues and eigenvectors must agree bit for bit.
+  const int n = GetParam();
+  Rng rng(static_cast<std::uint64_t>(n) * 131 + 5);
+  Matrix m(n, n);
+  for (int r = 0; r < n; ++r) {
+    for (int c = r; c < n; ++c) {
+      m(r, c) = rng.uniform(-1, 1);
+      m(c, r) = m(r, c);
+    }
+  }
+  const auto oracle = reference::jacobiColumnForm(m);
+  const auto res = jacobiEigenSymmetric(m);
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (int k = 0; k < n; ++k) {
+    ASSERT_EQ(bits(res.eigenvalues[static_cast<std::size_t>(k)]),
+              bits(oracle.eigenvalues[static_cast<std::size_t>(k)]))
+        << "eigenvalue " << k;
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(bits(res.eigenvectors(k, i)),
+                bits(oracle.eigenvectors[static_cast<std::size_t>(k)]
+                                        [static_cast<std::size_t>(i)]))
+          << "eigenvector " << k << " entry " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, JacobiOracle,
+                         ::testing::Values(1, 2, 3, 17, 64, 322));
 
 TEST(Eigen, AsymmetricInputThrows) {
   Matrix m(2, 2);
@@ -554,10 +591,7 @@ TEST_P(EigenReconstruction, SymmetricReconstructs) {
       double acc = 0.0;
       for (int k = 0; k < n; ++k) {
         acc += res.eigenvalues[static_cast<std::size_t>(k)] *
-               res.eigenvectors[static_cast<std::size_t>(k)]
-                               [static_cast<std::size_t>(r)] *
-               res.eigenvectors[static_cast<std::size_t>(k)]
-                               [static_cast<std::size_t>(c)];
+               res.eigenvectors(k, r) * res.eigenvectors(k, c);
       }
       EXPECT_NEAR(acc, m(r, c), 1e-9);
     }
@@ -567,10 +601,7 @@ TEST_P(EigenReconstruction, SymmetricReconstructs) {
     for (int j = i; j < n; ++j) {
       double dot = 0.0;
       for (int k = 0; k < n; ++k) {
-        dot += res.eigenvectors[static_cast<std::size_t>(i)]
-                               [static_cast<std::size_t>(k)] *
-               res.eigenvectors[static_cast<std::size_t>(j)]
-                               [static_cast<std::size_t>(k)];
+        dot += res.eigenvectors(i, k) * res.eigenvectors(j, k);
       }
       EXPECT_NEAR(dot, i == j ? 1.0 : 0.0, 1e-9);
     }
