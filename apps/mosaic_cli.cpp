@@ -26,7 +26,7 @@
 ///
 /// Fault injection for robustness testing is armed via the
 /// MOSAIC_FAILPOINTS environment variable or the --failpoints option of
-/// `run` and `batch` (see docs/robustness.md).
+/// `run`, `batch` and `chip` (see docs/robustness.md).
 ///
 /// The long-running subcommands (run, batch, chip) handle SIGINT/SIGTERM
 /// gracefully: in-flight work is checkpointed (when checkpointing is
@@ -35,7 +35,6 @@
 /// docs/serving.md for the daemon-side story.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -43,7 +42,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "eval/evaluator.hpp"
@@ -78,18 +77,124 @@ namespace {
 
 using namespace mosaic;
 
-/// Apply --threads: 0 keeps the hardware default. The count sizes the
-/// process-wide work-stealing executor (docs/performance.md): one pool
-/// shared by the tile fan-out and every nested pixel/corner loop, not a
-/// per-loop thread spawn.
-void applyThreads(int threads) {
-  MOSAIC_CHECK(threads >= 0, "--threads must be >= 0");
-  if (threads > 0) setParallelism(threads);
-}
+/// --log, --threads and --failpoints, and the code that applies them. The
+/// subcommands that run no optimizer take --log only.
+struct RuntimeFlags {
+  std::string logLevel;
+  int threads = 0;
+  std::string failpoints;
 
-constexpr const char* kThreadsHelp =
-    "total executor workers shared by tile and nested pixel loops "
-    "(0 = hardware default)";
+  explicit RuntimeFlags(std::string defaultLogLevel)
+      : logLevel(std::move(defaultLogLevel)) {}
+
+  void addLogOption(CliParser& cli) {
+    cli.addString("log", &logLevel, "log level");
+  }
+
+  void addOptions(CliParser& cli) {
+    addLogOption(cli);
+    cli.addInt("threads", &threads,
+               "total executor workers shared by tile and nested pixel loops "
+               "(0 = hardware default)");
+    cli.addString("failpoints", &failpoints,
+                  "arm fail points (docs/robustness.md), e.g. "
+                  "objective.gradient:nan@iter=7");
+  }
+
+  /// --threads sizes the process-wide work-stealing executor
+  /// (docs/performance.md): one pool shared by the tile fan-out and every
+  /// nested pixel/corner loop; 0 keeps the hardware default.
+  void apply() const {
+    setLogLevel(parseLogLevel(logLevel));
+    MOSAIC_CHECK(threads >= 0, "--threads must be >= 0");
+    if (threads > 0) setParallelism(threads);
+    if (!failpoints.empty()) failpoint::configure(failpoints);
+  }
+};
+
+/// --method, --pixel, --iters and --deadline: which optimizer, on which
+/// raster, for how long.
+struct SolveFlags {
+  std::string method = "fast";
+  int pixel = 4;
+  int iters = 0;
+  double deadline = 0.0;
+
+  void addOptions(CliParser& cli,
+                  const char* methods = "fast | exact | baseline") {
+    cli.addString("method", &method, methods);
+    cli.addInt("pixel", &pixel, "pixel size in nm");
+    cli.addInt("iters", &iters, "optimizer iterations (0 = method default)");
+    cli.addDouble("deadline", &deadline,
+                  "wall-clock budget per clip, tile or job in seconds "
+                  "(0 = unlimited)");
+  }
+
+  [[nodiscard]] IltConfig iltConfig() const {
+    IltConfig cfg = defaultIltConfig(parseOpcMethod(method), pixel);
+    if (iters > 0) cfg.maxIterations = iters;
+    cfg.deadlineSeconds = deadline;
+    return cfg;
+  }
+};
+
+/// --retries, --backoff-ms, --checkpoint-dir, --checkpoint-every and
+/// --resume: the attempt policy of batch clips and chip tiles
+/// (docs/robustness.md, "Fault contract").
+struct AttemptFlags {
+  int retries = 1;
+  int backoffMs = 50;
+  std::string checkpointDir;
+  int checkpointEvery = 5;
+  bool resume = false;
+
+  /// `unit` names what is attempted: "clip" or "tile".
+  void addOptions(CliParser& cli, const std::string& unit) {
+    cli.addInt("retries", &retries, "retries per " + unit + " on failure");
+    cli.addInt("backoff-ms", &backoffMs, "retry backoff in milliseconds");
+    cli.addString("checkpoint-dir", &checkpointDir,
+                  "directory for per-" + unit + " optimizer checkpoints");
+    cli.addInt("checkpoint-every", &checkpointEvery,
+               "iterations between per-" + unit + " checkpoints");
+    cli.addFlag("resume", &resume,
+                "resume " + unit + "s from existing checkpoints in "
+                "--checkpoint-dir");
+  }
+
+  [[nodiscard]] AttemptPolicy policy() const {
+    MOSAIC_CHECK(retries >= 0, "--retries must be >= 0");
+    MOSAIC_CHECK(backoffMs >= 0, "--backoff-ms must be >= 0");
+    AttemptPolicy p;
+    p.maxAttempts = retries + 1;
+    p.backoffMs = backoffMs;
+    p.checkpointEvery = checkpointEvery;
+    p.resume = resume;
+    return p;
+  }
+
+  /// The `resume with:` arguments, empty when nothing was checkpointed.
+  [[nodiscard]] std::string resumeArgs() const {
+    return checkpointDir.empty()
+               ? std::string()
+               : "--checkpoint-dir " + checkpointDir + " --resume";
+  }
+};
+
+/// The end of an interrupted run, batch or chip: which signal stopped it,
+/// how to resume (`resumeArgs`, empty when nothing was checkpointed), and
+/// exit code 3.
+int interruptedExit(const char* command, const std::string& detail,
+                    const std::string& resumeArgs) {
+  std::printf("%s interrupted by %s%s\n", command, terminationSignalName(),
+              detail.c_str());
+  if (resumeArgs.empty()) {
+    std::printf("(nothing was checkpointed; in-flight progress is lost)\n");
+  } else {
+    std::printf("resume with: mosaic_cli %s ... %s\n", command,
+                resumeArgs.c_str());
+  }
+  return kExitInterrupted;
+}
 
 /// Shared telemetry wiring of the long-running subcommands
 /// (docs/observability.md): --metrics-out, --trace-out, --run-log and
@@ -212,60 +317,48 @@ void printEvaluation(const CaseEvaluation& ev, const MrcResult& mrc) {
 int cmdRun(int argc, char** argv) {
   std::string input;
   int caseIndex = 0;
-  std::string method = "fast";
-  int pixel = 4;
-  int iters = 0;
+  SolveFlags solve;
   std::string outMask;
   std::string images;
-  std::string logLevel = "info";
-  std::string failpoints;
+  RuntimeFlags runtime("info");
   std::string checkpoint;
   int checkpointEvery = 5;
   std::string resume;
-  double deadline = 0.0;
   int maxRecoveries = 3;
-  int threads = 0;
   TelemetryFlags tele;
 
   double maskLow = 0.0;
   CliParser cli("mosaic_cli run", "run OPC on a target layout");
   cli.addString("input", &input, "target layout (GLP)");
   cli.addInt("case", &caseIndex, "built-in testcase index (1..10)");
-  cli.addString("method", &method,
-                "fast | exact | baseline | levelset | edge | rule | none");
+  solve.addOptions(cli,
+                   "fast | exact | baseline | levelset | edge | rule | none");
   cli.addDouble("mask-low", &maskLow,
                 "background transmission (0 = binary, -0.245 = 6% PSM)");
-  cli.addInt("pixel", &pixel, "pixel size in nm");
-  cli.addInt("iters", &iters, "optimizer iterations (0 = method default)");
   cli.addString("out-mask", &outMask, "write optimized mask as GLP");
   cli.addString("images", &images, "directory for PGM dumps");
-  cli.addString("log", &logLevel, "log level");
-  cli.addString("failpoints", &failpoints,
-                "arm fail points, e.g. objective.gradient:nan@iter=7");
+  runtime.addOptions(cli);
   cli.addString("checkpoint", &checkpoint,
                 "write optimizer checkpoints to this file");
   cli.addInt("checkpoint-every", &checkpointEvery,
              "iterations between checkpoints");
   cli.addString("resume", &resume, "resume from an optimizer checkpoint");
-  cli.addDouble("deadline", &deadline,
-                "optimizer wall-clock budget in seconds (0 = unlimited)");
   cli.addInt("max-recoveries", &maxRecoveries,
              "non-finite rollbacks before aborting with best-so-far");
-  cli.addInt("threads", &threads, kThreadsHelp);
   tele.addOptions(cli);
   if (!cli.parse(argc, argv)) return 0;
-  setLogLevel(parseLogLevel(logLevel));
-  applyThreads(threads);
-  if (!failpoints.empty()) failpoint::configure(failpoints);
+  runtime.apply();
   const std::unique_ptr<telemetry::RunLog> runLog = tele.begin();
 
+  const int pixel = solve.pixel;
+  const std::string& method = solve.method;
   const Layout layout = loadTarget(input, caseIndex);
   LithoSimulator sim = makeSim(pixel);
   std::printf("kernel sets: %.2f s\n", warmCornerKernels(sim));
   const BitGrid target = rasterize(layout, pixel);
 
   RealGrid mask;
-  double runtime = 0.0;
+  double runtimeSec = 0.0;
   if (method == "none") {
     mask = noOpcMask(target);
   } else if (method == "rule") {
@@ -273,32 +366,20 @@ int cmdRun(int argc, char** argv) {
   } else if (method == "edge") {
     WallTimer t;
     EdgeOpcConfig cfg;
-    if (iters > 0) cfg.maxIterations = iters;
+    if (solve.iters > 0) cfg.maxIterations = solve.iters;
     const EdgeOpcResult res = runEdgeOpc(sim, target, cfg);
     mask = toReal(res.mask);
-    runtime = t.seconds();
+    runtimeSec = t.seconds();
   } else if (method == "levelset") {
     WallTimer t;
     LevelSetConfig cfg;
-    if (iters > 0) cfg.maxIterations = iters;
+    if (solve.iters > 0) cfg.maxIterations = solve.iters;
     const LevelSetResult res = runLevelSetIlt(sim, target, cfg);
     mask = toReal(res.mask);
-    runtime = t.seconds();
+    runtimeSec = t.seconds();
   } else {
-    OpcMethod m;
-    if (method == "fast") {
-      m = OpcMethod::kMosaicFast;
-    } else if (method == "exact") {
-      m = OpcMethod::kMosaicExact;
-    } else if (method == "baseline") {
-      m = OpcMethod::kIltBaseline;
-    } else {
-      throw InvalidArgument("unknown method: " + method);
-    }
-    IltConfig cfg = defaultIltConfig(m, pixel);
-    if (iters > 0) cfg.maxIterations = iters;
+    IltConfig cfg = solve.iltConfig();
     cfg.maskLow = maskLow;
-    cfg.deadlineSeconds = deadline;
     cfg.maxRecoveries = maxRecoveries;
     CancelToken interruptToken;
     installTerminationHandler(&interruptToken);
@@ -309,10 +390,11 @@ int cmdRun(int argc, char** argv) {
     opt.runLog = runLog.get();
     opt.runLogScope = layout.name;
     opt.cancel = &interruptToken;
-    const OpcResult res = runOpc(sim, target, m, &cfg, {}, {}, opt);
+    const OpcResult res =
+        runOpc(sim, target, parseOpcMethod(method), &cfg, {}, {}, opt);
     installTerminationHandler(nullptr);
     mask = res.maskTwoLevel;
-    runtime = res.runtimeSec;
+    runtimeSec = res.runtimeSec;
     std::printf("stop reason: %s (%d iterations",
                 stopReasonName(res.stopReason).c_str(), res.iterations);
     if (res.nonFiniteEvents > 0) {
@@ -321,19 +403,13 @@ int cmdRun(int argc, char** argv) {
     }
     std::printf(")\n");
     if (res.stopReason == StopReason::kCanceled) {
-      std::printf("interrupted by %s after %d iterations\n",
-                  terminationSignalName(), res.iterations);
-      if (!checkpoint.empty()) {
-        std::printf("resume with: mosaic_cli run ... --resume %s\n",
-                    checkpoint.c_str());
-      } else {
-        std::printf("(no --checkpoint was set; progress is lost)\n");
-      }
-      return kExitInterrupted;
+      return interruptedExit(
+          "run", " after " + std::to_string(res.iterations) + " iterations",
+          checkpoint.empty() ? std::string() : "--resume " + checkpoint);
     }
   }
 
-  const CaseEvaluation ev = evaluateMask(sim, mask, target, runtime);
+  const CaseEvaluation ev = evaluateMask(sim, mask, target, runtimeSec);
   const MrcResult mrc = checkMask(thresholdGrid(mask, 0.5), pixel);
   std::printf("== %s via %s ==\n", layout.name.c_str(), method.c_str());
   printEvaluation(ev, mrc);
@@ -385,76 +461,43 @@ std::vector<int> parseCaseList(const std::string& text) {
 }
 
 int cmdBatch(int argc, char** argv) {
-  std::string method = "fast";
-  int pixel = 4;
-  int iters = 0;
-  int retries = 1;
+  SolveFlags solve;
   std::string cases;
   std::string outDir;
-  std::string logLevel = "warn";
-  std::string failpoints;
-  double deadline = 0.0;
-  int backoffMs = 50;
-  int threads = 0;
-  std::string checkpointDir;
-  int checkpointEvery = 5;
-  bool resume = false;
+  RuntimeFlags runtime("warn");
+  AttemptFlags attempt;
   TelemetryFlags tele;
 
   CliParser cli("mosaic_cli batch",
                 "fault-tolerant OPC over the benchmark suite");
-  cli.addString("method", &method, "fast | exact | baseline");
-  cli.addInt("pixel", &pixel, "pixel size in nm");
-  cli.addInt("iters", &iters, "optimizer iterations (0 = method default)");
-  cli.addInt("retries", &retries, "retries per clip on failure");
+  solve.addOptions(cli);
   cli.addString("cases", &cases, "comma-separated clip indices (default all)");
   cli.addString("out-dir", &outDir, "write optimized masks here as GLP");
-  cli.addString("log", &logLevel, "log level");
-  cli.addString("failpoints", &failpoints,
-                "arm fail points, e.g. batch.clip:throw@iter=3");
-  cli.addDouble("deadline", &deadline,
-                "per-clip optimizer wall-clock budget in seconds");
-  cli.addInt("backoff-ms", &backoffMs, "retry backoff in milliseconds");
-  cli.addInt("threads", &threads, kThreadsHelp);
-  cli.addString("checkpoint-dir", &checkpointDir,
-                "directory for per-clip optimizer checkpoints (B<i>.ckpt)");
-  cli.addInt("checkpoint-every", &checkpointEvery,
-             "iterations between per-clip checkpoints");
-  cli.addFlag("resume", &resume,
-              "resume clips from existing checkpoints in --checkpoint-dir");
+  runtime.addOptions(cli);
+  attempt.addOptions(cli, "clip");
   tele.addOptions(cli);
   if (!cli.parse(argc, argv)) return 0;
-  setLogLevel(parseLogLevel(logLevel));
-  applyThreads(threads);
-  if (!failpoints.empty()) failpoint::configure(failpoints);
-  MOSAIC_CHECK(retries >= 0, "--retries must be >= 0");
-  MOSAIC_CHECK(backoffMs >= 0, "--backoff-ms must be >= 0");
+  runtime.apply();
+  AttemptPolicy policy = attempt.policy();
   const std::unique_ptr<telemetry::RunLog> runLog = tele.begin();
 
-  OpcMethod m;
-  if (method == "fast") {
-    m = OpcMethod::kMosaicFast;
-  } else if (method == "exact") {
-    m = OpcMethod::kMosaicExact;
-  } else if (method == "baseline") {
-    m = OpcMethod::kIltBaseline;
-  } else {
-    throw InvalidArgument("unknown batch method: " + method);
-  }
+  const OpcMethod m = parseOpcMethod(solve.method);
   const std::vector<int> caseList = parseCaseList(cases);
-  if (!checkpointDir.empty()) {
-    std::filesystem::create_directories(checkpointDir);
+  if (!attempt.checkpointDir.empty()) {
+    std::filesystem::create_directories(attempt.checkpointDir);
   }
 
   // One simulator for the whole batch: clips share the kernel sets. The
   // clips run serially here, but sharing is safe even under concurrency —
   // LithoSimulator's const interface is thread-safe by contract (see
   // litho/simulator.hpp), which is what the tile scheduler relies on.
-  LithoSimulator sim = makeSim(pixel);
+  LithoSimulator sim = makeSim(solve.pixel);
 
   CancelToken interruptToken;
   installTerminationHandler(&interruptToken);
   warmCornerKernels(sim);  // an interrupt here stops before the first clip
+  policy.failpointSite = "batch.clip";
+  policy.cancel = &interruptToken;
 
   struct ClipOutcome {
     std::string name;
@@ -477,75 +520,48 @@ int cmdBatch(int argc, char** argv) {
     }
     ClipOutcome outcome;
     outcome.name = "B" + std::to_string(index);
-    const std::string clipCkpt =
-        checkpointDir.empty() ? std::string()
-                              : checkpointDir + "/" + outcome.name + ".ckpt";
-    bool allowResume = resume;
-    for (int attempt = 1; attempt <= retries + 1; ++attempt) {
-      outcome.attempts = attempt;
-      WallTimer clipTimer;
-      try {
-        // Per-clip isolation: any fault below lands in the catch and the
-        // batch moves on. The fail-point site lets tests force a clip to
-        // fail deterministically.
-        MOSAIC_FAILPOINT("batch.clip");
-        const Layout layout = buildTestcase(index);
-        const BitGrid target = rasterize(layout, pixel);
-        IltConfig cfg = defaultIltConfig(m, pixel);
-        if (iters > 0) cfg.maxIterations = iters;
-        cfg.deadlineSeconds = deadline;
-        OptimizeOptions opt;
-        opt.runLog = runLog.get();
-        opt.runLogScope = outcome.name;
-        opt.cancel = &interruptToken;
-        if (!clipCkpt.empty()) {
-          opt.checkpointPath = clipCkpt;
-          opt.checkpointEvery = checkpointEvery;
-          if (allowResume && std::ifstream(clipCkpt).good()) {
-            opt.resumePath = clipCkpt;
-          }
-        }
-        const OpcResult res = runOpc(sim, target, m, &cfg, {}, {}, opt);
-        if (res.stopReason == StopReason::kCanceled) {
+    policy.label = outcome.name;
+    policy.checkpointPath =
+        attempt.checkpointDir.empty()
+            ? std::string()
+            : attempt.checkpointDir + "/" + outcome.name + ".ckpt";
+    // Per-clip isolation (docs/robustness.md, "Fault contract"): any fault
+    // in the solve, its evaluation or the mask write fails this clip's
+    // attempt, and the batch moves on once its attempts run out.
+    WallTimer clipTimer;
+    bool canceled = false;
+    const AttemptOutcome run =
+        runAttempts(policy, [&](int, OptimizeOptions& opt) {
+          clipTimer.reset();
+          const Layout layout = buildTestcase(index);
+          const BitGrid target = rasterize(layout, solve.pixel);
+          const IltConfig cfg = solve.iltConfig();
+          opt.runLog = runLog.get();
+          const OpcResult res = runOpc(sim, target, m, &cfg, {}, {}, opt);
           // Signal mid-clip: the optimizer already checkpointed (when
-          // armed); stop the batch here and leave this clip resumable.
-          interrupted = true;
-          interruptedClip = outcome.name;
-          outcome.seconds = clipTimer.seconds();
-          outcome.error = "interrupted";
-          break;
-        }
-        outcome.ev =
-            evaluateMask(sim, res.maskTwoLevel, target, res.runtimeSec);
-        outcome.nonFiniteEvents = res.nonFiniteEvents;
-        outcome.recoveries = res.recoveries;
-        outcome.seconds = clipTimer.seconds();
-        outcome.ok = true;
-        outcome.error.clear();
-        if (!outDir.empty()) {
-          const Layout maskLayout =
-              rasterToLayout(res.maskBinary, pixel, layout.name + "_mask");
-          writeGlpFile(outDir + "/" + layout.name + "_mask.glp", maskLayout);
-        }
-        break;
-      } catch (const CheckpointError& e) {
-        // Unusable per-clip checkpoint: restart this clip fresh without
-        // burning a retry (the retry budget is for optimization faults).
-        outcome.error = e.what();
-        allowResume = false;
-        LOG_WARN("clip B" << index << " checkpoint unusable, restarting "
-                          << "fresh: " << e.what());
-        --attempt;
-      } catch (const std::exception& e) {
-        outcome.seconds = clipTimer.seconds();
-        outcome.error = e.what();
-        LOG_WARN("clip B" << index << " attempt " << attempt
-                          << " failed: " << e.what());
-        if (attempt <= retries) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(backoffMs * attempt));
-        }
-      }
+          // armed); the batch stops here and leaves this clip resumable.
+          canceled = res.stopReason == StopReason::kCanceled;
+          if (canceled) return;
+          outcome.ev =
+              evaluateMask(sim, res.maskTwoLevel, target, res.runtimeSec);
+          outcome.nonFiniteEvents = res.nonFiniteEvents;
+          outcome.recoveries = res.recoveries;
+          if (!outDir.empty()) {
+            const Layout maskLayout = rasterToLayout(
+                res.maskBinary, solve.pixel, layout.name + "_mask");
+            writeGlpFile(outDir + "/" + layout.name + "_mask.glp",
+                         maskLayout);
+          }
+        });
+    outcome.seconds = clipTimer.seconds();
+    outcome.attempts = run.attempts;
+    outcome.error = run.error;
+    if (canceled || run.stopped) {
+      interrupted = true;
+      interruptedClip = outcome.name;
+      outcome.error = "interrupted";
+    } else {
+      outcome.ok = run.ok;
     }
     if (runLog) {
       telemetry::JsonObject obj;
@@ -628,20 +644,11 @@ int cmdBatch(int argc, char** argv) {
   installTerminationHandler(nullptr);
 
   if (interrupted) {
-    std::printf("batch interrupted by %s", terminationSignalName());
-    if (!interruptedClip.empty()) {
-      std::printf(" during clip %s", interruptedClip.c_str());
-    }
-    std::printf("\n");
-    if (!checkpointDir.empty()) {
-      std::printf("resume with: mosaic_cli batch ... --checkpoint-dir %s "
-                  "--resume\n",
-                  checkpointDir.c_str());
-    } else {
-      std::printf("(no --checkpoint-dir was set; in-flight progress is "
-                  "lost)\n");
-    }
-    return kExitInterrupted;
+    return interruptedExit(
+        "batch",
+        interruptedClip.empty() ? std::string()
+                                : " during clip " + interruptedClip,
+        attempt.resumeArgs());
   }
 
   if (succeeded == static_cast<int>(outcomes.size())) return kBatchAllOk;
@@ -656,27 +663,17 @@ int cmdChip(int argc, char** argv) {
   int chipSize = 0;
   int caseIndex = 0;
   int replicate = 2;
-  std::string method = "fast";
-  int pixel = 4;
-  int iters = 0;
+  SolveFlags solve;
   int tileSize = 1024;
   int halo = -1;
-  int threads = 0;
   bool noCacheOrder = false;
-  int retries = 1;
-  int backoffMs = 50;
-  double deadline = 0.0;
-  std::string checkpointDir;
-  int checkpointEvery = 5;
-  bool resume = false;
+  AttemptFlags attempt;
   std::string kernelCache;
   std::string patternCache;
   int cacheMaxMb = 512;
-  int warmIters = 0;
   std::string ecoBase;
   std::string outMask;
-  std::string logLevel = "info";
-  std::string failpoints;
+  RuntimeFlags runtime("info");
   TelemetryFlags tele;
 
   CliParser cli("mosaic_cli chip",
@@ -688,25 +685,13 @@ int cmdChip(int argc, char** argv) {
              "built-in testcase replicated into a synthetic chip (1..10)");
   cli.addInt("replicate", &replicate,
              "replication factor for --case (K x K clips)");
-  cli.addString("method", &method, "fast | exact | baseline");
-  cli.addInt("pixel", &pixel, "pixel size in nm");
-  cli.addInt("iters", &iters, "optimizer iterations per tile (0 = default)");
+  solve.addOptions(cli);
   cli.addInt("tile-size", &tileSize, "core tile edge in nm");
   cli.addInt("halo", &halo,
              "halo margin in nm (-1 = 2x optical interaction radius)");
-  cli.addInt("threads", &threads, kThreadsHelp);
   cli.addFlag("no-cache-order", &noCacheOrder,
               "disable cache-aware tile ordering (representatives first)");
-  cli.addInt("retries", &retries, "retries per tile on failure");
-  cli.addInt("backoff-ms", &backoffMs, "retry backoff in milliseconds");
-  cli.addDouble("deadline", &deadline,
-                "per-tile optimizer wall-clock budget in seconds");
-  cli.addString("checkpoint-dir", &checkpointDir,
-                "directory for per-tile optimizer checkpoints");
-  cli.addInt("checkpoint-every", &checkpointEvery,
-             "iterations between per-tile checkpoints");
-  cli.addFlag("resume", &resume,
-              "resume tiles from existing checkpoints in --checkpoint-dir");
+  attempt.addOptions(cli, "tile");
   cli.addString("kernel-cache", &kernelCache,
                 "directory for on-disk kernel caching");
   cli.addString("pattern-cache", &patternCache,
@@ -714,47 +699,33 @@ int cmdChip(int argc, char** argv) {
                 "across runs (docs/caching.md)");
   cli.addInt("cache-max-mb", &cacheMaxMb,
              "pattern-cache size cap in MB (LRU-evicted; 0 = unlimited)");
-  cli.addInt("warm-iters", &warmIters,
-             "iteration budget for cache warm starts (0 = cold budget / 4)");
   cli.addString("eco-base", &ecoBase,
                 "incremental re-OPC: pattern-cache directory of a previous "
                 "run; only changed tiles re-optimize");
   cli.addString("out-mask", &outMask, "write the stitched mask as GLP");
-  cli.addString("log", &logLevel, "log level");
-  cli.addString("failpoints", &failpoints,
-                "arm fail points, e.g. tile.optimize:throw@iter=2");
+  runtime.addOptions(cli);
   tele.addOptions(cli);
   if (!cli.parse(argc, argv)) return 0;
-  setLogLevel(parseLogLevel(logLevel));
-  applyThreads(threads);
-  if (!failpoints.empty()) failpoint::configure(failpoints);
+  runtime.apply();
   const std::unique_ptr<telemetry::RunLog> runLog = tele.begin();
 
+  const int pixel = solve.pixel;
   ChipConfig cfg;
   cfg.tiling.tileSizeNm = tileSize;
   cfg.tiling.haloNm = halo;
   cfg.tiling.pixelNm = pixel;
   cfg.optics.pixelNm = pixel;
-  if (method == "fast") {
-    cfg.method = OpcMethod::kMosaicFast;
-  } else if (method == "exact") {
-    cfg.method = OpcMethod::kMosaicExact;
-  } else if (method == "baseline") {
-    cfg.method = OpcMethod::kIltBaseline;
-  } else {
-    throw InvalidArgument("unknown chip method: " + method);
-  }
-  cfg.iterations = iters;
-  cfg.retries = retries;
-  cfg.backoffMs = backoffMs;
-  cfg.tileDeadlineSeconds = deadline;
-  cfg.checkpointDir = checkpointDir;
-  cfg.checkpointEvery = checkpointEvery;
-  cfg.resume = resume;
+  cfg.method = parseOpcMethod(solve.method);
+  cfg.iterations = solve.iters;
+  cfg.tileDeadlineSeconds = solve.deadline;
+  cfg.retries = attempt.retries;
+  cfg.backoffMs = attempt.backoffMs;
+  cfg.checkpointDir = attempt.checkpointDir;
+  cfg.checkpointEvery = attempt.checkpointEvery;
+  cfg.resume = attempt.resume;
   cfg.kernelCacheDir = kernelCache;
   cfg.patternCacheDir = patternCache;
   cfg.patternCacheMaxBytes = static_cast<long long>(cacheMaxMb) << 20;
-  cfg.warmIterations = warmIters;
   cfg.cacheAwareOrder = !noCacheOrder;
   cfg.ecoBaseDir = ecoBase;
   cfg.runLog = runLog.get();
@@ -866,17 +837,11 @@ int cmdChip(int argc, char** argv) {
   installTerminationHandler(nullptr);
 
   if (res.interrupted) {
-    std::printf("chip run interrupted by %s (%d/%d tiles finished)\n",
-                terminationSignalName(), res.succeeded, part.tileCount());
-    if (!checkpointDir.empty()) {
-      std::printf("resume with: mosaic_cli chip ... --checkpoint-dir %s "
-                  "--resume\n",
-                  checkpointDir.c_str());
-    } else {
-      std::printf("(no --checkpoint-dir was set; in-flight tile progress is "
-                  "lost)\n");
-    }
-    return kExitInterrupted;
+    return interruptedExit("chip",
+                           " (" + std::to_string(res.succeeded) + "/" +
+                               std::to_string(part.tileCount()) +
+                               " tiles finished)",
+                           attempt.resumeArgs());
   }
 
   if (seam.nonFinitePixels > 0 || res.succeeded == 0) return 1;
@@ -890,7 +855,7 @@ int cmdSimulate(int argc, char** argv) {
   double focus = 0.0;
   double dose = 1.0;
   std::string images;
-  std::string logLevel = "warn";
+  RuntimeFlags runtime("warn");
 
   CliParser cli("mosaic_cli simulate",
                 "forward-simulate a mask at a process corner");
@@ -900,9 +865,9 @@ int cmdSimulate(int argc, char** argv) {
   cli.addDouble("focus", &focus, "defocus in nm");
   cli.addDouble("dose", &dose, "relative exposure dose");
   cli.addString("images", &images, "directory for PGM dumps");
-  cli.addString("log", &logLevel, "log level");
+  runtime.addLogOption(cli);
   if (!cli.parse(argc, argv)) return 0;
-  setLogLevel(parseLogLevel(logLevel));
+  runtime.apply();
 
   const Layout layout = loadTarget(input, caseIndex);
   LithoSimulator sim = makeSim(pixel);
@@ -939,7 +904,7 @@ int cmdEvaluate(int argc, char** argv) {
   std::string targetGlp;
   int targetCase = 0;
   int pixel = 4;
-  std::string logLevel = "warn";
+  RuntimeFlags runtime("warn");
 
   CliParser cli("mosaic_cli evaluate",
                 "contest metrics + MRC for a mask against a target");
@@ -947,9 +912,9 @@ int cmdEvaluate(int argc, char** argv) {
   cli.addString("target", &targetGlp, "target layout (GLP)");
   cli.addInt("target-case", &targetCase, "built-in target testcase (1..10)");
   cli.addInt("pixel", &pixel, "pixel size in nm");
-  cli.addString("log", &logLevel, "log level");
+  runtime.addLogOption(cli);
   if (!cli.parse(argc, argv)) return 0;
-  setLogLevel(parseLogLevel(logLevel));
+  runtime.apply();
 
   MOSAIC_CHECK(!input.empty(), "--input <mask.glp> is required");
   const Layout maskLayout = readGlpFile(input);
@@ -994,10 +959,7 @@ int cmdSubmit(int argc, char** argv) {
   int port = 0;
   std::string portFile;
   std::string caseName = "B1";
-  std::string method = "fast";
-  int pixel = 16;
-  int iters = 0;
-  double deadline = 0.0;
+  SolveFlags solve{.pixel = 16};  // the daemon's default job size
   int maxAttempts = 2;
   int checkpointEvery = 5;
   std::string jobFile;
@@ -1005,7 +967,7 @@ int cmdSubmit(int argc, char** argv) {
   bool wait = false;
   int pollMs = 200;
   double timeoutSec = 0.0;
-  std::string logLevel = "warn";
+  RuntimeFlags runtime("warn");
 
   CliParser cli("mosaic_cli submit",
                 "submit OPC jobs to a mosaic_serve daemon and poll results");
@@ -1014,11 +976,7 @@ int cmdSubmit(int argc, char** argv) {
   cli.addString("port-file", &portFile,
                 "read the port from a mosaic_serve work-dir serve.port file");
   cli.addString("case", &caseName, "job target: B1..B10 or random:<seed>");
-  cli.addString("method", &method, "fast | exact | baseline");
-  cli.addInt("pixel", &pixel, "pixel size in nm");
-  cli.addInt("iters", &iters, "optimizer iterations (0 = method default)");
-  cli.addDouble("deadline", &deadline,
-                "per-job wall-clock budget in seconds (0 = none)");
+  solve.addOptions(cli);
   cli.addInt("max-attempts", &maxAttempts, "attempts before the job fails");
   cli.addInt("checkpoint-every", &checkpointEvery,
              "iterations between the job's resume checkpoints");
@@ -1030,9 +988,9 @@ int cmdSubmit(int argc, char** argv) {
   cli.addInt("poll-ms", &pollMs, "status poll interval while waiting");
   cli.addDouble("timeout", &timeoutSec,
                 "give up waiting after this many seconds (0 = forever)");
-  cli.addString("log", &logLevel, "log level");
+  runtime.addLogOption(cli);
   if (!cli.parse(argc, argv)) return 0;
-  setLogLevel(parseLogLevel(logLevel));
+  runtime.apply();
   MOSAIC_CHECK(pollMs >= 1, "--poll-ms must be >= 1");
   if (port == 0) {
     MOSAIC_CHECK(!portFile.empty(), "pass --port or --port-file");
@@ -1062,10 +1020,10 @@ int cmdSubmit(int argc, char** argv) {
     if (submitLines.empty()) {
       serve::JobSpec spec;
       spec.caseName = caseName;
-      spec.method = method;
-      spec.pixelNm = pixel;
-      spec.iterations = iters;
-      spec.deadlineSeconds = deadline;
+      spec.method = solve.method;
+      spec.pixelNm = solve.pixel;
+      spec.iterations = solve.iters;
+      spec.deadlineSeconds = solve.deadline;
       spec.maxAttempts = maxAttempts;
       spec.checkpointEvery = checkpointEvery;
       telemetry::JsonObject req;

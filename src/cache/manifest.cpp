@@ -1,10 +1,9 @@
 #include "cache/manifest.hpp"
 
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 
-#include "support/error.hpp"
+#include "support/atomic_file.hpp"
 #include "support/hash.hpp"
 #include "support/log.hpp"
 #include "support/telemetry/json.hpp"
@@ -28,10 +27,7 @@ std::string manifestPath(const std::string& storeDir) {
 
 void writeFingerprintManifest(const std::string& path,
                               const std::vector<ManifestEntry>& entries) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    MOSAIC_CHECK(out.good(), "cannot write fingerprint manifest: " << tmp);
+  writeFileAtomically(path, [&](std::ostream& out) {
     for (const ManifestEntry& e : entries) {
       telemetry::JsonObject obj;
       obj.set("core_x", e.coreXNm);
@@ -44,14 +40,7 @@ void writeFingerprintManifest(const std::string& path,
       obj.set("empty", e.fp.empty);
       out << obj.str() << "\n";
     }
-    MOSAIC_CHECK(out.good(), "fingerprint manifest write failed: " << tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    MOSAIC_CHECK(false, "cannot publish fingerprint manifest: " << path);
-  }
+  });
 }
 
 bool readFingerprintManifest(const std::string& path,

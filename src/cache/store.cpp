@@ -7,6 +7,7 @@
 #include <system_error>
 #include <thread>
 
+#include "support/atomic_file.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/log.hpp"
@@ -250,7 +251,7 @@ void PatternStore::quarantineEntry(std::uint64_t combinedKey,
   fs::create_directories(qdir, ec);
   const std::string unique =
       src.filename().string() + "." +
-      std::to_string(tmpCounter_.fetch_add(1, std::memory_order_relaxed));
+      std::to_string(quarantineSeq_.fetch_add(1, std::memory_order_relaxed));
   fs::rename(src, qdir / unique, ec);
   if (ec) fs::remove(src, ec);  // cross-device or permission trouble
   quarantined_.fetch_add(1, std::memory_order_relaxed);
@@ -377,15 +378,10 @@ bool PatternStore::insert(const TileFingerprint& fp,
     if (shard.entries.count(key) != 0) return false;  // first solve wins
   }
 
+  // Atomic publication: readers, including other processes sharing the
+  // directory, see no entry or the complete one, never a torn file.
   const fs::path finalPath = fs::path(cfg_.dir) / entryFileName(fp);
-  const fs::path tmpPath =
-      fs::path(cfg_.dir) /
-      (entryFileName(fp) + ".tmp" +
-       std::to_string(tmpCounter_.fetch_add(1, std::memory_order_relaxed)));
-  {
-    std::ofstream out(tmpPath, std::ios::binary | std::ios::trunc);
-    MOSAIC_CHECK(out.good(),
-                 "pattern store: cannot open for writing: " << tmpPath);
+  writeFileAtomically(finalPath.string(), [&](std::ostream& out) {
     writeU32(out, kMagic);
     writeU32(out, kFormatVersion);
     writeU64(out, fp.coreHash);
@@ -403,17 +399,9 @@ bool PatternStore::insert(const TileFingerprint& fp,
     out.write(reinterpret_cast<const char*>(solution.mask.data()),
               static_cast<std::streamsize>(solution.mask.size() *
                                            sizeof(double)));
-    MOSAIC_CHECK(out.good(), "pattern store: write failed: " << tmpPath);
-  }
-  // Atomic publication: readers see the old state or the complete entry,
-  // never a torn file.
-  std::error_code ec;
-  fs::rename(tmpPath, finalPath, ec);
-  if (ec) {
-    fs::remove(tmpPath, ec);
-    MOSAIC_CHECK(false, "pattern store: cannot publish entry: " << finalPath);
-  }
+  });
 
+  std::error_code ec;
   Entry entry;
   entry.fp = fp;
   entry.path = finalPath.string();
@@ -478,6 +466,39 @@ void PatternStore::evictToCap() {
     LOG_DEBUG("pattern store: evicted " << victim.path << " ("
                                         << victim.bytes << " bytes)");
   }
+}
+
+StoreConsult consultStore(PatternStore& store, const TileFingerprint& fp,
+                          const BitGrid& target, IltConfig* cfg) {
+  CacheLookup hit = store.lookup(fp);
+  StoreConsult consult;
+  if (hit.kind == CacheHitKind::kMiss) return consult;
+  if (hit.solution.mask.rows() != target.rows() ||
+      hit.solution.mask.cols() != target.cols()) {
+    // The raster geometry is in the config hash: a foreign-shape entry is
+    // damaged or not ours, so distrust it.
+    LOG_WARN("pattern store: entry " << fp.keyHex()
+                                     << " has the wrong shape; ignoring it");
+    return consult;
+  }
+  consult.kind = hit.kind;
+  consult.solution = std::move(hit.solution);
+  if (hit.kind != CacheHitKind::kExact) {
+    consult.solution.mask = shiftMask(consult.solution.mask, hit.shiftPxRow,
+                                      hit.shiftPxCol, cfg->maskLow);
+    cfg->maxIterations = std::max(2, cfg->maxIterations / 4);
+  }
+  return consult;
+}
+
+bool publishSolve(PatternStore& store, const TileFingerprint& fp,
+                  const OpcResult& result) {
+  if (result.stopReason != StopReason::kConverged &&
+      result.stopReason != StopReason::kMaxIterations) {
+    return false;
+  }
+  return store.insert(fp, {result.maskTwoLevel, result.iterations,
+                           result.bestObjective});
 }
 
 PatternStoreStats PatternStore::stats() const {

@@ -6,9 +6,9 @@
 /// On disk, one entry is one versioned binary file `pat_<key>.bin` in the
 /// store directory: a header carrying the full fingerprint and solution
 /// metadata, a CRC-32 of the mask payload, then the mask doubles. Files
-/// are published atomically (written to a sibling temp file, then
-/// renamed), so concurrent readers — including other processes sharing
-/// the directory — never observe a torn entry. Anything that fails
+/// are published atomically (writeFileAtomically: a sibling temp file,
+/// then a rename), so concurrent readers — including other processes
+/// sharing the directory — never observe a torn entry. Anything that fails
 /// validation on read (bad magic, version skew, CRC mismatch, truncation,
 /// trailing bytes) is moved into a `quarantine/` subdirectory and the
 /// lookup reports a miss, so the caller recomputes and the poisoned file
@@ -31,6 +31,7 @@
 
 #include "cache/fingerprint.hpp"
 #include "math/grid.hpp"
+#include "opc/mosaic.hpp"
 
 namespace mosaic {
 
@@ -151,7 +152,7 @@ class PatternStore {
   std::mutex evictMutex_;  ///< serializes LRU victim selection
   std::atomic<long long> totalBytes_{0};
   std::atomic<std::uint64_t> clock_{1};
-  std::atomic<std::uint64_t> tmpCounter_{0};
+  std::atomic<std::uint64_t> quarantineSeq_{0};
 
   std::atomic<std::uint64_t> exactHits_{0};
   std::atomic<std::uint64_t> translatedHits_{0};
@@ -167,5 +168,29 @@ class PatternStore {
 /// higher rows/columns.
 [[nodiscard]] RealGrid shiftMask(const RealGrid& mask, int dRow, int dCol,
                                  double fill);
+
+/// What a solver's consult found. For any hit, `solution.mask` is in the
+/// query's frame: an exact hit pastes it, a translated or near-miss hit
+/// descends from it (OptimizeOptions::warmStartMask).
+struct StoreConsult {
+  CacheHitKind kind = CacheHitKind::kMiss;
+  CachedSolution solution;
+};
+
+/// The one way the tile scheduler and the serve workers consult the store
+/// before solving `target` under `*cfg`: an entry whose mask shape differs
+/// from the target's is a miss; a translated or near-miss hit is shifted
+/// into frame and cuts cfg->maxIterations to the warm-start budget, a
+/// quarter of the cold one and at least 2.
+[[nodiscard]] StoreConsult consultStore(PatternStore& store,
+                                        const TileFingerprint& fp,
+                                        const BitGrid& target, IltConfig* cfg);
+
+/// Publish a finished solve under `fp` if it converged or ran its full
+/// budget: a deadline-cut, aborted or canceled solve is not the answer to
+/// the key. The entry records the solve's best objective. Returns true
+/// when an entry was inserted.
+bool publishSolve(PatternStore& store, const TileFingerprint& fp,
+                  const OpcResult& result);
 
 }  // namespace mosaic

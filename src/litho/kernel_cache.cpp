@@ -1,13 +1,10 @@
 #include "litho/kernel_cache.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 
+#include "support/atomic_file.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
@@ -73,18 +70,10 @@ SparseSpectrum readSparse(std::istream& in, int gridSize) {
 void saveKernelSet(const std::string& path, const KernelSet& set) {
   MOSAIC_CHECK(set.gridSize > 0 && !set.kernels.empty(),
                "cannot save an empty kernel set");
-  // Write a temp file unique to this process and call in the same
-  // directory, then rename it over `path`: a concurrent reader (another
-  // process sharing the cache directory) sees the old file or the whole
-  // new one, and a writer killed mid-file leaves no torn cache entry.
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string tmpPath =
-      path + ".tmp" + std::to_string(::getpid()) + "_" +
-      std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-  std::error_code ec;
-  try {
-    std::ofstream out(tmpPath, std::ios::binary | std::ios::trunc);
-    MOSAIC_CHECK(out.good(), "cannot open for writing: " << tmpPath);
+  // Atomic publication: a concurrent reader (another process sharing the
+  // cache directory) sees the old file or the whole new one, and a writer
+  // killed mid-file leaves no torn cache entry.
+  writeFileAtomically(path, [&](std::ostream& out) {
     writeU32(out, kMagic);
     writeU32(out, kVersion);
     writeU32(out, static_cast<std::uint32_t>(set.gridSize));
@@ -95,15 +84,7 @@ void saveKernelSet(const std::string& path, const KernelSet& set) {
       writeSparse(out, set.kernels[k]);
     }
     writeSparse(out, set.combined);
-    out.close();
-    MOSAIC_CHECK(out.good(), "write failed: " << tmpPath);
-    std::filesystem::rename(tmpPath, path, ec);
-    MOSAIC_CHECK(!ec, "cannot publish kernel cache " << path << ": "
-                                                     << ec.message());
-  } catch (...) {
-    std::filesystem::remove(tmpPath, ec);
-    throw;
-  }
+  });
 }
 
 KernelSet loadKernelSet(const std::string& path) {

@@ -12,11 +12,11 @@
 /// restart the job from scratch.
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <new>
 
 #include "opc/optimizer.hpp"
+#include "support/atomic_file.hpp"
 #include "support/error.hpp"
 #include "support/telemetry/trace.hpp"
 
@@ -190,12 +190,9 @@ void saveOptimizerCheckpoint(const std::string& path,
                              const OptimizerCheckpoint& ckpt) {
   MOSAIC_SPAN("checkpoint.save");
   MOSAIC_CHECK(!ckpt.params.empty(), "cannot checkpoint an empty P-grid");
-  // Write to a sibling temp file, then rename: a crash mid-write never
-  // clobbers the previous good checkpoint.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    MOSAIC_CHECK(out.good(), "cannot open for writing: " << tmp);
+  // Atomic publication: a crash mid-write never clobbers the previous good
+  // checkpoint.
+  writeFileAtomically(path, [&](std::ostream& out) {
     writeU32(out, kMagic);
     writeU32(out, kVersion);
     writeI32(out, ckpt.iteration);
@@ -213,10 +210,7 @@ void saveOptimizerCheckpoint(const std::string& path,
     writeGrid(out, ckpt.adamV);
     writeU32(out, static_cast<std::uint32_t>(ckpt.history.size()));
     for (const IterationRecord& r : ckpt.history) writeRecord(out, r);
-    MOSAIC_CHECK(out.good(), "write failed: " << tmp);
-  }
-  MOSAIC_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-               "cannot move checkpoint into place: " << path);
+  });
 }
 
 OptimizerCheckpoint loadOptimizerCheckpoint(const std::string& path) {

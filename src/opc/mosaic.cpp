@@ -1,6 +1,14 @@
 #include "opc/mosaic.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <thread>
+
+#include "support/failpoint.hpp"
 #include "support/log.hpp"
+#include "support/telemetry/flightrec.hpp"
 #include "support/timer.hpp"
 
 namespace mosaic {
@@ -15,6 +23,14 @@ std::string methodName(OpcMethod method) {
       return "ILT_baseline";
   }
   throw InvalidArgument("unknown OPC method");
+}
+
+OpcMethod parseOpcMethod(const std::string& name) {
+  if (name == "fast") return OpcMethod::kMosaicFast;
+  if (name == "exact") return OpcMethod::kMosaicExact;
+  if (name == "baseline") return OpcMethod::kIltBaseline;
+  throw InvalidArgument("unknown method '" + name +
+                        "' (expected fast | exact | baseline)");
 }
 
 IltConfig defaultIltConfig(OpcMethod method, int pixelNm) {
@@ -88,6 +104,7 @@ OpcResult runOpc(const LithoSimulator& sim, const BitGrid& target,
   result.maskBinary = transform.quantizeFeatures(result.maskContinuous);
   result.maskTwoLevel = transform.materialize(result.maskBinary);
   result.history = std::move(opt.history);
+  result.bestObjective = opt.bestObjective;
   result.iterations = static_cast<int>(result.history.size());
   result.converged = opt.converged;
   result.stopReason = opt.stopReason;
@@ -98,6 +115,64 @@ OpcResult runOpc(const LithoSimulator& sim, const BitGrid& target,
                          << " (iteration " << opt.bestIteration << ") in "
                          << result.runtimeSec << " s");
   return result;
+}
+
+AttemptOutcome runAttempts(
+    const AttemptPolicy& policy,
+    const std::function<void(int, OptimizeOptions&)>& body) {
+  using Clock = std::chrono::steady_clock;
+  const auto stopRequested = [&] {
+    return policy.cancel != nullptr && policy.cancel->stopRequested();
+  };
+  const int lastAttempt = std::max(policy.maxAttempts, policy.firstAttempt);
+  bool resume = policy.resume;
+  AttemptOutcome outcome;
+  for (int attempt = policy.firstAttempt;; ++attempt) {
+    outcome.attempts = attempt;
+    OptimizeOptions options;
+    options.cancel = policy.cancel;
+    options.runLogScope = policy.label;
+    options.checkpointPath = policy.checkpointPath;  // empty: none written
+    options.checkpointEvery = policy.checkpointEvery;
+    if (resume && std::ifstream(policy.checkpointPath).good()) {
+      options.resumePath = policy.checkpointPath;
+    }
+    try {
+      MOSAIC_FAILPOINT(policy.failpointSite.c_str());
+      body(attempt, options);
+      outcome.ok = true;
+      outcome.error.clear();
+      return outcome;
+    } catch (const CheckpointError& e) {
+      outcome.error = e.what();
+      if (!options.resumePath.empty()) {
+        LOG_WARN(policy.label << " checkpoint unusable, restarting fresh: "
+                              << e.what());
+        std::remove(policy.checkpointPath.c_str());
+        resume = false;
+        --attempt;  // detecting a bad checkpoint is not an attempt
+        continue;
+      }
+    } catch (const std::exception& e) {
+      outcome.error = e.what();
+    }
+    LOG_WARN(policy.label << " attempt " << attempt
+                          << " failed: " << outcome.error);
+    if (attempt < lastAttempt) {
+      const Clock::time_point until =
+          Clock::now() + std::chrono::milliseconds(policy.backoffMs * attempt);
+      while (!stopRequested() && Clock::now() < until) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    }
+    if (stopRequested()) {
+      outcome.stopped = true;
+      return outcome;
+    }
+    if (attempt >= lastAttempt) return outcome;
+    telemetry::flightrec::record(
+        "retry", policy.label + " attempt=" + std::to_string(attempt));
+  }
 }
 
 }  // namespace mosaic

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "opc/mosaic.hpp"
 #include "suite/testcases.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
@@ -74,9 +75,7 @@ void validateSpec(const JobSpec& spec) {
                      seed.find_first_not_of("0123456789") == std::string::npos,
                  "bad random clip seed: " << spec.caseName);
   }
-  MOSAIC_CHECK(spec.method == "fast" || spec.method == "exact" ||
-                   spec.method == "baseline",
-               "job method must be fast|exact|baseline, got " << spec.method);
+  (void)parseOpcMethod(spec.method);
   MOSAIC_CHECK(spec.pixelNm >= 1 && spec.pixelNm <= 64,
                "job pixel_nm out of range [1, 64]: " << spec.pixelNm);
   MOSAIC_CHECK(spec.iterations >= 0 && spec.iterations <= 100000,

@@ -1,14 +1,9 @@
 #include "serve/service.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <thread>
 
-#include "cache/fingerprint.hpp"
 #include "geometry/raster.hpp"
-#include "opc/mosaic.hpp"
 #include "suite/testcases.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
@@ -22,13 +17,6 @@
 namespace mosaic {
 namespace serve {
 namespace {
-
-OpcMethod methodFromName(const std::string& name) {
-  if (name == "fast") return OpcMethod::kMosaicFast;
-  if (name == "exact") return OpcMethod::kMosaicExact;
-  if (name == "baseline") return OpcMethod::kIltBaseline;
-  throw InvalidArgument("unknown job method: " + name);
-}
 
 Layout buildJobLayout(const std::string& caseName) {
   if (caseName.rfind("random:", 0) == 0) {
@@ -445,14 +433,20 @@ void JobService::runJob(Job& job) {
   // spans, run-log records and flight-recorder events emitted below all
   // pick it up implicitly (trace.hpp).
   telemetry::TraceScope traceScope(job.traceId);
-  bool resumeAllowed = false;
-  int startAttempt = 1;
+  AttemptPolicy policy;
+  policy.failpointSite = "serve.worker";
+  policy.label = job.spec.id;
+  policy.maxAttempts = job.spec.maxAttempts;
+  policy.backoffMs = cfg_.backoffMs;
+  policy.checkpointPath = checkpointPath(job.spec.id);
+  policy.checkpointEvery = job.spec.checkpointEvery;
+  policy.cancel = &job.token;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job.state = JobState::kRunning;
     job.phase = "starting";
-    resumeAllowed = job.resumable;
-    startAttempt = job.attempts + 1;
+    policy.resume = job.resumable;
+    policy.firstAttempt = job.attempts + 1;
   }
   telemetry::flightrec::record("state", job.spec.id + " -> running");
   // The deadline clock starts when the job first runs (not at submission:
@@ -460,11 +454,13 @@ void JobService::runJob(Job& job) {
   if (job.spec.deadlineSeconds > 0.0 && !job.token.expired()) {
     job.token.setDeadlineIn(job.spec.deadlineSeconds);
   }
-  const std::string ckpt = checkpointPath(job.spec.id);
+  const auto setPhase = [&](const char* phase) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    job.phase = phase;
+  };
 
   // Maps a token-initiated stop to its terminal state (or to "leave
-  // unterminated" during a checkpoint drain). Returns true when the job is
-  // fully handled and the worker should move on.
+  // unterminated" during a checkpoint drain).
   const auto finishStopped = [&](int iterationsDone) {
     bool drainLeave = false;
     {
@@ -493,206 +489,140 @@ void JobService::runJob(Job& job) {
         .add();
   };
 
-  const int allowedAttempts = std::max(job.spec.maxAttempts, startAttempt);
-  for (int attempt = startAttempt; attempt <= allowedAttempts; ++attempt) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job.attempts = attempt;
-    }
-    telemetry::JsonObject start;
-    start.set("ev", "start");
-    start.set("job", job.spec.id);
-    start.set("attempt", attempt);
-    journal_->append(start);
-
-    try {
-      // Retryable-fault site: tests arm serve.worker:throw to exercise the
-      // retry/backoff path deterministically.
-      MOSAIC_FAILPOINT("serve.worker");
-      const Layout layout = buildJobLayout(job.spec.caseName);
-      std::unique_ptr<LithoSimulator> coldSim;
-      const LithoSimulator& sim = simulatorFor(job.spec.pixelNm, &coldSim);
-      const BitGrid target = rasterize(layout, job.spec.pixelNm);
-      const OpcMethod method = methodFromName(job.spec.method);
-      IltConfig cfg = defaultIltConfig(method, job.spec.pixelNm);
-      if (job.spec.iterations > 0) cfg.maxIterations = job.spec.iterations;
-
-      // Pattern-library consult: the whole clip is the "core" (jobs have
-      // no halo). An exact hit finishes the job without optimizing; a
-      // translated/near hit becomes a warm start on a quarter budget.
-      TileFingerprint fp;
-      RealGrid warmMask;
-      bool haveFingerprint = false;
-      if (patternStore_) {
+  // One attempt (docs/robustness.md, "Fault contract"): the write-ahead
+  // start record, the simulator and its kernels, the store consult and the
+  // solve are all retried together.
+  TileFingerprint fp;
+  bool pasted = false;
+  CachedSolution cached;
+  OpcResult res;
+  const AttemptOutcome attempts =
+      runAttempts(policy, [&](int attempt, OptimizeOptions& opt) {
         {
           std::lock_guard<std::mutex> lock(mutex_);
-          job.phase = "cache_lookup";
+          job.attempts = attempt;
         }
-        const RectNm clipCore{0, 0, layout.sizeNm, layout.sizeNm};
-        fp = fingerprintWindow(
-            layout, clipCore, job.spec.pixelNm,
-            solverConfigDigest(sim.optics(), cfg, static_cast<int>(method),
-                               layout.sizeNm, job.spec.pixelNm));
-        haveFingerprint = true;
-        CacheLookup hit = patternStore_->lookup(fp);
-        if (hit.kind != CacheHitKind::kMiss &&
-            (hit.solution.mask.rows() != target.rows() ||
-             hit.solution.mask.cols() != target.cols())) {
-          hit.kind = CacheHitKind::kMiss;  // foreign-shape entry; distrust
+        telemetry::JsonObject start;
+        start.set("ev", "start");
+        start.set("job", job.spec.id);
+        start.set("attempt", attempt);
+        journal_->append(start);
+
+        const Layout layout = buildJobLayout(job.spec.caseName);
+        std::unique_ptr<LithoSimulator> coldSim;
+        const LithoSimulator& sim = simulatorFor(job.spec.pixelNm, &coldSim);
+        const BitGrid target = rasterize(layout, job.spec.pixelNm);
+        const OpcMethod method = parseOpcMethod(job.spec.method);
+        IltConfig cfg = defaultIltConfig(method, job.spec.pixelNm);
+        if (job.spec.iterations > 0) cfg.maxIterations = job.spec.iterations;
+
+        // Pattern-library consult: the whole clip is the "core" (jobs have
+        // no halo). An exact hit finishes the job without optimizing.
+        if (patternStore_) {
+          setPhase("cache_lookup");
+          const RectNm clipCore{0, 0, layout.sizeNm, layout.sizeNm};
+          fp = fingerprintWindow(
+              layout, clipCore, job.spec.pixelNm,
+              solverConfigDigest(sim.optics(), cfg, static_cast<int>(method),
+                                 layout.sizeNm, job.spec.pixelNm));
+          StoreConsult hit = consultStore(*patternStore_, fp, target, &cfg);
+          if (hit.kind == CacheHitKind::kExact) {
+            pasted = true;
+            cached = std::move(hit.solution);
+            return;
+          }
+          opt.warmStartMask = std::move(hit.solution.mask);
         }
-        if (hit.kind == CacheHitKind::kExact) {
-          const std::string hash = maskHashHex(hit.solution.mask);
+
+        opt.runLog = cfg_.runLog;
+        // Per-iteration streaming: refresh the job's live fields (status
+        // op, GET /jobs) and publish to any watch subscribers. Bounded-
+        // buffer publish only — a stalled watcher never slows this worker.
+        opt.progressSink = [this, &job](const IterationRecord& r) {
           {
             std::lock_guard<std::mutex> lock(mutex_);
-            job.state = JobState::kDone;
-            job.maskHash = hash;
-            job.iterationsDone = 0;
-            job.objective = hit.solution.objective;
-            job.wallSeconds = jobTimer.seconds();
-            job.error.clear();
+            job.iterationsDone = r.iteration;
+            job.objective = r.objective;
           }
-          std::remove(ckpt.c_str());
-          journalTerminal(job);
-          telemetry::metrics().counter("serve.completed").add();
-          telemetry::metrics().histogram("serve.job_wall").record(
-              jobTimer.seconds() * 1e6);
-          return;
-        }
-        if (hit.kind != CacheHitKind::kMiss) {
-          warmMask = shiftMask(hit.solution.mask, hit.shiftPxRow,
-                               hit.shiftPxCol, cfg.maskLow);
-          cfg.maxIterations = std::max(2, cfg.maxIterations / 4);
-        }
-      }
+          ProgressEvent event;
+          event.job = job.spec.id;
+          event.seq = progress_.nextSeq(job.spec.id);
+          event.iteration = r.iteration;
+          event.objective = r.objective;
+          event.fTarget = r.targetTerm;
+          event.fPvb = r.pvbTerm;
+          event.gradRms = r.rmsGradient;
+          event.wallMs = r.wallMs;
+          progress_.publish(event);
+        };
+        setPhase("optimize");
+        res = runOpc(sim, target, method, &cfg, {}, {}, opt);
+      });
 
-      OptimizeOptions opt;
-      opt.checkpointPath = ckpt;
-      opt.checkpointEvery = job.spec.checkpointEvery;
-      if (resumeAllowed && std::ifstream(ckpt).good()) opt.resumePath = ckpt;
-      opt.cancel = &job.token;
-      opt.runLog = cfg_.runLog;
-      opt.runLogScope = job.spec.id;
-      opt.warmStartMask = std::move(warmMask);
-      // Per-iteration streaming: refresh the job's live fields (status op,
-      // GET /jobs) and publish to any watch subscribers. Bounded-buffer
-      // publish only — a stalled watcher can never slow this worker.
-      opt.progressSink = [this, &job](const IterationRecord& r) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          job.iterationsDone = r.iteration;
-          job.objective = r.objective;
-        }
-        ProgressEvent event;
-        event.job = job.spec.id;
-        event.seq = progress_.nextSeq(job.spec.id);
-        event.iteration = r.iteration;
-        event.objective = r.objective;
-        event.fTarget = r.targetTerm;
-        event.fPvb = r.pvbTerm;
-        event.gradRms = r.rmsGradient;
-        event.wallMs = r.wallMs;
-        progress_.publish(event);
-      };
-
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job.phase = "optimize";
-      }
-      const OpcResult res =
-          runOpc(sim, target, method, &cfg, {}, {}, opt);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job.phase = "finalize";
-      }
-      // Simulated-kill site: fires after the work (and its checkpoints)
-      // but before the terminal journal record — exactly the window a real
-      // SIGKILL would hit. The catch below recognizes it and makes the
-      // worker vanish without journaling, so the journal looks like a
-      // crashed daemon's.
-      MOSAIC_FAILPOINT("serve.crash");
-
-      if (res.stopReason == StopReason::kCanceled) {
-        finishStopped(res.iterations);
-        return;
-      }
-
-      if (patternStore_ && haveFingerprint &&
-          res.stopReason != StopReason::kDeadline) {
-        CachedSolution sol;
-        sol.mask = res.maskTwoLevel;
-        sol.iterations = res.iterations;
-        sol.objective =
-            res.history.empty() ? 0.0 : res.history.back().objective;
-        patternStore_->insert(fp, sol);
-      }
-
-      const std::string hash = maskHashHex(res.maskTwoLevel);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job.state = JobState::kDone;
-        job.maskHash = hash;
-        job.iterationsDone = res.iterations;
-        job.objective =
-            res.history.empty() ? 0.0 : res.history.back().objective;
-        job.wallSeconds = jobTimer.seconds();
-        job.error.clear();
-      }
-      // A finished job must not leave resume state behind: a stale
-      // checkpoint would poison a future job that reuses the id space.
-      std::remove(ckpt.c_str());
-      journalTerminal(job);
-      telemetry::metrics().counter("serve.completed").add();
-      telemetry::metrics().histogram("serve.job_wall").record(
-          jobTimer.seconds() * 1e6);
-      return;
-    } catch (const CheckpointError& e) {
-      // The resume checkpoint is unusable (torn write, version skew):
-      // restart the job from scratch instead of failing it, and do not
-      // burn an attempt — corrupt-resume detection is not an optimization
-      // failure.
-      LOG_WARN("job " << job.spec.id << " checkpoint unusable: " << e.what()
-                      << "; restarting clean");
-      resumeAllowed = false;
-      std::remove(ckpt.c_str());
-      --attempt;
-    } catch (const std::exception& e) {
-      const std::string what = e.what();
-      if (what.find("serve.crash") != std::string::npos) {
-        // Simulated process death (see above): leave no trace, as SIGKILL
-        // would. The restarted service's replay re-runs the job.
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job.error = what;
-      }
-      if (job.token.stopRequested()) {
-        // A cancel/deadline arrived while the attempt was failing: the
-        // stop wins over the retry.
-        finishStopped(0);
-        return;
-      }
-      if (attempt < allowedAttempts) {
-        LOG_WARN("job " << job.spec.id << " attempt " << attempt
-                        << " failed: " << what << "; retrying");
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        telemetry::metrics().counter("serve.retries").add();
-        telemetry::flightrec::record(
-            "retry", job.spec.id + " attempt=" + std::to_string(attempt));
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(cfg_.backoffMs * attempt));
-      }
+  if (attempts.attempts > policy.firstAttempt) {
+    const int retried = attempts.attempts - policy.firstAttempt;
+    retries_.fetch_add(retried, std::memory_order_relaxed);
+    telemetry::metrics().counter("serve.retries").add(retried);
+  }
+  {
+    // An attempt the fail-point site failed never reached the body.
+    std::lock_guard<std::mutex> lock(mutex_);
+    job.attempts = attempts.attempts;
+    if (!attempts.ok) job.error = attempts.error;
+    if (!attempts.ok && !attempts.stopped) {
+      job.state = JobState::kFailed;
+      job.wallSeconds = jobTimer.seconds();
     }
   }
+  if (attempts.stopped) {
+    finishStopped(0);  // a cancel or the deadline beat the retry
+    return;
+  }
+  if (!attempts.ok) {
+    journalTerminal(job);
+    telemetry::metrics().counter("serve.failed").add();
+    return;
+  }
 
+  if (!pasted) {
+    setPhase("finalize");
+    // Simulated-kill site: fires after the work (and its checkpoints) but
+    // before the terminal journal record — exactly the window a real
+    // SIGKILL would hit. The worker vanishes without journaling, so the
+    // journal looks like a crashed daemon's and the restarted service's
+    // replay re-runs the job.
+    try {
+      MOSAIC_FAILPOINT("serve.crash");
+    } catch (const Error&) {
+      return;
+    }
+    if (res.stopReason == StopReason::kCanceled) {
+      finishStopped(res.iterations);
+      return;
+    }
+    if (patternStore_) publishSolve(*patternStore_, fp, res);
+  }
+
+  // The terminal objective is the returned mask's: the best the solve
+  // reached, or what the pasted solve recorded.
+  const std::string hash =
+      maskHashHex(pasted ? cached.mask : res.maskTwoLevel);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job.state = JobState::kFailed;
+    job.state = JobState::kDone;
+    job.maskHash = hash;
+    job.iterationsDone = pasted ? 0 : res.iterations;
+    job.objective = pasted ? cached.objective : res.bestObjective;
     job.wallSeconds = jobTimer.seconds();
-    if (job.error.empty()) job.error = "all attempts failed";
+    job.error.clear();
   }
+  // A finished job must not leave resume state behind: a stale checkpoint
+  // would poison a future job that reuses the id space.
+  std::remove(policy.checkpointPath.c_str());
   journalTerminal(job);
-  telemetry::metrics().counter("serve.failed").add();
+  telemetry::metrics().counter("serve.completed").add();
+  telemetry::metrics().histogram("serve.job_wall").record(
+      jobTimer.seconds() * 1e6);
 }
 
 }  // namespace serve

@@ -6,8 +6,8 @@
 ///   - the bounded admission queue (queue.hpp),
 ///   - a fixed worker pool sharing warm LithoSimulators per pixel size,
 ///   - per-job cancellation tokens carrying wall-clock deadlines,
-///   - retry-with-backoff around each attempt (fail-point site
-///     serve.worker), and
+///   - the shared fault contract around each job's solve
+///     (runAttempts, opc/mosaic.hpp; fail-point site serve.worker), and
 ///   - the write-ahead job journal plus per-job optimizer checkpoints that
 ///     make a SIGKILLed daemon resume bit-identically after restart.
 ///

@@ -1,17 +1,13 @@
 #include "tile/scheduler.hpp"
 
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "cache/manifest.hpp"
 #include "geometry/raster.hpp"
-#include "support/failpoint.hpp"
 #include "support/log.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry/metrics.hpp"
@@ -29,11 +25,6 @@ std::string tileCheckpointPath(const std::string& dir, const TilePlan& tile) {
   return dir + "/tile_r" + std::to_string(tile.row) + "_c" +
          std::to_string(tile.col) + "_x" + std::to_string(tile.coreNm.x0) +
          "_y" + std::to_string(tile.coreNm.y0) + ".ckpt";
-}
-
-std::string tileScope(const TilePlan& tile) {
-  return "tile_r" + std::to_string(tile.row) + "_c" +
-         std::to_string(tile.col);
 }
 
 /// One JSONL record per finished tile (schema: docs/observability.md).
@@ -100,18 +91,6 @@ void emitChipRecord(telemetry::RunLog* runLog, const ChipResult& result) {
     obj.set("eco_tiles_unchanged", result.eco.tilesUnchanged);
   }
   runLog->write(obj);
-}
-
-/// Best (lowest) objective seen by a finished optimization, for the cache
-/// entry's metadata.
-double bestObjectiveOf(const OpcResult& res) {
-  double best = 0.0;
-  bool first = true;
-  for (const IterationRecord& rec : res.history) {
-    if (first || rec.objective < best) best = rec.objective;
-    first = false;
-  }
-  return best;
 }
 
 }  // namespace
@@ -212,161 +191,103 @@ ChipResult optimizeChip(const Layout& chip, const ChipConfig& cfg) {
                      << " tiles changed vs base run in " << cfg.ecoBaseDir);
   }
 
-  const int warmIterationBudget =
-      cfg.warmIterations > 0 ? cfg.warmIterations
-                             : std::max(2, baseConfig.maxIterations / 4);
   const bool cacheOn = store != nullptr;
+  // Each tile task re-enters the caller's trace context on whatever pool
+  // thread it lands on, so the Chrome trace export and run-log records
+  // stay correlated end to end.
+  const std::uint64_t traceId = telemetry::currentTraceId();
+  AttemptPolicy tilePolicy;
+  tilePolicy.failpointSite = "tile.optimize";
+  tilePolicy.maxAttempts = cfg.retries + 1;
+  tilePolicy.backoffMs = cfg.backoffMs;
+  tilePolicy.checkpointEvery = cfg.checkpointEvery;
+  tilePolicy.resume = cfg.resume;
+  tilePolicy.cancel = cfg.cancel;
 
-  const auto processTile = [&](std::size_t i) {
+  // One tile start to finish: fills `outcome` and returns the window mask.
+  const auto solveTile = [&](std::size_t i, TileOutcome& outcome) {
     const TilePlan& tile = part.tiles[i];
-    // Each tile task re-enters the chip run's trace context on whatever
-    // pool thread it lands on, so the Chrome trace export and run-log
-    // records stay correlated end to end.
-    telemetry::TraceScope traceScope(cfg.traceId);
-    TileOutcome& outcome = result.outcomes[i];
-    outcome.index = tile.index;
-    outcome.row = tile.row;
-    outcome.col = tile.col;
-    WallTimer tileTimer;
-
     const BitGrid target = rasterize(tile.window, part.pixelNm);
     if (tile.empty) {
       // Nothing to print in this window: the optimal mask is background.
-      tileMasks[i] = RealGrid(part.windowGrid(), part.windowGrid(),
-                              baseConfig.maskLow);
       outcome.ok = true;
       outcome.skippedEmpty = true;
-      outcome.seconds = tileTimer.seconds();
-      emitTileRecord(cfg.runLog, outcome, cacheOn);
-      return;
+      return RealGrid(part.windowGrid(), part.windowGrid(),
+                      baseConfig.maskLow);
     }
-
     // Cooperative interruption: a tile that has not started when the
     // token fires falls back to the uncorrected pattern immediately so
     // the chip still stitches; a resumed run re-optimizes it.
     if (cfg.cancel != nullptr && cfg.cancel->stopRequested()) {
       outcome.error = "canceled before start";
-      outcome.seconds = tileTimer.seconds();
-      tileMasks[i] = toReal(target);
-      emitTileRecord(cfg.runLog, outcome, cacheOn);
-      return;
+      return toReal(target);
     }
 
     // Consult the pattern library. Exact hits paste the cached mask and
     // skip optimization entirely; translated and near-miss hits become a
     // warm start with a reduced iteration budget.
-    RealGrid warmMask;
+    const TileFingerprint& fp = fingerprints[i];
+    IltConfig tileConfig = baseConfig;
+    RealGrid warmStart;
     if (store) {
-      CacheLookup hit = store->lookup(fingerprints[i]);
-      const int windowGrid = part.windowGrid();
-      if (hit.kind != CacheHitKind::kMiss &&
-          (hit.solution.mask.rows() != windowGrid ||
-           hit.solution.mask.cols() != windowGrid)) {
-        // Shape skew should be impossible (the raster geometry is in the
-        // config hash) — treat it as a miss rather than trusting the file.
-        LOG_WARN("tile (" << tile.row << "," << tile.col
-                          << ") cached mask has the wrong shape; ignoring");
-        hit.kind = CacheHitKind::kMiss;
-      }
+      StoreConsult hit = consultStore(*store, fp, target, &tileConfig);
       outcome.cacheHit = hit.kind;
       if (hit.kind == CacheHitKind::kExact) {
-        tileMasks[i] = std::move(hit.solution.mask);
         outcome.ok = true;
         outcome.fromCache = true;
-        outcome.seconds = tileTimer.seconds();
-        emitTileRecord(cfg.runLog, outcome, cacheOn);
-        return;
+        return std::move(hit.solution.mask);
       }
-      if (hit.kind != CacheHitKind::kMiss) {
-        warmMask = shiftMask(hit.solution.mask, hit.shiftPxRow,
-                             hit.shiftPxCol, baseConfig.maskLow);
-        outcome.warmStarted = true;
-      }
+      warmStart = std::move(hit.solution.mask);
+      outcome.warmStarted = !warmStart.empty();
     }
-    IltConfig tileConfig = baseConfig;
-    if (!warmMask.empty()) tileConfig.maxIterations = warmIterationBudget;
 
+    // Per-tile fault isolation (docs/robustness.md, "Fault contract"):
+    // only this tile retries.
     MOSAIC_SPAN("tile.optimize");
-    bool allowResume = cfg.resume;
-    for (int attempt = 1; attempt <= cfg.retries + 1; ++attempt) {
-      outcome.attempts = attempt;
-      try {
-        // Per-tile fault isolation (same contract as the batch runner):
-        // anything thrown below lands here, and only this tile retries.
-        MOSAIC_FAILPOINT("tile.optimize");
-        OptimizeOptions options;
-        options.runLog = cfg.runLog;
-        options.runLogScope = tileScope(tile);
-        options.cancel = cfg.cancel;
-        if (cfg.progressSink) {
-          options.progressSink = [&cfg, scope = options.runLogScope](
-                                     const IterationRecord& record) {
-            cfg.progressSink(scope, record);
-          };
-        }
-        if (!cfg.checkpointDir.empty()) {
-          const std::string path =
-              tileCheckpointPath(cfg.checkpointDir, tile);
-          options.checkpointPath = path;
-          options.checkpointEvery = cfg.checkpointEvery;
-          if (allowResume && std::ifstream(path).good()) {
-            options.resumePath = path;
-          }
-        }
-        options.warmStartMask = warmMask;
-        const OpcResult res =
-            runOpc(sim, target, cfg.method, &tileConfig, {}, {}, options);
-        if (res.stopReason == StopReason::kCanceled) {
-          // Interrupted mid-tile: the optimizer already checkpointed, so
-          // ship best-so-far and let a resumed run finish the job.
-          outcome.error = "canceled mid-optimization (checkpointed)";
-          tileMasks[i] = res.maskTwoLevel;
-          outcome.iterations = res.iterations;
-          break;
-        }
-        tileMasks[i] = res.maskTwoLevel;
-        outcome.iterations = res.iterations;
-        outcome.nonFiniteEvents = res.nonFiniteEvents;
-        outcome.recoveries = res.recoveries;
-        outcome.ok = true;
-        outcome.error.clear();
-        // Publish the solved mask for future runs. Deadline-cut solves are
-        // not representative of the key (the config hash deliberately
-        // excludes the wall-clock budget), so they stay out of the store.
-        if (store && res.stopReason != StopReason::kDeadline) {
-          CachedSolution sol;
-          sol.mask = res.maskTwoLevel;
-          sol.iterations = res.iterations;
-          sol.objective = bestObjectiveOf(res);
-          store->insert(fingerprints[i], sol);
-        }
-        break;
-      } catch (const CheckpointError& e) {
-        // A torn/garbage tile checkpoint must not burn the retry budget:
-        // drop the resume and restart this tile from scratch.
-        outcome.error = e.what();
-        allowResume = false;
-        LOG_WARN("tile (" << tile.row << "," << tile.col
-                          << ") checkpoint unusable, restarting fresh: "
-                          << e.what());
-        --attempt;  // corrupt-resume detection is not an optimization try
-      } catch (const std::exception& e) {
-        outcome.error = e.what();
-        LOG_WARN("tile (" << tile.row << "," << tile.col << ") attempt "
-                          << attempt << " failed: " << e.what());
-        if (attempt <= cfg.retries) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(cfg.backoffMs * attempt));
-        }
-      }
+    AttemptPolicy policy = tilePolicy;
+    policy.label =
+        "tile_r" + std::to_string(tile.row) + "_c" + std::to_string(tile.col);
+    if (!cfg.checkpointDir.empty()) {
+      policy.checkpointPath = tileCheckpointPath(cfg.checkpointDir, tile);
     }
-    if (!outcome.ok) {
-      // Last resort: ship the uncorrected pattern for this window so the
-      // chip still stitches. The seam report and the outcome row make the
-      // degradation visible; the caller decides whether to re-run.
-      tileMasks[i] = toReal(target);
-      telemetry::metrics().counter("tile.fallbacks").add();
+    OpcResult res;
+    const AttemptOutcome attempts =
+        runAttempts(policy, [&](int, OptimizeOptions& options) {
+          options.runLog = cfg.runLog;
+          options.warmStartMask = warmStart;
+          res = runOpc(sim, target, cfg.method, &tileConfig, {}, {}, options);
+        });
+    outcome.attempts = attempts.attempts;
+    outcome.error = attempts.error;
+    outcome.iterations = res.iterations;
+    if (attempts.ok && res.stopReason != StopReason::kCanceled) {
+      outcome.nonFiniteEvents = res.nonFiniteEvents;
+      outcome.recoveries = res.recoveries;
+      outcome.ok = true;
+      if (store) publishSolve(*store, fp, res);
+      return res.maskTwoLevel;
     }
+    if (attempts.ok) {
+      // Interrupted mid-tile: the optimizer already checkpointed, so a
+      // resumed run finishes the job.
+      outcome.error = "canceled mid-optimization (checkpointed)";
+    }
+    // Last resort: ship the uncorrected pattern for this window so the
+    // chip still stitches. The seam report and the outcome row make the
+    // degradation visible; the caller decides whether to re-run.
+    telemetry::metrics().counter("tile.fallbacks").add();
+    return toReal(target);
+  };
+
+  const auto processTile = [&](std::size_t i) {
+    const TilePlan& tile = part.tiles[i];
+    telemetry::TraceScope traceScope(traceId);
+    TileOutcome& outcome = result.outcomes[i];
+    outcome.index = tile.index;
+    outcome.row = tile.row;
+    outcome.col = tile.col;
+    WallTimer tileTimer;
+    tileMasks[i] = solveTile(i, outcome);
     outcome.seconds = tileTimer.seconds();
     emitTileRecord(cfg.runLog, outcome, cacheOn);
   };

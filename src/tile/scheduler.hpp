@@ -6,15 +6,14 @@
 /// Tiles produced by partitionChip are optimized concurrently on the
 /// parallelFor pool. All workers share one immutable LithoSimulator (its
 /// const interface is thread-safe; the kernel sets are pre-warmed before
-/// fan-out so workers never pay the TCC eigendecomposition). Each tile is
-/// individually guarded by the PR-1 fault machinery: failures are caught,
-/// retried with backoff, and a tile that exhausts its retries falls back
-/// to the uncorrected target pattern so the chip still stitches — one
-/// diverging tile must never take the whole chip down. The fail-point
-/// site `tile.optimize` lets tests force tile failures deterministically.
+/// fan-out so workers never pay the TCC eigendecomposition). Each tile's
+/// solve runs under the shared fault contract (runAttempts,
+/// opc/mosaic.hpp): failures are caught, retried with backoff, and a tile
+/// that exhausts its retries falls back to the uncorrected target pattern
+/// so the chip still stitches — one diverging tile must never take the
+/// whole chip down. The fail-point site `tile.optimize` lets tests force
+/// tile failures deterministically.
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,15 +52,12 @@ struct ChipConfig {
   std::string kernelCacheDir;
   /// Pattern-library cache directory (empty = off, docs/caching.md). Tiles
   /// whose fingerprint exact-hits paste the cached mask; translated and
-  /// near-miss hits warm-start with `warmIterations`; misses optimize and
-  /// insert. A `fingerprints.jsonl` manifest is written alongside for
-  /// later ECO runs.
+  /// near-miss hits warm-start on a quarter of the cold budget; misses
+  /// optimize and insert. A `fingerprints.jsonl` manifest is written
+  /// alongside for later ECO runs.
   std::string patternCacheDir;
   /// Byte cap for the pattern store (LRU-evicted above it; 0 = unlimited).
   long long patternCacheMaxBytes = 512ll << 20;
-  /// Iteration budget for warm-started tiles. 0 = a quarter of the cold
-  /// budget, at least 2.
-  int warmIterations = 0;
   /// Cache-aware tile ordering (docs/caching.md): tiles are grouped by
   /// fingerprint equivalence class and one *representative* per class is
   /// optimized first; the remaining members then fan out as cheap
@@ -86,16 +82,6 @@ struct ChipConfig {
   /// set), and the chip still stitches so partial work is inspectable.
   /// Restart with `resume` to continue. Not owned; may be nullptr.
   const CancelToken* cancel = nullptr;
-  /// Trace context for the whole chip run: every tile task enters this id
-  /// (telemetry::TraceScope), so tile spans, run-log records and
-  /// flight-recorder events correlate across the worker pool
-  /// (docs/observability.md). 0 = no trace context.
-  std::uint64_t traceId = 0;
-  /// Per-iteration streaming across all tiles: called with the tile's
-  /// run-log scope ("tile_r<r>_c<c>") and the iteration record, from the
-  /// optimizing worker thread. Must be cheap and non-blocking.
-  std::function<void(const std::string& scope, const IterationRecord&)>
-      progressSink;
 };
 
 /// Outcome of one tile's optimization.
@@ -151,7 +137,9 @@ struct ChipResult {
 
 /// Partition, optimize concurrently, stitch. The worker count is whatever
 /// setParallelism() / the hardware default dictates; call setParallelism
-/// first for explicit control.
+/// first for explicit control. Every tile task runs under the caller's
+/// trace context (telemetry::currentTraceId()), so tile spans, run-log
+/// records and flight-recorder events correlate across the worker pool.
 ChipResult optimizeChip(const Layout& chip, const ChipConfig& cfg);
 
 }  // namespace mosaic

@@ -1,11 +1,13 @@
 /// \file test_cache.cpp
 /// Pattern-library mask cache: fingerprint canonicalization, the
 /// persistent store (roundtrip, quarantine-and-recompute, LRU eviction,
-/// concurrent hammering), the ECO fingerprint manifest, and the
-/// end-to-end warm-chip / incremental re-OPC runs (docs/caching.md).
+/// concurrent hammering), the ECO fingerprint manifest and its concurrent
+/// writers, and the end-to-end warm-chip / incremental re-OPC /
+/// aborted-solve runs (docs/caching.md).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +21,8 @@
 #include "cache/store.hpp"
 #include "opc/mosaic.hpp"
 #include "suite/testcases.hpp"
+#include "support/failpoint.hpp"
+#include "support/parallel.hpp"
 #include "tile/scheduler.hpp"
 
 namespace mosaic {
@@ -466,6 +470,70 @@ TEST(Manifest, MissingOrMalformedFileReadsAsInvalid) {
   EXPECT_TRUE(out.empty());
 }
 
+/// Concurrent writers of one manifest path (the same store shared by
+/// several runs): every read sees one writer's complete manifest, no
+/// write throws, and no temp file survives.
+TEST(Manifest, ConcurrentWritersNeverTearIt) {
+  const std::string dir = freshDir("mosaic_cache_manifest_race");
+  fs::create_directories(dir);
+  const std::string path = manifestPath(dir);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 25;
+  // Writer t publishes 4 * (t + 1) entries, each with core_x == t.
+  std::vector<std::vector<ManifestEntry>> manifests(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int e = 0; e < 4 * (t + 1); ++e) {
+      ManifestEntry entry;
+      entry.coreXNm = t;
+      entry.coreYNm = 512 * e;
+      entry.fp = fakeFp(0x1000u + t, 0x2000u + e, 0x3000u);
+      manifests[t].push_back(entry);
+    }
+  }
+  const auto isComplete = [&](const std::vector<ManifestEntry>& read) {
+    if (read.empty() || read[0].coreXNm < 0 || read[0].coreXNm >= kThreads) {
+      return false;
+    }
+    const std::vector<ManifestEntry>& want = manifests[read[0].coreXNm];
+    if (read.size() != want.size()) return false;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (read[i].coreXNm != want[i].coreXNm ||
+          read[i].coreYNm != want[i].coreYNm || !(read[i].fp == want[i].fp)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::atomic<int> throws{0};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        try {
+          writeFingerprintManifest(path, manifests[t]);
+        } catch (const std::exception&) {
+          throws.fetch_add(1);
+        }
+        std::vector<ManifestEntry> read;
+        if (!readFingerprintManifest(path, &read) || !isComplete(read)) {
+          torn.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(throws.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  std::vector<ManifestEntry> last;
+  ASSERT_TRUE(readFingerprintManifest(path, &last));
+  EXPECT_TRUE(isComplete(last));
+  for (const fs::directory_entry& de : fs::directory_iterator(dir)) {
+    EXPECT_EQ(de.path().filename().string(), "fingerprints.jsonl")
+        << "left behind: " << de.path();
+  }
+}
+
 // ----------------------------------------------------- end-to-end chip runs
 
 std::string sharedKernelCache() {
@@ -586,6 +654,42 @@ TEST(CacheChip, EcoRunReoptimizesOnlyChangedTiles) {
   EXPECT_EQ(eco.cacheStats.misses + eco.cacheStats.nearMissHits +
                 eco.cacheStats.translatedHits,
             changedNonEmpty);
+}
+
+
+/// An aborted solve is not the answer to its key: a chip whose every tile
+/// aborts on non-finite objectives publishes nothing, so a clean rerun on
+/// that store optimizes every tile and stitches the fresh-store mask.
+TEST(CacheChip, AbortedSolvesAreNotPublished) {
+  setParallelism(1);  // serial waves: warm starts are run-to-run stable
+  const Layout chip = replicateLayout(buildTestcase(1), 2, 2);
+  const std::string storeDir = freshDir("mosaic_cache_poisoned");
+  const ChipConfig cfg = cachedChipConfig(storeDir);
+  {
+    failpoint::ScopedFailpoints nan("objective.evaluate:nan");
+    const ChipResult poisoned = optimizeChip(chip, cfg);
+    for (const TileOutcome& outcome : poisoned.outcomes) {
+      if (!outcome.skippedEmpty) {
+        EXPECT_EQ(outcome.iterations, 0);
+      }
+    }
+    EXPECT_EQ(poisoned.cacheStats.inserts, 0u);
+    EXPECT_EQ(poisoned.cacheStats.entries, 0);
+  }
+  const ChipResult rerun = optimizeChip(chip, cfg);
+  const ChipResult fresh =
+      optimizeChip(chip, cachedChipConfig(freshDir("mosaic_cache_unpoisoned")));
+  setParallelism(0);
+  ASSERT_TRUE(rerun.allOk());
+  ASSERT_TRUE(fresh.allOk());
+  EXPECT_EQ(rerun.cacheStats.exactHits, fresh.cacheStats.exactHits);
+  EXPECT_EQ(rerun.cacheStats.inserts, fresh.cacheStats.inserts);
+  const BitGrid& a = rerun.stitched.maskBinary;
+  const BitGrid& b = fresh.stitched.maskBinary;
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i]) << "stitched masks diverge at " << i;
+  }
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 /// Tests for the robustness layer: fail-point framework, optimizer
-/// numerical guardrails (NaN rollback, recovery budget, deadline), and
-/// checkpoint/restore (docs/robustness.md).
+/// numerical guardrails (NaN rollback, recovery budget, deadline),
+/// checkpoint/restore, and the attempt loop every solve driver shares
+/// (docs/robustness.md).
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "geometry/raster.hpp"
 #include "litho/simulator.hpp"
@@ -365,6 +369,96 @@ TEST(StopReason, NamesAreStable) {
   EXPECT_EQ(stopReasonName(StopReason::kDeadline), "deadline");
   EXPECT_EQ(stopReasonName(StopReason::kAbortedNonFinite),
             "aborted-non-finite");
+}
+
+// ---------------------------------------------------- the attempt loop
+
+TEST(AttemptLoop, RetriesUntilTheLastAttemptThenReportsTheFailure) {
+  AttemptPolicy policy;
+  policy.maxAttempts = 3;
+  policy.backoffMs = 1;
+  std::vector<int> seen;
+  const AttemptOutcome out =
+      runAttempts(policy, [&](int attempt, OptimizeOptions&) {
+        seen.push_back(attempt);
+        throw Error("boom " + std::to_string(attempt));
+      });
+  EXPECT_FALSE(out.ok);
+  EXPECT_FALSE(out.stopped);
+  EXPECT_EQ(out.attempts, 3);
+  EXPECT_EQ(out.error, "boom 3");
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(AttemptLoop, RecoveredCountContinuesAndStillRunsOnce) {
+  AttemptPolicy policy;
+  policy.firstAttempt = 4;
+  policy.maxAttempts = 2;
+  std::vector<int> seen;
+  const AttemptOutcome out = runAttempts(
+      policy, [&](int attempt, OptimizeOptions&) { seen.push_back(attempt); });
+  EXPECT_TRUE(out.ok);
+  EXPECT_EQ(out.attempts, 4);
+  EXPECT_EQ(seen, std::vector<int>{4});
+}
+
+TEST(AttemptLoop, FailpointSiteFiresOncePerAttempt) {
+  failpoint::ScopedFailpoints fp("test.attempt:throw@iter=1");
+  AttemptPolicy policy;
+  policy.failpointSite = "test.attempt";
+  policy.maxAttempts = 2;
+  int bodies = 0;
+  const AttemptOutcome out =
+      runAttempts(policy, [&](int, OptimizeOptions&) { ++bodies; });
+  EXPECT_TRUE(out.ok);
+  EXPECT_EQ(out.attempts, 2);
+  EXPECT_EQ(bodies, 1);
+  EXPECT_EQ(failpoint::hitCount("test.attempt"), 2);
+}
+
+TEST(AttemptLoop, UnusableCheckpointIsDeletedAndRestartedFresh) {
+  const std::string path =
+      ::testing::TempDir() + "mosaic_attempt_garbage.ckpt";
+  std::ofstream(path, std::ios::binary) << "garbage";
+  AttemptPolicy policy;
+  policy.checkpointPath = path;
+  policy.resume = true;
+  std::vector<std::string> resumes;
+  const AttemptOutcome out =
+      runAttempts(policy, [&](int, OptimizeOptions& options) {
+        resumes.push_back(options.resumePath);
+        EXPECT_EQ(options.checkpointPath, path);
+        if (!options.resumePath.empty()) {
+          (void)loadOptimizerCheckpoint(options.resumePath);
+        }
+      });
+  EXPECT_TRUE(out.ok);
+  EXPECT_EQ(out.attempts, 1);  // the restart used up no attempt
+  EXPECT_EQ(resumes, (std::vector<std::string>{path, ""}));
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(AttemptLoop, StopBeatsTheRetry) {
+  CancelToken stop;
+  stop.cancel();
+  AttemptPolicy policy;
+  policy.maxAttempts = 2;
+  policy.backoffMs = 5000;
+  policy.cancel = &stop;
+  int bodies = 0;
+  const auto start = std::chrono::steady_clock::now();
+  const AttemptOutcome out =
+      runAttempts(policy, [&](int, OptimizeOptions& options) {
+        EXPECT_EQ(options.cancel, &stop);
+        ++bodies;
+        throw Error("fails while stopping");
+      });
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
+  EXPECT_FALSE(out.ok);
+  EXPECT_TRUE(out.stopped);
+  EXPECT_EQ(out.attempts, 1);
+  EXPECT_EQ(bodies, 1);
 }
 
 }  // namespace

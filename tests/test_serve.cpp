@@ -1,7 +1,8 @@
 /// Tests for the mosaic_serve job service (docs/serving.md): JSON parsing,
 /// bounded-queue admission control, the write-ahead journal and its
 /// crash-replay semantics, deadline/cancel handling, checkpoint-corruption
-/// recovery, and an 8-client concurrent hammer over the real TCP stack.
+/// recovery, what jobs publish to the pattern store, and an 8-client
+/// concurrent hammer over the real TCP stack.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,9 @@
 #include <fstream>
 #include <thread>
 
+#include "geometry/raster.hpp"
+#include "litho/simulator.hpp"
+#include "opc/mosaic.hpp"
 #include "opc/optimizer.hpp"
 #include "serve/http.hpp"
 #include "serve/job.hpp"
@@ -20,6 +24,7 @@
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "suite/testcases.hpp"
 #include "support/failpoint.hpp"
 #include "support/socket.hpp"
 #include "support/telemetry/jsonin.hpp"
@@ -658,6 +663,74 @@ TEST(JobService, CorruptCheckpointRestartsJobCleanly) {
   EXPECT_EQ(service.recoveredJobs(), 1);
   ASSERT_TRUE(eventually(
       [&] { return stateOf(service, "job-000001") == JobState::kDone; }));
+}
+
+// ------------------------------------------------------- pattern store
+
+ServeConfig cachedConfig(const std::string& workDir) {
+  ServeConfig cfg = tinyConfig(workDir);
+  cfg.patternCacheDir = workDir + "/store";
+  return cfg;
+}
+
+/// Submit `spec` and wait for it to finish; returns its final snapshot.
+JobSnapshot runToEnd(JobService& service, const JobSpec& spec) {
+  const SubmitResult res = service.submit(spec);
+  EXPECT_EQ(res.status, SubmitStatus::kAccepted);
+  EXPECT_TRUE(eventually([&] { return isTerminal(stateOf(service, res.id)); }));
+  JobSnapshot snap;
+  EXPECT_TRUE(service.snapshot(res.id, &snap));
+  return snap;
+}
+
+TEST(JobService, AbortedSolveIsNotPublished) {
+  // A job whose solve aborts on non-finite objectives must not become the
+  // store's answer for its clip: a clean rerun optimizes again and returns
+  // the mask a fresh store yields.
+  std::string freshHash;
+  {
+    JobService fresh(cachedConfig(freshWorkDir("svc_unpoisoned")));
+    freshHash = runToEnd(fresh, tinySpec()).maskHash;
+  }
+  JobService service(cachedConfig(freshWorkDir("svc_poisoned")));
+  {
+    failpoint::ScopedFailpoints nan("objective.evaluate:nan");
+    const JobSnapshot poisoned = runToEnd(service, tinySpec());
+    EXPECT_EQ(poisoned.iterationsDone, 0);
+  }
+  EXPECT_EQ(service.stats().cache.inserts, 0u);
+  const JobSnapshot clean = runToEnd(service, tinySpec());
+  EXPECT_EQ(clean.state, JobState::kDone);
+  EXPECT_EQ(clean.iterationsDone, 6);
+  EXPECT_EQ(clean.maskHash, freshHash);
+}
+
+TEST(JobService, ResultAndStoreCarryTheBestObjective) {
+  // Precondition: this job's last iterate is not its best one.
+  const JobSpec spec = tinySpec(12);
+  OpticsConfig optics;
+  optics.pixelNm = spec.pixelNm;
+  const LithoSimulator sim(optics);
+  IltConfig cfg = defaultIltConfig(parseOpcMethod(spec.method), spec.pixelNm);
+  cfg.maxIterations = spec.iterations;
+  const OpcResult reference =
+      runOpc(sim, rasterize(buildTestcaseByName(spec.caseName), spec.pixelNm),
+             parseOpcMethod(spec.method), &cfg);
+  ASSERT_EQ(reference.iterations, 12);
+  ASSERT_NE(reference.history.back().objective, reference.bestObjective);
+
+  // The solved job reports the returned mask's objective, and so does the
+  // store entry it published: a repeat of the job pastes it.
+  JobService service(cachedConfig(freshWorkDir("svc_best_objective")));
+  const JobSnapshot solved = runToEnd(service, spec);
+  ASSERT_EQ(solved.state, JobState::kDone);
+  EXPECT_EQ(solved.iterationsDone, 12);
+  EXPECT_EQ(solved.objective, reference.bestObjective);
+  const JobSnapshot pasted = runToEnd(service, spec);
+  ASSERT_EQ(pasted.state, JobState::kDone);
+  EXPECT_EQ(pasted.iterationsDone, 0);
+  EXPECT_EQ(pasted.maskHash, solved.maskHash);
+  EXPECT_EQ(pasted.objective, reference.bestObjective);
 }
 
 // ------------------------------------------------------------- protocol

@@ -1,5 +1,5 @@
 /// Unit tests for the support library: errors, logging, CLI, tables, RNG,
-/// image writers, parallel utilities.
+/// image writers, parallel utilities, atomic file publication.
 
 #include <gtest/gtest.h>
 
@@ -8,10 +8,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "support/atomic_file.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
@@ -598,6 +600,54 @@ TEST(Hash, IncrementalEqualsOneShot) {
   inc.mix(s.substr(0, 5));
   inc.mix(s.substr(5));
   EXPECT_EQ(inc.digest(), fnv1a(s));
+}
+
+// ------------------------------------------------------ atomic publication
+
+/// Names of every file in `dir`.
+std::set<std::string> filesIn(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& de : std::filesystem::directory_iterator(dir)) {
+    names.insert(de.path().filename().string());
+  }
+  return names;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(AtomicFile, PublishesTheWholeFileAndNoTemp) {
+  const std::string dir = ::testing::TempDir() + "mosaic_atomic_file";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/out.bin";
+  writeFileAtomically(path, [](std::ostream& out) { out << "first\n"; });
+  writeFileAtomically(path, [](std::ostream& out) { out << "second\n"; });
+  EXPECT_EQ(slurp(path), "second\n");
+  EXPECT_EQ(filesIn(dir), std::set<std::string>{"out.bin"});
+}
+
+TEST(AtomicFile, ThrowingWriterLeavesNoTempAndKeepsTheOldFile) {
+  const std::string dir = ::testing::TempDir() + "mosaic_atomic_file_throw";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/out.bin";
+  writeFileAtomically(path, [](std::ostream& out) { out << "good\n"; });
+  EXPECT_THROW(writeFileAtomically(path,
+                                   [](std::ostream& out) {
+                                     out << "half a rec";
+                                     throw Error("writer failed partway");
+                                   }),
+               Error);
+  EXPECT_EQ(slurp(path), "good\n");
+  EXPECT_EQ(filesIn(dir), std::set<std::string>{"out.bin"});
+  // A directory that does not exist fails the open; nothing is left over.
+  EXPECT_THROW(writeFileAtomically(dir + "/missing/out.bin",
+                                   [](std::ostream& out) { out << "x"; }),
+               Error);
+  EXPECT_EQ(filesIn(dir), std::set<std::string>{"out.bin"});
 }
 
 }  // namespace

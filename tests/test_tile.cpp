@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -12,11 +13,13 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "geometry/raster.hpp"
 #include "eval/epe.hpp"
 #include "litho/simulator.hpp"
+#include "opc/optimizer.hpp"
 #include "suite/testcases.hpp"
 #include "support/failpoint.hpp"
 #include "support/parallel.hpp"
@@ -275,6 +278,76 @@ TEST(TileScheduler, CheckpointsAreWrittenPerTile) {
   cfg.resume = true;
   const ChipResult resumed = optimizeChip(chip, cfg);
   EXPECT_TRUE(resumed.allOk());
+}
+
+TEST(TileScheduler, GarbageTileCheckpointRestartsTheTileFresh) {
+  // An unusable checkpoint under `resume` is not an optimization failure:
+  // the tile deletes it, restarts from scratch on its first attempt, and
+  // checkpoints the fresh solve in its place.
+  const Layout chip = replicateLayout(buildTestcase(1), 2, 2);
+  ChipConfig cfg = fastChipConfig();
+  cfg.checkpointDir = ::testing::TempDir() + "mosaic_tile_garbage_ckpt";
+  std::filesystem::remove_all(cfg.checkpointDir);
+  std::filesystem::create_directories(cfg.checkpointDir);
+  cfg.checkpointEvery = 1;
+  cfg.resume = true;
+  const ChipPartition part = partitionChip(chip, cfg.tiling, cfg.optics);
+  std::size_t victim = 0;
+  while (victim < part.tiles.size() && part.tiles[victim].empty) ++victim;
+  ASSERT_LT(victim, part.tiles.size());
+  const TilePlan& tile = part.tiles[victim];
+  const std::string path = cfg.checkpointDir + "/tile_r" +
+                           std::to_string(tile.row) + "_c" +
+                           std::to_string(tile.col) + "_x" +
+                           std::to_string(tile.coreNm.x0) + "_y" +
+                           std::to_string(tile.coreNm.y0) + ".ckpt";
+  std::ofstream(path, std::ios::binary) << "not a checkpoint at all";
+
+  const ChipResult res = optimizeChip(chip, cfg);
+  EXPECT_TRUE(res.allOk());
+  const TileOutcome& outcome = res.outcomes[victim];
+  EXPECT_TRUE(outcome.ok);
+  EXPECT_EQ(outcome.attempts, 1);
+  EXPECT_EQ(outcome.iterations, cfg.iterations);
+  EXPECT_NO_THROW((void)loadOptimizerCheckpoint(path));
+}
+
+TEST(TileScheduler, StopBeatsTheRetryBackoff) {
+  // A failed tile whose run is being stopped must not sleep out its
+  // backoff and retry: the stop wins, and the chip returns promptly.
+  setParallelism(1);
+  const Layout chip = replicateLayout(buildTestcase(1), 2, 2);
+  ChipConfig cfg = fastChipConfig();
+  cfg.retries = 1;
+  cfg.backoffMs = 5000;
+  CancelToken stop;
+  cfg.cancel = &stop;
+  failpoint::ScopedFailpoints fp("tile.optimize:throw");
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point stoppedAt;
+  std::thread stopper([&] {
+    while (failpoint::hitCount("tile.optimize") < 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    stoppedAt = Clock::now();
+    stop.cancel();
+  });
+  const ChipResult res = optimizeChip(chip, cfg);
+  const Clock::time_point returnedAt = Clock::now();
+  stopper.join();
+  setParallelism(0);
+  const double returnedAfter =
+      std::chrono::duration<double>(returnedAt - stoppedAt).count();
+  EXPECT_LT(returnedAfter, 2.0);
+  EXPECT_TRUE(res.interrupted);
+  EXPECT_EQ(res.succeeded + res.failed, res.partition.tileCount());
+  EXPECT_EQ(failpoint::hitCount("tile.optimize"), 1);
+  for (const TileOutcome& o : res.outcomes) {
+    if (!o.skippedEmpty) {
+      EXPECT_FALSE(o.ok);
+      EXPECT_LE(o.attempts, 1);
+    }
+  }
 }
 
 TEST(TileScheduler, MaskIsWorkerCountInvariantBitForBit) {
