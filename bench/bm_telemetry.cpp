@@ -5,15 +5,21 @@
 /// enabled, and spans plus a per-op progress publish to a watcher-less
 /// ProgressBus (the serve streaming path when nobody is watching) -- plus
 /// the raw cost of an empty span and the Prometheus /metrics encode cost.
-/// Reports the relative overheads, emits BENCH_telemetry.json, and with
-/// --max-overhead-pct N exits nonzero when either the disabled-mode or the
-/// idle-sink overhead exceeds N percent (the guarantee the docs advertise;
-/// enforced by the telemetry_overhead ctest at 3 %).
+/// The four variants run interleaved, one block of each per repetition in
+/// a rotating order, and each overhead is the median over repetitions of
+/// (variant time / base time of the same repetition), so host drift
+/// between blocks does not read as overhead. Reports the relative
+/// overheads, emits BENCH_telemetry.json, and with --max-overhead-pct N
+/// exits nonzero when either the disabled-mode or the idle-sink overhead
+/// exceeds N percent (the guarantee the docs advertise; enforced by the
+/// telemetry_overhead ctest at 3 %).
 ///
 /// The workload uses the 1-D FftPlan directly: unlike Fft2d::forward it
 /// carries no MOSAIC_SPAN itself, so the uninstrumented variant is a true
 /// zero-telemetry baseline within one binary.
 
+#include <algorithm>
+#include <array>
 #include <complex>
 #include <cstdio>
 #include <exception>
@@ -32,16 +38,18 @@
 int main(int argc, char** argv) {
   using namespace mosaic;
   int fftSize = 4096;
-  int iters = 300;
-  int reps = 7;
+  int iters = 150;
+  int reps = 24;
   double maxOverheadPct = -1.0;
   std::string jsonPath = "BENCH_telemetry.json";
 
   CliParser cli("bm_telemetry",
                 "overhead of MOSAIC_SPAN instrumentation on an FFT workload");
   cli.addInt("fft-size", &fftSize, "1-D FFT length per instrumented call");
-  cli.addInt("iters", &iters, "FFT round-trips per timed repetition");
-  cli.addInt("reps", &reps, "repetitions (minimum is reported)");
+  cli.addInt("iters", &iters, "FFT round-trips per timed block");
+  cli.addInt("reps", &reps,
+             "repetitions, each timing every variant once (median is "
+             "reported)");
   cli.addDouble("max-overhead-pct", &maxOverheadPct,
                 "fail when disabled-mode overhead exceeds this (<0 = off)");
   cli.addString("json", &jsonPath, "output JSON path");
@@ -62,48 +70,13 @@ int main(int argc, char** argv) {
       plan.inverse(data.data());
     };
 
-    // Minimum over repetitions rejects scheduler noise; each repetition is
-    // tens of milliseconds so the span cost is amortized over real work,
-    // matching how the production spans wrap multi-microsecond calls.
-    auto timeVariant = [&](auto&& body) {
-      double best = 0.0;
-      for (int r = 0; r < reps; ++r) {
-        WallTimer timer;
-        for (int i = 0; i < iters; ++i) body();
-        const double s = timer.seconds();
-        if (r == 0 || s < best) best = s;
-      }
-      return best;
-    };
-
-    op();  // touch everything once before timing
-
-    const double tBase = timeVariant(op);
-
-    telemetry::setTraceEnabled(false);
-    const double tDisabled = timeVariant([&] {
-      MOSAIC_SPAN("bm.fft_roundtrip");
-      op();
-    });
-
-    telemetry::setTraceEnabled(true);
-    telemetry::clearTrace();
-    const double tEnabled = timeVariant([&] {
-      MOSAIC_SPAN("bm.fft_roundtrip");
-      op();
-    });
-    telemetry::setTraceEnabled(false);
-    telemetry::clearTrace();
-
     // Streaming progress with no watcher attached: every op also builds
     // and publishes one event to a subscriber-less ProgressBus topic, the
     // state a serving daemon is in whenever a job runs unwatched. This is
     // the per-iteration cost OptimizeOptions::progressSink adds.
     serve::ProgressBus bus;
     int sinkIteration = 0;
-    const double tSink = timeVariant([&] {
-      MOSAIC_SPAN("bm.fft_roundtrip");
-      op();
+    auto publishProgress = [&] {
       serve::ProgressEvent event;
       event.job = "bm-job";
       event.seq = bus.nextSeq(event.job);
@@ -114,7 +87,66 @@ int main(int argc, char** argv) {
       event.gradRms = 0.1;
       event.wallMs = 1.0;
       bus.publish(event);
-    });
+    };
+
+    // One timed block of `iters` ops. Each op is tens of microseconds, so
+    // the span cost is amortized over real work, matching how the
+    // production spans wrap multi-microsecond calls; blocks are short, so
+    // the blocks of one repetition see nearly the same host.
+    enum Variant { kBase, kDisabled, kEnabled, kSink, kVariants };
+    auto timeBlock = [&](int variant) {
+      telemetry::setTraceEnabled(variant == kEnabled);
+      WallTimer timer;
+      for (int i = 0; i < iters; ++i) {
+        if (variant == kBase) {
+          op();
+        } else {
+          MOSAIC_SPAN("bm.fft_roundtrip");
+          op();
+          if (variant == kSink) publishProgress();
+        }
+      }
+      const double s = timer.seconds();
+      telemetry::setTraceEnabled(false);
+      telemetry::clearTrace();
+      return s;
+    };
+
+    // Repetition r times the variants in the order r, r + 1, ... (mod 4);
+    // every overhead pairs a variant with its own repetition's base.
+    op();  // touch everything once before timing
+    std::vector<std::array<double, kVariants>> seconds(
+        static_cast<std::size_t>(reps));
+    for (int r = 0; r < reps; ++r) {
+      for (int k = 0; k < kVariants; ++k) {
+        const int variant = (r + k) % kVariants;
+        seconds[static_cast<std::size_t>(r)][variant] = timeBlock(variant);
+      }
+    }
+    auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      const std::size_t n = v.size();
+      return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+    };
+    auto medianSeconds = [&](int variant) {
+      std::vector<double> v;
+      for (const auto& rep : seconds) v.push_back(rep[variant]);
+      return median(v);
+    };
+    auto overheadPct = [&](int variant) {
+      std::vector<double> ratios;
+      for (const auto& rep : seconds) {
+        ratios.push_back(rep[variant] / rep[kBase]);
+      }
+      return std::max(0.0, (median(ratios) - 1.0) * 100.0);
+    };
+    const double tBase = medianSeconds(kBase);
+    const double tDisabled = medianSeconds(kDisabled);
+    const double tEnabled = medianSeconds(kEnabled);
+    const double tSink = medianSeconds(kSink);
+    const double disabledPct = overheadPct(kDisabled);
+    const double enabledPct = overheadPct(kEnabled);
+    const double sinkPct = overheadPct(kSink);
 
     // Raw per-span cost, histogram-only mode (the hot production path).
     constexpr int kEmptySpans = 1000000;
@@ -148,12 +180,6 @@ int main(int argc, char** argv) {
     const double usPerEncode = encodeTimer.seconds() * 1e6 / kEncodes;
 
     const double usPerOp = tBase * 1e6 / iters;
-    auto overheadPct = [&](double t) {
-      return std::max(0.0, (t - tBase) / tBase * 100.0);
-    };
-    const double disabledPct = overheadPct(tDisabled);
-    const double enabledPct = overheadPct(tEnabled);
-    const double sinkPct = overheadPct(tSink);
 
     std::printf("== bm_telemetry: %d-pt FFT round-trip (%.1f us/op), "
                 "%d iters x %d reps ==\n",

@@ -478,7 +478,7 @@ TEST(Manifest, ConcurrentWritersNeverTearIt) {
   fs::create_directories(dir);
   const std::string path = manifestPath(dir);
   constexpr int kThreads = 8;
-  constexpr int kRounds = 25;
+  constexpr int kRounds = 200;
   // Writer t publishes 4 * (t + 1) entries, each with core_x == t.
   std::vector<std::vector<ManifestEntry>> manifests(kThreads);
   for (int t = 0; t < kThreads; ++t) {

@@ -582,8 +582,10 @@ TEST(CheckpointHardening, TypedErrorsForMissingGarbageAndTruncated) {
   ASSERT_GT(bytes.size(), 16u);
   for (std::size_t len : {bytes.size() - 1, bytes.size() / 2,
                           std::size_t{9}, std::size_t{1}}) {
-    const std::string path = dir + "/trunc.ckpt";
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    // One file per prefix: ext4 flushes a file truncated over its old
+    // data when it is closed, which costs tens of milliseconds per write.
+    const std::string path = dir + "/trunc" + std::to_string(len) + ".ckpt";
+    std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(len));
     out.close();
     EXPECT_THROW(loadOptimizerCheckpoint(path), CheckpointError)

@@ -22,6 +22,7 @@
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
+#include "support/telemetry/metrics.hpp"
 #include "support/timer.hpp"
 
 namespace mosaic {
@@ -623,10 +624,13 @@ TEST(AtomicFile, PublishesTheWholeFileAndNoTemp) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/out.bin";
+  const std::uint64_t spans =
+      telemetry::metrics().histogram("io.publish").count();
   writeFileAtomically(path, [](std::ostream& out) { out << "first\n"; });
   writeFileAtomically(path, [](std::ostream& out) { out << "second\n"; });
   EXPECT_EQ(slurp(path), "second\n");
   EXPECT_EQ(filesIn(dir), std::set<std::string>{"out.bin"});
+  EXPECT_EQ(telemetry::metrics().histogram("io.publish").count(), spans + 2);
 }
 
 TEST(AtomicFile, ThrowingWriterLeavesNoTempAndKeepsTheOldFile) {
@@ -647,6 +651,49 @@ TEST(AtomicFile, ThrowingWriterLeavesNoTempAndKeepsTheOldFile) {
   EXPECT_THROW(writeFileAtomically(dir + "/missing/out.bin",
                                    [](std::ostream& out) { out << "x"; }),
                Error);
+  EXPECT_EQ(filesIn(dir), std::set<std::string>{"out.bin"});
+}
+
+TEST(AtomicFile, ReaderOfThePredecessorKeepsItsBytesAcrossAReplace) {
+  const std::string dir = ::testing::TempDir() + "mosaic_atomic_file_reader";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/out.bin";
+  // Larger than any stream buffer, so the tail is read after the replace.
+  std::string predecessor(1 << 20, '\0');
+  for (std::size_t i = 0; i < predecessor.size(); ++i) {
+    predecessor[i] = static_cast<char>('a' + i % 23);
+  }
+  writeFileAtomically(path, [&](std::ostream& out) { out << predecessor; });
+
+  std::ifstream reader(path, std::ios::binary);
+  std::string head(16, '\0');
+  ASSERT_TRUE(reader.read(head.data(), 16));
+  writeFileAtomically(path, [](std::ostream& out) { out << "successor\n"; });
+  const std::string tail{std::istreambuf_iterator<char>(reader),
+                         std::istreambuf_iterator<char>()};
+  EXPECT_TRUE(head + tail == predecessor)
+      << "read " << head.size() + tail.size() << " of " << predecessor.size()
+      << " predecessor bytes";
+  EXPECT_EQ(slurp(path), "successor\n");
+  EXPECT_EQ(filesIn(dir), std::set<std::string>{"out.bin"});
+}
+
+TEST(AtomicFile, DirectoryAtPathThrowsAndIsLeftInPlace) {
+  const std::string dir = ::testing::TempDir() + "mosaic_atomic_file_dir";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/out.bin";
+  std::filesystem::create_directories(path);
+  { std::ofstream(path + "/inside.txt") << "kept\n"; }
+
+  EXPECT_THROW(writeFileAtomically(path,
+                                   [](std::ostream& out) { out << "file\n"; }),
+               Error);
+  // An exchange would have moved the directory to the temp name and put
+  // the file at `path`; the rename fallback refuses instead.
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  EXPECT_EQ(filesIn(path), std::set<std::string>{"inside.txt"});
+  EXPECT_EQ(slurp(path + "/inside.txt"), "kept\n");
   EXPECT_EQ(filesIn(dir), std::set<std::string>{"out.bin"});
 }
 
