@@ -279,20 +279,20 @@ double warmCornerKernels(const LithoSimulator& sim) {
   return timer.seconds();
 }
 
-void dumpImages(const LithoSimulator& sim, const RealGrid& mask,
-                const BitGrid& target, const std::string& dir,
+/// Write the target, the mask and the evaluation's own nominal print and
+/// PV band as PGM images (nothing is imaged again).
+void dumpImages(const RealGrid& mask, const BitGrid& target,
+                const MaskPrints& prints, const std::string& dir,
                 const std::string& stem) {
-  const int n = sim.gridSize();
   auto dump = [&](const std::string& tag, const RealGrid& img) {
     const std::string path = dir + "/" + stem + "_" + tag + ".pgm";
-    writePgm(path, {img.data(), img.size()}, n, n);
+    writePgm(path, {img.data(), img.size()}, img.rows(), img.cols());
     std::printf("wrote %s\n", path.c_str());
   };
   dump("target", toReal(target));
   dump("mask", mask);
-  dump("nominal", toReal(sim.print(mask, nominalCorner())));
-  const PvBandResult pvb = computePvBand(sim, mask, evaluationCorners());
-  dump("pvband", toReal(pvb.band));
+  dump("nominal", toReal(prints.nominal));
+  dump("pvband", toReal(prints.pvBand.band));
 }
 
 void printEvaluation(const CaseEvaluation& ev, const MrcResult& mrc) {
@@ -409,7 +409,8 @@ int cmdRun(int argc, char** argv) {
     }
   }
 
-  const CaseEvaluation ev = evaluateMask(sim, mask, target, runtimeSec);
+  const MaskPrints prints = printMask(sim, mask, EvalConfig{}.corners);
+  const CaseEvaluation ev = evaluatePrints(prints, target, pixel, runtimeSec);
   const MrcResult mrc = checkMask(thresholdGrid(mask, 0.5), pixel);
   std::printf("== %s via %s ==\n", layout.name.c_str(), method.c_str());
   printEvaluation(ev, mrc);
@@ -421,7 +422,7 @@ int cmdRun(int argc, char** argv) {
     std::printf("wrote mask (%zu rects) to %s\n", maskLayout.rects.size(),
                 outMask.c_str());
   }
-  if (!images.empty()) dumpImages(sim, mask, target, images, layout.name);
+  if (!images.empty()) dumpImages(mask, target, prints, images, layout.name);
   tele.finish(runLog.get());
   return 0;
 }

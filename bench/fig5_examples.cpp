@@ -9,7 +9,6 @@
 
 #include "eval/epe.hpp"
 #include "eval/evaluator.hpp"
-#include "eval/pvband.hpp"
 #include "geometry/raster.hpp"
 #include "litho/simulator.hpp"
 #include "opc/mosaic.hpp"
@@ -56,11 +55,10 @@ int main(int argc, char** argv) {
       cfg.maxIterations = iterations;
       const OpcResult res = runOpc(sim, target, OpcMethod::kMosaicExact, &cfg);
       const RealGrid binMask = toReal(res.maskBinary);
+      const MaskPrints prints =
+          printMask(sim, binMask, EvalConfig{}.corners);
       const CaseEvaluation ev =
-          evaluateMask(sim, binMask, target, res.runtimeSec);
-
-      const BitGrid nominal = sim.print(binMask, nominalCorner());
-      const PvBandResult pvb = computePvBand(sim, binMask, evaluationCorners());
+          evaluatePrints(prints, target, pixel, res.runtimeSec);
 
       auto dump = [&](const std::string& tag, const RealGrid& img) {
         const std::string path =
@@ -69,12 +67,13 @@ int main(int argc, char** argv) {
       };
       dump("target", toReal(target));
       dump("mask", binMask);
-      dump("nominal", toReal(nominal));
-      dump("pvband", toReal(pvb.band));
+      dump("nominal", toReal(prints.nominal));
+      dump("pvband", toReal(prints.pvBand.band));
 
       // Fig. 3 style diagnostics: EPE samples on this clip.
       const auto samples = extractSamples(target, 40 / pixel);
-      const auto epe = measureEpe(nominal, target, samples, pixel, 15.0);
+      const auto epe =
+          measureEpe(prints.nominal, target, samples, pixel, 15.0);
 
       std::printf(
           "%s: %d EPE samples, %d violations, mean |EPE| %.1f nm, max "

@@ -10,38 +10,48 @@ CaseEvaluation evaluateMask(const LithoSimulator& sim, const RealGrid& mask,
                             const BitGrid& target, double runtimeSec,
                             const EvalConfig& config) {
   MOSAIC_SPAN("eval.case");
-  const int pixelNm = sim.optics().pixelNm;
+  return evaluatePrints(printMask(sim, mask, config.corners), target,
+                        sim.optics().pixelNm, runtimeSec, config);
+}
+
+MaskPrints printMask(const LithoSimulator& sim, const RealGrid& mask,
+                     const std::vector<ProcessCorner>& corners) {
+  MOSAIC_SPAN("eval.print");
+  // Condition 0 is the nominal print, 1 + c is corner c. The litho.aerial
+  // and litho.mask_spectrum counters pin one FFT and one SOCS sum per
+  // distinct condition in tests/test_backend.cpp.
+  std::vector<ProcessCorner> conditions{nominalCorner()};
+  conditions.insert(conditions.end(), corners.begin(), corners.end());
+  std::vector<BitGrid> prints =
+      printConditions(sim, sim.maskSpectrum(mask), conditions);
+  MaskPrints out;
+  out.pvBand = combinePvBand(std::span<const BitGrid>(prints).subspan(1),
+                             sim.optics().pixelNm);
+  out.nominal = std::move(prints.front());
+  return out;
+}
+
+CaseEvaluation evaluatePrints(const MaskPrints& prints, const BitGrid& target,
+                              int pixelNm, double runtimeSec,
+                              const EvalConfig& config) {
   MOSAIC_CHECK(config.sampleSpacingNm >= pixelNm,
                "sample spacing below pixel pitch");
-
   CaseEvaluation eval;
   eval.runtimeSec = runtimeSec;
 
-  // One forward mask FFT for the whole evaluation: the nominal print and
-  // every PV-band corner below share this spectrum. (Previously print()
-  // and computePvBand() each recomputed it; the litho.mask_spectrum
-  // counter pins the single-FFT contract in tests/test_backend.cpp.)
-  const ComplexGrid spectrum = sim.maskSpectrum(mask);
-
-  // Nominal print: EPE + shape.
-  const BitGrid nominalPrint =
-      sim.printBinary(sim.aerialFromSpectrum(spectrum, nominalCorner()));
   const auto samples = extractSamples(target, config.sampleSpacingNm / pixelNm);
-  const EpeResult epe = measureEpe(nominalPrint, target, samples, pixelNm,
+  const EpeResult epe = measureEpe(prints.nominal, target, samples, pixelNm,
                                    config.epeThresholdNm);
   eval.epeViolations = epe.violations;
   eval.meanAbsEpeNm = epe.meanAbsEpeNm;
   eval.maxAbsEpeNm = epe.maxAbsEpeNm;
 
-  const ShapeResult shape = analyzeShape(nominalPrint, target);
+  const ShapeResult shape = analyzeShape(prints.nominal, target);
   eval.shapeViolations = shape.violations();
   eval.holes = shape.holes;
   eval.missingFeatures = shape.missingFeatures;
 
-  // PV band across the full corner set, reusing the hoisted spectrum.
-  const PvBandResult pvb = computePvBand(sim, spectrum, config.corners);
-  eval.pvbandAreaNm2 = pvb.bandAreaNm2;
-
+  eval.pvbandAreaNm2 = prints.pvBand.bandAreaNm2;
   eval.score = contestScore(runtimeSec, eval.pvbandAreaNm2,
                             eval.epeViolations, eval.shapeViolations,
                             config.weights);

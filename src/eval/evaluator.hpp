@@ -36,9 +36,29 @@ struct CaseEvaluation {
 
 /// Evaluate a (continuous or binary) mask against a target raster.
 /// The mask is used as-is: pass the binarized mask for contest-style
-/// numbers. `runtimeSec` is folded into the score (Eq. 22).
+/// numbers. `runtimeSec` is folded into the score (Eq. 22). Equal to
+/// evaluatePrints(printMask(sim, mask, config.corners), ...).
 CaseEvaluation evaluateMask(const LithoSimulator& sim, const RealGrid& mask,
                             const BitGrid& target, double runtimeSec,
                             const EvalConfig& config = {});
+
+/// What an evaluation judges: the nominal print (EPE, shape) and the PV
+/// band over the corner set.
+struct MaskPrints {
+  BitGrid nominal;
+  PvBandResult pvBand;
+};
+
+/// The prints of one evaluation, from one forward mask FFT and one imaging
+/// step over the nominal condition and `corners` (the nominal print shares
+/// the SOCS sum of an equal corner). Callers that also need the images
+/// (`mosaic_cli run --images`) keep these instead of printing again.
+MaskPrints printMask(const LithoSimulator& sim, const RealGrid& mask,
+                     const std::vector<ProcessCorner>& corners);
+
+/// Score prints made by printMask against the target raster.
+CaseEvaluation evaluatePrints(const MaskPrints& prints, const BitGrid& target,
+                              int pixelNm, double runtimeSec,
+                              const EvalConfig& config = {});
 
 }  // namespace mosaic

@@ -24,9 +24,7 @@ ProcessWindowResult measureProcessWindow(const LithoSimulator& sim,
   ProcessWindowResult result;
   result.focusSteps = config.focusSteps;
   result.doseSteps = config.doseSteps;
-  result.matrix.reserve(static_cast<std::size_t>(config.focusSteps) *
-                        config.doseSteps);
-
+  std::vector<ProcessCorner> conditions;
   for (int fi = 0; fi < config.focusSteps; ++fi) {
     const double focus =
         config.maxFocusNm * fi / (config.focusSteps - 1);
@@ -34,19 +32,27 @@ ProcessWindowResult measureProcessWindow(const LithoSimulator& sim,
       const double dose = 1.0 - config.doseSpan +
                           2.0 * config.doseSpan * di /
                               (config.doseSteps - 1);
-      const BitGrid printed = sim.printBinary(
-          sim.aerialFromSpectrum(spectrum, ProcessCorner{focus, dose}));
-      FocusExposurePoint point;
-      point.focusNm = focus;
-      point.dose = dose;
-      point.epeViolations = measureEpe(printed, target, samples, pixelNm,
-                                       config.epeToleranceNm)
-                                .violations;
-      point.shapeViolations = analyzeShape(printed, target).violations();
-      point.inSpec = point.epeViolations == 0 && point.shapeViolations == 0;
-      result.matrix.push_back(point);
+      conditions.push_back({focus, dose});
     }
   }
+
+  // One imaging step over the whole matrix; each point is judged inside
+  // the task that imaged it and writes only its own slot.
+  result.matrix.resize(conditions.size());
+  sim.imageConditions(
+      spectrum, conditions, 0,
+      [&](std::size_t i, const RealGrid& aerialImage) {
+        const BitGrid printed = sim.printBinary(aerialImage);
+        FocusExposurePoint& point = result.matrix[i];
+        point.focusNm = conditions[i].focusNm;
+        point.dose = conditions[i].dose;
+        point.epeViolations = measureEpe(printed, target, samples, pixelNm,
+                                         config.epeToleranceNm)
+                                  .violations;
+        point.shapeViolations = analyzeShape(printed, target).violations();
+        point.inSpec =
+            point.epeViolations == 0 && point.shapeViolations == 0;
+      });
 
   // DOF at nominal dose: largest in-spec focus with all smaller focuses
   // in spec too (contiguous window from 0).

@@ -76,7 +76,9 @@ const KernelSet& LithoSimulator::kernels(double focusNm) const {
   // own deque, and a sibling task that needs this same focus would then
   // re-lock the entry on the same thread and deadlock. So computeInto,
   // buildTcc and the eigensolvers stay serial; concurrency comes from
-  // building distinct focus values side by side (warmKernels).
+  // building distinct focus values side by side (warmKernels). Pool tasks
+  // may call kernels() (imageConditions and the objective's gradient
+  // fan-out do) and block here while a sibling builds the same focus.
   KernelEntry& entry = kernelEntry(focusNm);
   std::lock_guard<std::mutex> lock(entry.mutex);
   if (!entry.set) computeInto(entry, focusNm);
@@ -119,6 +121,11 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
   MOSAIC_CHECK(spectrum.rows() == n && spectrum.cols() == n,
                "spectrum grid mismatch");
   MOSAIC_SPAN("litho.aerial");
+  // Counts SOCS sums so tests can pin "one sum per distinct condition"
+  // (imageConditions, used by the objective and the evaluator).
+  static telemetry::Counter& sums =
+      telemetry::metrics().counter("litho.aerial");
+  sums.add(1);
   const KernelSet& set = kernels(corner.focusNm);
   const int count = (maxKernels <= 0)
                         ? set.kernelCount()
@@ -144,6 +151,34 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
         intensity, resist_.diffusionSigmaNm / optics_.pixelNm);
   }
   return intensity;
+}
+
+void LithoSimulator::imageConditions(
+    const ComplexGrid& spectrum, const std::vector<ProcessCorner>& conditions,
+    int maxKernels, const ImageSink& sink) const {
+  // Distinct conditions in first-appearance order, each with the indices
+  // that ask for it. Lists are short (corner sets, a focus-exposure
+  // matrix), so a linear scan.
+  std::vector<ProcessCorner> distinct;
+  std::vector<std::vector<std::size_t>> users;
+  for (std::size_t i = 0; i < conditions.size(); ++i) {
+    const auto d = static_cast<std::size_t>(
+        std::find(distinct.begin(), distinct.end(), conditions[i]) -
+        distinct.begin());
+    if (d == distinct.size()) {
+      distinct.push_back(conditions[i]);
+      users.emplace_back();
+    }
+    users[d].push_back(i);
+  }
+  // Tasks call kernels(), which never uses the pool under its entry lock,
+  // so a task that waits there cannot deadlock a sibling.
+  parallelFor(0, distinct.size(), [&](std::size_t d) {
+    const RealGrid image =
+        aerialFromSpectrum(spectrum, distinct[d], maxKernels);
+    parallelFor(0, users[d].size(),
+                [&](std::size_t u) { sink(users[d][u], image); });
+  });
 }
 
 RealGrid LithoSimulator::printContinuous(const RealGrid& aerialImage) const {

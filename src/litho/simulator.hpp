@@ -4,9 +4,12 @@
 /// (SOCS) -> printed image (resist model), for any process corner. Kernel
 /// sets are computed lazily per focus value and cached.
 
+#include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "litho/kernels.hpp"
 #include "litho/optics.hpp"
@@ -19,7 +22,8 @@ namespace mosaic {
 ///
 /// The expensive part of a simulation is the per-kernel inverse FFT; when
 /// evaluating several corners of the same mask, compute the mask spectrum
-/// once via maskSpectrum() and reuse it.
+/// once via maskSpectrum() and image every corner from it in one
+/// imageConditions() call, which sums each distinct condition once.
 ///
 /// Thread-safety contract: all const member functions are safe to call
 /// concurrently on one shared instance. The lazy per-focus kernel cache
@@ -30,9 +34,9 @@ namespace mosaic {
 /// KernelSet reference stays valid for the simulator's lifetime). A build
 /// that throws leaves its entry empty, and the next request retries. The
 /// FFT layer keeps no shared mutable scratch. This is what lets the batch
-/// runner and the tile scheduler share one simulator — and its kernel
-/// sets — across workers. Non-const members (setKernelCacheDir) must not
-/// race with concurrent use.
+/// runner, the tile scheduler and imageConditions' own tasks share one
+/// simulator — and its kernel sets — across workers. Non-const members
+/// (setKernelCacheDir) must not race with concurrent use.
 class LithoSimulator {
  public:
   explicit LithoSimulator(OpticsConfig optics, ResistModel resist = {});
@@ -71,10 +75,28 @@ class LithoSimulator {
                                 const ProcessCorner& corner,
                                 int maxKernels = 0) const;
 
-  /// Same, starting from a precomputed mask spectrum.
+  /// Same, starting from a precomputed mask spectrum. This is the one SOCS
+  /// sum; the `litho.aerial` counter counts its calls.
   [[nodiscard]] RealGrid aerialFromSpectrum(const ComplexGrid& spectrum,
                                             const ProcessCorner& corner,
                                             int maxKernels = 0) const;
+
+  /// Receives one image of imageConditions: (condition index, image).
+  using ImageSink = std::function<void(std::size_t, const RealGrid&)>;
+
+  /// The imaging step for one mask at several process conditions: the
+  /// aerialFromSpectrum sum of `spectrum` over `maxKernels` kernels, once
+  /// per distinct condition in `conditions`, the distinct sums side by
+  /// side on the pool. `sink(i, image)` runs exactly once for every index
+  /// i, with the image of conditions[i], inside the task that summed it
+  /// (the indices sharing one image run side by side as subtasks); the
+  /// image is freed when its task ends, so at most one image per running
+  /// task is live. Sinks run concurrently, so each must write only state
+  /// of its own index. Each image is the same function of the same inputs
+  /// at every worker count. Rethrows the first failed sum or sink.
+  void imageConditions(const ComplexGrid& spectrum,
+                       const std::vector<ProcessCorner>& conditions,
+                       int maxKernels, const ImageSink& sink) const;
 
   /// Continuous printed image Z = sig(I) (Eq. 4).
   [[nodiscard]] RealGrid printContinuous(const RealGrid& aerialImage) const;

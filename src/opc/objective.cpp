@@ -194,101 +194,114 @@ IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
   Evaluation eval;
   const ComplexGrid maskSpectrum = sim_.maskSpectrum(mask);
 
-  // ---- nominal corner: design-target term ----
-  const RealGrid aerialNominal = sim_.aerialFromSpectrum(
-      maskSpectrum, nominalCorner(), config_.inLoopKernels);
-  RealGrid zNominal;
-  resistForward(sim_.resist(), aerialNominal, 1.0, zNominal);
-
-  double targetValue = 0.0;
-  RealGrid gTarget =
-      (config_.targetTerm == TargetTerm::kEpe)
-          ? epeGradientField(zNominal, aerialNominal, &targetValue)
-          : imageDiffGradientField(zNominal, aerialNominal, &targetValue);
-  eval.targetValue = targetValue;
-  // zNominal is no longer read below; hand the buffer to the evaluation
-  // instead of deep-copying it.
-  eval.zNominal = std::move(zNominal);
-
-  // ---- process corners: F_pvb (Eq. 18) ----
-  // Group the dF/dI fields by focus so each kernel set pays exactly one
-  // convolution chain.
-  std::map<double, RealGrid> gByFocus;
-  auto addField = [&](double focus, const RealGrid& g, double scale) {
-    auto it = gByFocus.find(focus);
-    if (it == gByFocus.end()) {
-      it = gByFocus.emplace(focus, RealGrid(n, n, 0.0)).first;
-    }
-    RealGrid& acc = it->second;
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      acc.data()[i] += scale * g.data()[i];
-    }
-  };
-
-  if (config_.alpha > 0.0) addField(0.0, gTarget, config_.alpha);
-
-  double pvbValue = 0.0;
+  // One imaging step for the whole evaluation: condition 0 drives the
+  // design-target term, condition 1 + c is process corner c of F_pvb
+  // (Eq. 18). Every condition asks for the raw dose-1 image at its focus,
+  // so corners at one focus share one SOCS sum (the focus-0 corners share
+  // the nominal one) and each corner's dose enters in its epilogue. The
+  // distinct foci and the terms sharing an image run side by side; each
+  // condition writes only its own slot, and the merge below runs serially
+  // in corner order, so the result is identical at every worker count.
+  std::vector<ProcessCorner> conditions{nominalCorner()};
   if (config_.beta > 0.0) {
-    // Process corners are independent until the merge, so they fan out
-    // over the work-stealing pool — inside a tile task this is nested
-    // parallelism that idle workers steal; in a single-clip run it is the
-    // top-level fan-out. Each corner accumulates into its own partial sum
-    // and field, and the merge below runs serially in corner order, so
-    // the result is identical at every worker count.
-    const std::size_t cornerCount = config_.pvbCorners.size();
-    std::vector<double> cornerValue(cornerCount, 0.0);
-    std::vector<RealGrid> cornerField(cornerCount);
-    parallelFor(0, cornerCount, [&](std::size_t ci) {
-      const auto& corner = config_.pvbCorners[ci];
-      const RealGrid aerialRaw = sim_.aerialFromSpectrum(
-          maskSpectrum, ProcessCorner{corner.focusNm, 1.0},
-          config_.inLoopKernels);
-      // Fused corner epilogue: dose scaling, resist sigmoid, dZ/dI, the
-      // PVB residual and the dF/dI field all come out of one sweep over
-      // the aerial image instead of the former resistForward + residual
-      // passes (and the Z/dZdI corner grids are never materialized).
-      const ResistModel& resist = sim_.resist();
-      RealGrid g;
-      if (needGradient) g = RealGrid(n, n);
-      double value = 0.0;
-      for (std::size_t i = 0; i < aerialRaw.size(); ++i) {
-        const double intensity = corner.dose * aerialRaw.data()[i];
-        const double zv = resist.sigmoid(intensity);
-        const double diff = zv - targetReal_.data()[i];
-        value += diff * diff;
-        if (needGradient) {
-          // dF/dI_raw = 2 (Z - Zt) * dZ/dI * dose (intensity scales by
-          // dose), with dZ/dI = theta_Z Z (1 - Z).
-          const double dZdI = resist.thetaZ * zv * (1.0 - zv);
-          g.data()[i] = 2.0 * diff * dZdI * corner.dose;
-        }
-      }
-      cornerValue[ci] = value;
-      if (needGradient) cornerField[ci] = std::move(g);
-    });
-    for (std::size_t ci = 0; ci < cornerCount; ++ci) {
-      pvbValue += cornerValue[ci];
-      if (needGradient) {
-        addField(config_.pvbCorners[ci].focusNm, cornerField[ci],
-                 config_.beta);
-      }
+    for (const ProcessCorner& corner : config_.pvbCorners) {
+      conditions.push_back({corner.focusNm, 1.0});
     }
   }
+  const std::size_t cornerCount = conditions.size() - 1;
+  double targetValue = 0.0;
+  RealGrid gTarget;
+  std::vector<double> cornerValue(cornerCount, 0.0);
+  std::vector<RealGrid> cornerField(cornerCount);
+  const ResistModel& resist = sim_.resist();
+  sim_.imageConditions(
+      maskSpectrum, conditions, config_.inLoopKernels,
+      [&](std::size_t i, const RealGrid& aerialRaw) {
+        if (i == 0) {
+          RealGrid zNominal;
+          resistForward(resist, aerialRaw, 1.0, zNominal);
+          gTarget = (config_.targetTerm == TargetTerm::kEpe)
+                        ? epeGradientField(zNominal, aerialRaw, &targetValue)
+                        : imageDiffGradientField(zNominal, aerialRaw,
+                                                 &targetValue);
+          eval.zNominal = std::move(zNominal);
+          return;
+        }
+        // Fused corner epilogue: dose scaling, resist sigmoid, dZ/dI, the
+        // PVB residual and the dF/dI field all come out of one sweep over
+        // the aerial image (the Z/dZdI corner grids are never
+        // materialized).
+        const double dose = config_.pvbCorners[i - 1].dose;
+        RealGrid g;
+        if (needGradient) g = RealGrid(n, n);
+        double value = 0.0;
+        for (std::size_t p = 0; p < aerialRaw.size(); ++p) {
+          const double zv = resist.sigmoid(dose * aerialRaw.data()[p]);
+          const double diff = zv - targetReal_.data()[p];
+          value += diff * diff;
+          if (needGradient) {
+            // dF/dI_raw = 2 (Z - Zt) * dZ/dI * dose (intensity scales by
+            // dose), with dZ/dI = theta_Z Z (1 - Z).
+            const double dZdI = resist.thetaZ * zv * (1.0 - zv);
+            g.data()[p] = 2.0 * diff * dZdI * dose;
+          }
+        }
+        cornerValue[i - 1] = value;
+        cornerField[i - 1] = std::move(g);
+      });
+  eval.targetValue = targetValue;
+
+  double pvbValue = 0.0;
+  for (const double value : cornerValue) pvbValue += value;
   eval.pvbValue = pvbValue;
 
   if (needGradient) {
-    eval.gradMask = RealGrid(n, n, 0.0);
-    // With resist diffusion the observed intensity is Blur(I_raw); the
-    // blur is self-adjoint, so dF/dI_raw = Blur(dF/dI_observed).
+    // Group the dF/dI fields by focus so each kernel set pays exactly one
+    // convolution chain.
+    std::map<double, RealGrid> gByFocus;
+    auto addField = [&](double focus, const RealGrid& g, double scale) {
+      auto it = gByFocus.find(focus);
+      if (it == gByFocus.end()) {
+        it = gByFocus.emplace(focus, RealGrid(n, n, 0.0)).first;
+      }
+      RealGrid& acc = it->second;
+      for (std::size_t i = 0; i < acc.size(); ++i) {
+        acc.data()[i] += scale * g.data()[i];
+      }
+    };
+    if (config_.alpha > 0.0) addField(0.0, gTarget, config_.alpha);
+    for (std::size_t ci = 0; ci < cornerCount; ++ci) {
+      addField(config_.pvbCorners[ci].focusNm, cornerField[ci],
+               config_.beta);
+    }
+
+    // The per-focus chains run side by side, each into its own grid; the
+    // grids are added in focus order, so the sum is the same at every
+    // worker count. With resist diffusion the observed intensity is
+    // Blur(I_raw); the blur is self-adjoint, so dF/dI_raw =
+    // Blur(dF/dI_observed).
+    std::vector<std::map<double, RealGrid>::const_iterator> foci;
+    for (auto it = gByFocus.cbegin(); it != gByFocus.cend(); ++it) {
+      foci.push_back(it);
+    }
     const double diffusionPx =
-        sim_.resist().diffusionSigmaNm / sim_.optics().pixelNm;
-    for (const auto& [focus, g] : gByFocus) {
+        resist.diffusionSigmaNm / sim_.optics().pixelNm;
+    std::vector<RealGrid> focusGrad(foci.size());
+    parallelFor(0, foci.size(), [&](std::size_t f) {
+      const auto& [focus, g] = *foci[f];
+      const KernelSet& kernels = sim_.kernels(focus);
+      focusGrad[f] = RealGrid(n, n, 0.0);
       if (diffusionPx > 0.0) {
-        accumulateGradient(maskSpectrum, sim_.kernels(focus),
-                           gaussianBlur(g, diffusionPx), eval.gradMask);
+        accumulateGradient(maskSpectrum, kernels, gaussianBlur(g, diffusionPx),
+                           focusGrad[f]);
       } else {
-        accumulateGradient(maskSpectrum, sim_.kernels(focus), g,
-                           eval.gradMask);
+        accumulateGradient(maskSpectrum, kernels, g, focusGrad[f]);
+      }
+    });
+    eval.gradMask = RealGrid(n, n, 0.0);
+    for (const RealGrid& grad : focusGrad) {
+      for (std::size_t i = 0; i < grad.size(); ++i) {
+        eval.gradMask.data()[i] += grad.data()[i];
       }
     }
   }

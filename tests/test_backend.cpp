@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <mutex>
 #include <random>
 #include <utility>
 #include <vector>
@@ -23,7 +24,10 @@
 #include "math/fft.hpp"
 #include "math/grid.hpp"
 #include "math/scratch.hpp"
+#include "opc/mosaic.hpp"
+#include "opc/objective.hpp"
 #include "reference.hpp"
+#include "support/parallel.hpp"
 #include "support/telemetry/metrics.hpp"
 
 namespace mosaic {
@@ -327,6 +331,65 @@ TEST(LithoEngine, OneMaskSpectrumPerEvaluation) {
   const std::uint64_t before = spectra.value();
   (void)evaluateMask(sim, mask, target, 0.0);
   EXPECT_EQ(spectra.value() - before, 1u);
+}
+
+// The imaging step hands every index the image aerialFromSpectrum makes
+// for its condition, bit for bit, summing a repeated condition once.
+TEST(LithoEngine, ImageConditionsSumsEachDistinctConditionOnce) {
+  LithoSimulator sim(smallOptics());
+  const ComplexGrid spectrum = sim.maskSpectrum(testMask(sim.gridSize()));
+  const std::vector<ProcessCorner> conditions = {
+      {0.0, 1.0}, {25.0, 0.98}, {0.0, 1.0}, {0.0, 1.02}, {25.0, 0.98}};
+  for (const int maxK : {0, 5}) {
+    std::vector<RealGrid> expected;
+    for (const ProcessCorner& c : conditions) {
+      expected.push_back(sim.aerialFromSpectrum(spectrum, c, maxK));
+    }
+    telemetry::Counter& sums = telemetry::metrics().counter("litho.aerial");
+    const std::uint64_t before = sums.value();
+    std::mutex mu;
+    std::vector<int> calls(conditions.size(), 0);
+    std::vector<double> diff(conditions.size(), -1.0);
+    setParallelism(4);
+    sim.imageConditions(spectrum, conditions, maxK,
+                        [&](std::size_t i, const RealGrid& image) {
+                          const double d = maxAbsDiff(image, expected[i]);
+                          std::lock_guard<std::mutex> lock(mu);
+                          ++calls[i];
+                          diff[i] = d;
+                        });
+    setParallelism(0);
+    EXPECT_EQ(sums.value() - before, 3u) << "maxKernels=" << maxK;
+    for (std::size_t i = 0; i < conditions.size(); ++i) {
+      EXPECT_EQ(calls[i], 1) << "condition " << i;
+      EXPECT_EQ(diff[i], 0.0) << "condition " << i;
+    }
+  }
+}
+
+// One SOCS sum per distinct imaging condition: the objective's four
+// conditions (nominal + three PV corners, each at dose 1) cover two foci,
+// and the evaluation's nominal print shares the (0 nm, x1.00) corner's sum.
+TEST(LithoEngine, OneSocsSumPerDistinctCondition) {
+  LithoSimulator sim(smallOptics());
+  const RealGrid mask = testMask(sim.gridSize());
+  const BitGrid target = thresholdGrid(mask, 0.5);
+  telemetry::Counter& sums = telemetry::metrics().counter("litho.aerial");
+  auto sumsDuring = [&](const auto& work) {
+    const std::uint64_t before = sums.value();
+    work();
+    return sums.value() - before;
+  };
+  const IltObjective objective(
+      sim, target,
+      defaultIltConfig(OpcMethod::kMosaicFast, sim.optics().pixelNm));
+  EXPECT_EQ(sumsDuring([&] { (void)objective.evaluate(mask, true); }), 2u);
+  EXPECT_EQ(sumsDuring([&] { (void)evaluateMask(sim, mask, target, 0.0); }),
+            6u);
+  EXPECT_EQ(sumsDuring([&] {
+              (void)computePvBand(sim, mask, evaluationCorners());
+            }),
+            6u);
 }
 
 TEST(LithoEngine, PvBandSpectrumOverloadIdentical) {

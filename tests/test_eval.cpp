@@ -11,6 +11,8 @@
 #include "eval/shape.hpp"
 #include "geometry/bitmap_ops.hpp"
 #include "geometry/raster.hpp"
+#include "suite/testcases.hpp"
+#include "support/parallel.hpp"
 
 namespace mosaic {
 namespace {
@@ -459,6 +461,31 @@ TEST(Evaluator, BlankMaskScoresWorseThanTargetMask) {
       evaluateMask(sim, RealGrid(n, n, 0.0), target, 0.0);
   EXPECT_GT(bad.score, good.score);
   EXPECT_GE(bad.missingFeatures, 1);
+}
+
+TEST(Evaluator, WorkerCountInvariantBitForBit) {
+  // Every distinct corner is imaged and printed in its own pool task and
+  // the band is combined in corner order: one worker and four workers
+  // must report the same numbers and the same band bitmap.
+  LithoSimulator& sim = evalSim();
+  const BitGrid target = rasterize(buildTestcase(1), 8);
+  const RealGrid mask = toReal(target);
+  setParallelism(1);
+  const CaseEvaluation serial = evaluateMask(sim, mask, target, 0.0);
+  const MaskPrints serialPrints = printMask(sim, mask, evaluationCorners());
+  setParallelism(4);
+  const CaseEvaluation pooled = evaluateMask(sim, mask, target, 0.0);
+  const MaskPrints pooledPrints = printMask(sim, mask, evaluationCorners());
+  setParallelism(0);
+  EXPECT_EQ(serial.epeViolations, pooled.epeViolations);
+  EXPECT_EQ(serial.meanAbsEpeNm, pooled.meanAbsEpeNm);
+  EXPECT_EQ(serial.pvbandAreaNm2, pooled.pvbandAreaNm2);
+  EXPECT_EQ(serial.score, pooled.score);
+  EXPECT_GT(serial.pvbandAreaNm2, 0.0);
+  EXPECT_EQ(serialPrints.nominal, pooledPrints.nominal);
+  EXPECT_EQ(serialPrints.pvBand.band, pooledPrints.pvBand.band);
+  EXPECT_EQ(serialPrints.pvBand.outer, pooledPrints.pvBand.outer);
+  EXPECT_EQ(serialPrints.pvBand.inner, pooledPrints.pvBand.inner);
 }
 
 }  // namespace

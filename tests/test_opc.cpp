@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "geometry/bitmap_ops.hpp"
 #include "geometry/raster.hpp"
@@ -15,6 +19,7 @@
 #include "opc/objective.hpp"
 #include "opc/optimizer.hpp"
 #include "suite/testcases.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace mosaic {
@@ -321,6 +326,49 @@ TEST(Objective, BetaZeroSkipsPvb) {
   const auto eval = obj.evaluate(smoothMask(target), true);
   EXPECT_DOUBLE_EQ(eval.pvbValue, 0.0);
   EXPECT_FALSE(eval.gradMask.empty());
+}
+
+TEST(Objective, WorkerCountInvariantBitForBit) {
+  // The imaging step runs distinct foci side by side, and the per-focus
+  // gradient chains run side by side into per-focus grids added in focus
+  // order: one worker and four workers must agree on every byte, fast and
+  // exact, with and without resist diffusion. Two grids add the same in
+  // either order, so a third focus makes a merge in completion order
+  // show; the pooled side repeats to give it the chance.
+  const BitGrid target = rasterize(buildTestcase(1), 8);
+  const RealGrid mask = smoothMask(target);
+  IltConfig threeFoci = defaultIltConfig(OpcMethod::kMosaicFast, 8);
+  threeFoci.pvbCorners.push_back({50.0, 1.0});
+  ResistModel diffused;
+  diffused.diffusionSigmaNm = 24.0;
+  for (const ResistModel& resist : {ResistModel{}, diffused}) {
+    const LithoSimulator sim(mediumSim().optics(), resist);
+    const std::vector<std::pair<std::string, IltConfig>> configs = {
+        {"fast", defaultIltConfig(OpcMethod::kMosaicFast, 8)},
+        {"exact", defaultIltConfig(OpcMethod::kMosaicExact, 8)},
+        {"fast, three foci", threeFoci}};
+    for (const auto& [name, cfg] : configs) {
+      SCOPED_TRACE(name + ", diffusion " +
+                   std::to_string(resist.diffusionSigmaNm) + " nm");
+      const IltObjective obj(sim, target, cfg);
+      setParallelism(1);
+      const auto serial = obj.evaluate(mask, true);
+      setParallelism(4);
+      for (int run = 0; run < 3; ++run) {
+        const auto pooled = obj.evaluate(mask, true);
+        EXPECT_EQ(serial.value, pooled.value);
+        EXPECT_EQ(serial.targetValue, pooled.targetValue);
+        EXPECT_EQ(serial.pvbValue, pooled.pvbValue);
+        EXPECT_EQ(serial.regValue, pooled.regValue);
+        ASSERT_EQ(serial.gradMask.size(), pooled.gradMask.size());
+        EXPECT_EQ(std::memcmp(serial.gradMask.data(), pooled.gradMask.data(),
+                              serial.gradMask.size() * sizeof(double)),
+                  0)
+            << "gradMask differs on pooled run " << run;
+      }
+      setParallelism(0);
+    }
+  }
 }
 
 TEST(Objective, TargetShapeMismatchThrows) {
