@@ -122,6 +122,7 @@ std::uint64_t opticsParameterDigest(const OpticsConfig& optics) {
   h.mix(optics.immersionIndex);
   h.mix(optics.kernelCount);
   h.mix(optics.sourceOversample);
+  h.mix(optics.clipSizeNm);  // sets the pupil lattice, hence every kernel
   h.mix(optics.aberrations.astigmatism0);
   h.mix(optics.aberrations.astigmatism45);
   h.mix(optics.aberrations.comaX);

@@ -1,8 +1,9 @@
 #pragma once
 /// \file kernel_cache.hpp
-/// Binary serialization of SOCS kernel sets. The TCC eigendecomposition
-/// costs ~1 s per focus condition; persisting the result makes repeated
-/// CLI invocations and CI runs start instantly. The format is a
+/// Binary serialization of SOCS kernel sets. Building one costs a few
+/// hundred ms per focus for a 1024 nm clip and a few seconds for a 2048 nm
+/// chip window (docs/performance.md, "Kernel construction"); persisting
+/// the result lets repeated chip runs skip it. The format is a
 /// little-endian private binary with a magic/version header; files are
 /// validated on load and rejected on any mismatch.
 
@@ -23,12 +24,14 @@ void saveKernelSet(const std::string& path, const KernelSet& set);
 /// or over-long files and on version mismatch.
 KernelSet loadKernelSet(const std::string& path);
 
-/// Deterministic cache filename covering *every* optical parameter, e.g.
-/// "kernels_g256_f250_o1a2b3c4d5e6f708.bin". The trailing token is an
-/// FNV-1a hash over wavelength, NA, source sigmas, immersion index,
-/// kernel count, source oversampling and the Zernike aberration vector,
-/// so kernel sets computed under different optics can never collide with
-/// a stale cache file. This is the key the simulator's disk cache uses.
+/// Deterministic cache filename, e.g. "kernels_g256_f250_o1a2b3c4d5e6f708.bin":
+/// the grid size, the focus rounded to 0.1 nm, and an FNV-1a hash over
+/// wavelength, NA, source sigmas, immersion index, kernel count, source
+/// oversampling, clip size (which sets the pupil lattice) and the Zernike
+/// aberration vector. This is the key the simulator's disk cache uses.
+/// Because the focus is rounded, two requests can share a name; the
+/// simulator therefore also checks a loaded set's focus, grid size and
+/// per-kernel sample count and recomputes on any mismatch.
 std::string kernelCacheName(const OpticsConfig& optics, double focusNm);
 
 /// The optics-parameter hash used by the cache name (16 lowercase hex

@@ -1,6 +1,7 @@
 #include "litho/simulator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "litho/kernel_cache.hpp"
 #include "litho/tcc.hpp"
@@ -14,6 +15,24 @@
 #include "support/timer.hpp"
 
 namespace mosaic {
+namespace {
+
+/// Whether a set read from the disk cache is the one computeKernelSet
+/// would build for this request: the file name rounds the focus, so the
+/// header's exact focus, grid and lattice size decide.
+bool servesRequest(const KernelSet& set, const OpticsConfig& optics,
+                   double focusNm) {
+  if (set.focusNm != focusNm || set.gridSize != optics.gridSize()) {
+    return false;
+  }
+  const std::size_t samples = pupilLattice(optics).size();
+  for (const SparseSpectrum& kernel : set.kernels) {
+    if (kernel.sampleCount() != samples) return false;
+  }
+  return set.combined.sampleCount() == samples;
+}
+
+}  // namespace
 
 LithoSimulator::LithoSimulator(OpticsConfig optics, ResistModel resist)
     : optics_(optics), resist_(resist) {
@@ -39,10 +58,16 @@ void LithoSimulator::computeInto(KernelEntry& entry, double focusNm) const {
           : cacheDir_ + "/" + kernelCacheName(optics_, focusNm);
   if (!cachePath.empty()) {
     try {
-      set = std::make_unique<KernelSet>(loadKernelSet(cachePath));
-      LOG_INFO("loaded kernel cache " << cachePath);
+      KernelSet loaded = loadKernelSet(cachePath);
+      if (servesRequest(loaded, optics_, focusNm)) {
+        set = std::make_unique<KernelSet>(std::move(loaded));
+        LOG_INFO("loaded kernel cache " << cachePath);
+      } else {
+        LOG_INFO("kernel cache " << cachePath
+                                 << " holds another kernel set; recomputing");
+      }
     } catch (const Error&) {
-      set.reset();  // miss or stale file -- recompute below
+      // miss or stale file -- recompute below
     }
   }
   if (!set) {

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <utility>
+
+#include "math/backend.hpp"
 
 namespace mosaic {
 namespace {
@@ -19,7 +22,170 @@ double offDiagonalNorm(const Matrix& a) {
   return std::sqrt(acc);
 }
 
+/// One rotation of a pivot row's sweep, logged until every row has taken
+/// its column update.
+struct Rotation {
+  int q;
+  double c;
+  double s;
+};
+
+/// Rows that take a column update as soon as it is made (the block whose
+/// own rotations come next), and rows one catch-up runs side by side.
+constexpr int kRowBlock = 8;
+
+/// Four doubles as one GCC/Clang vector: element-wise IEEE arithmetic,
+/// the same operations as four scalars.
+using Lanes = double __attribute__((vector_size(4 * sizeof(double))));
+
+/// Catches rows[0..7] up on the rotations [first, last) of pivot p's
+/// sweep. Entry (k, p) runs one chain through the log and entry (k, q)
+/// takes its one update on the way, by the column form's expressions, so
+/// each entry sees the same products and add or subtract in the same
+/// order. The eight chains are independent and run as vector lanes.
+[[gnu::always_inline]] inline void catchUp(double* const* rows, int p,
+                                           const Rotation* first,
+                                           const Rotation* last) {
+  double start[kRowBlock];
+  for (int j = 0; j < kRowBlock; ++j) start[j] = rows[j][p];
+  Lanes x[2];
+  std::memcpy(x, start, sizeof x);
+  for (const Rotation* r = first; r != last; ++r) {
+    const auto [q, c, s] = *r;  // locals: the row stores cannot alias them
+    for (int h = 0; h < 2; ++h) {
+      double* const* g = rows + 4 * h;
+      const Lanes y = {g[0][q], g[1][q], g[2][q], g[3][q]};
+      const Lanes yq = s * x[h] + c * y;
+      x[h] = c * x[h] - s * y;
+      for (int j = 0; j < 4; ++j) g[j][q] = yq[j];
+    }
+  }
+  for (int j = 0; j < kRowBlock; ++j) rows[j][p] = x[j / 4][j % 4];
+}
+
+/// Scratch of one solve, O(n).
+struct SweepScratch {
+  std::vector<Rotation> log;           ///< pivot p's rotations, in order
+  std::vector<std::size_t> blockDone;  ///< log length as each block ended
+  std::vector<double> spare;  ///< all-zero row padding a short catch-up
+};
+
+/// catchUp over rows [begin, end), eight at a time; a short last group
+/// is padded with the spare row, whose entries stay zero.
+[[gnu::always_inline]] inline void catchUpRange(Matrix& a, int begin,
+                                                int end, int p,
+                                                const Rotation* first,
+                                                const Rotation* last,
+                                                double* spare) {
+  if (first == last) return;
+  double* rows[kRowBlock];
+  for (int k0 = begin; k0 < end; k0 += kRowBlock) {
+    for (int j = 0; j < kRowBlock; ++j) {
+      rows[j] = k0 + j < end ? a.row(k0 + j) : spare;
+    }
+    catchUp(rows, p, first, last);
+  }
+}
+
+/// (x, y) <- (c x - s y, s x + c y) over n contiguous entries.
+[[gnu::always_inline]] inline void rotatePair(double* __restrict x,
+                                              double* __restrict y, int n,
+                                              double c, double s) {
+  for (int k = 0; k < n; ++k) {
+    const double xk = x[k];
+    const double yk = y[k];
+    x[k] = c * xk - s * yk;
+    y[k] = s * xk + c * yk;
+  }
+}
+
+/// One cyclic sweep, pivots p = 0 .. n-2. Pivot p's sweep logs its
+/// rotations; row p and the next block of rows take each column update at
+/// once, every other row catches up when its block starts and at the
+/// sweep's end. Rows p and q of A and of V^T turn as contiguous pairs.
+[[gnu::always_inline]] inline void sweepBody(Matrix& a, Matrix& vt,
+                                             double skip, SweepScratch& w) {
+  const int n = a.rows();
+  for (int p = 0; p < n - 1; ++p) {
+    w.log.clear();
+    w.blockDone.clear();
+    double* ap = a.row(p);
+    for (int q0 = p + 1; q0 < n; q0 += kRowBlock) {
+      const int q1 = std::min(q0 + kRowBlock, n);
+      catchUpRange(a, q0, q1, p, w.log.data(), w.log.data() + w.log.size(),
+                   w.spare.data());
+      for (int q = q0; q < q1; ++q) {
+        const double apq = ap[q];
+        if (std::fabs(apq) <= skip) continue;
+        const double app = ap[p];
+        const double aqq = a(q, q);
+        const double theta = (aqq - app) / (2.0 * apq);
+        // Classic stable rotation: t = sign(theta) / (|theta| + sqrt(1+theta^2)).
+        double t;
+        if (std::fabs(theta) > 1e150) {
+          t = 1.0 / (2.0 * theta);
+        } else {
+          t = ((theta >= 0) ? 1.0 : -1.0) /
+              (std::fabs(theta) + std::sqrt(1.0 + theta * theta));
+        }
+        const double c = 1.0 / std::sqrt(1.0 + t * t);
+        const double s = t * c;
+        w.log.push_back({q, c, s});
+
+        const auto rotateColumns = [&](double* row) {
+          const double xp = row[p];
+          const double xq = row[q];
+          row[p] = c * xp - s * xq;
+          row[q] = s * xp + c * xq;
+        };
+        rotateColumns(ap);
+        for (int k = q0; k < q1; ++k) rotateColumns(a.row(k));
+        rotatePair(ap, a.row(q), n, c, s);
+        rotatePair(vt.row(p), vt.row(q), n, c, s);
+      }
+      w.blockDone.push_back(w.log.size());
+    }
+    const Rotation* end = w.log.data() + w.log.size();
+    catchUpRange(a, 0, p, p, w.log.data(), end, w.spare.data());
+    for (std::size_t b = 0; b < w.blockDone.size(); ++b) {
+      const int q0 = p + 1 + static_cast<int>(b) * kRowBlock;
+      catchUpRange(a, q0, std::min(q0 + kRowBlock, n), p,
+                   w.log.data() + w.blockDone[b], end, w.spare.data());
+    }
+  }
+}
+
+/// sweepBody compiled for the baseline target and for AVX2 (without FMA,
+/// which would fuse the products into the adds), picked once per solve by
+/// exec::cpuHasAvx2().
+using Sweep = void (*)(Matrix&, Matrix&, double, SweepScratch&);
+
+void sweepPortable(Matrix& a, Matrix& vt, double skip, SweepScratch& w) {
+  sweepBody(a, vt, skip, w);
+}
+
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define MOSAIC_EIGEN_AVX2 1
+[[gnu::target("avx2")]] void sweepAvx2(Matrix& a, Matrix& vt, double skip,
+                                       SweepScratch& w) {
+  sweepBody(a, vt, skip, w);
+}
+#else
+#define MOSAIC_EIGEN_AVX2 0
+#endif
+
+Sweep hostSweep() {
+#if MOSAIC_EIGEN_AVX2
+  if (exec::cpuHasAvx2()) return sweepAvx2;
+#endif
+  return sweepPortable;
+}
+
 }  // namespace
+
+const char* jacobiSweepKernel() {
+  return hostSweep() == sweepPortable ? "portable" : "avx2";
+}
 
 SymmetricEigenResult jacobiEigenSymmetric(Matrix a, int maxSweeps) {
   MOSAIC_CHECK(a.isSquare(), "eigendecomposition needs a square matrix");
@@ -35,57 +201,23 @@ SymmetricEigenResult jacobiEigenSymmetric(Matrix a, int maxSweeps) {
   }
 
   // The eigenvectors accumulate as the rows of vt = V^T, so a rotation
-  // updates two contiguous rows rather than two strided columns. Each
-  // element still sees the same two products and one add or subtract, in
-  // the same order, as in the column form: the results are bit-identical
-  // (tests/reference.hpp keeps the column form as the oracle).
+  // updates two contiguous rows rather than two strided columns, and the
+  // column update of A is deferred (sweepBody): a row other than p and q
+  // is read by nothing but its own column updates until its rotation, if
+  // any, comes. Each element still sees the same products and add or
+  // subtract in the same order as in the column form: the results are
+  // bit-identical (tests/reference.hpp keeps the column form as the
+  // oracle).
   Matrix vt = Matrix::identity(n);
   const double tol = 1e-14 * std::max(1.0, scale) * n;
-
-  for (int sweep = 0; sweep < maxSweeps; ++sweep) {
+  const Sweep sweep = hostSweep();
+  SweepScratch scratch;
+  scratch.log.reserve(static_cast<std::size_t>(n));
+  scratch.blockDone.reserve(static_cast<std::size_t>(n / kRowBlock + 1));
+  scratch.spare.assign(static_cast<std::size_t>(n), 0.0);
+  for (int s = 0; s < maxSweeps; ++s) {
     if (offDiagonalNorm(a) <= tol) break;
-    for (int p = 0; p < n - 1; ++p) {
-      for (int q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
-        if (std::fabs(apq) <= tol / n) continue;
-        const double app = a(p, p);
-        const double aqq = a(q, q);
-        const double theta = (aqq - app) / (2.0 * apq);
-        // Classic stable rotation: t = sign(theta) / (|theta| + sqrt(1+theta^2)).
-        double t;
-        if (std::fabs(theta) > 1e150) {
-          t = 1.0 / (2.0 * theta);
-        } else {
-          t = ((theta >= 0) ? 1.0 : -1.0) /
-              (std::fabs(theta) + std::sqrt(1.0 + theta * theta));
-        }
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = t * c;
-
-        for (int k = 0; k < n; ++k) {
-          const double akp = a(k, p);
-          const double akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
-        }
-        double* ap = a.row(p);
-        double* aq = a.row(q);
-        for (int k = 0; k < n; ++k) {
-          const double apk = ap[k];
-          const double aqk = aq[k];
-          ap[k] = c * apk - s * aqk;
-          aq[k] = s * apk + c * aqk;
-        }
-        double* vp = vt.row(p);
-        double* vq = vt.row(q);
-        for (int k = 0; k < n; ++k) {
-          const double vpk = vp[k];
-          const double vqk = vq[k];
-          vp[k] = c * vpk - s * vqk;
-          vq[k] = s * vpk + c * vqk;
-        }
-      }
-    }
+    sweep(a, vt, tol / n, scratch);
   }
   MOSAIC_CHECK(offDiagonalNorm(a) <= std::sqrt(tol) * std::max(1.0, scale) + tol * 1e3,
                "Jacobi eigensolver did not converge in " << maxSweeps

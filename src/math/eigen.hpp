@@ -65,6 +65,11 @@ struct SymmetricEigenResult {
 ///        off-diagonal norm has not converged by then).
 SymmetricEigenResult jacobiEigenSymmetric(Matrix a, int maxSweeps = 64);
 
+/// The build of the Jacobi sweep jacobiEigenSymmetric runs on this CPU:
+/// "avx2" when exec::cpuHasAvx2(), else "portable". Both are compiled from
+/// one source without FMA and give the same bits.
+const char* jacobiSweepKernel();
+
 /// Result of a Hermitian eigendecomposition H = sum_k w_k v_k v_k^H with
 /// real eigenvalues sorted descending and orthonormal complex eigenvectors.
 struct HermitianEigenResult {

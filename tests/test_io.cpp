@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -14,6 +15,7 @@
 #include "io/glp.hpp"
 #include "litho/kernel_cache.hpp"
 #include "litho/simulator.hpp"
+#include "litho/tcc.hpp"
 #include "math/stats.hpp"
 #include "suite/testcases.hpp"
 #include "support/failpoint.hpp"
@@ -400,6 +402,80 @@ TEST(KernelCache, SimulatorUsesTheDiskCache) {
   const RealGrid b = second.aerial(mask, nominalCorner());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.data()[i], b.data()[i]);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// True when two kernel sets agree in every byte the cache stores.
+bool sameKernelBytes(const KernelSet& a, const KernelSet& b) {
+  auto sameBytes = [](const auto& x, const auto& y) {
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(),
+                                     x.size() * sizeof(x[0])) == 0);
+  };
+  auto sameSpectrum = [&](const SparseSpectrum& x, const SparseSpectrum& y) {
+    return x.gridSize == y.gridSize && sameBytes(x.flatIndex, y.flatIndex) &&
+           sameBytes(x.value, y.value);
+  };
+  if (a.gridSize != b.gridSize || a.focusNm != b.focusNm ||
+      !sameBytes(a.weights, b.weights) ||
+      a.kernels.size() != b.kernels.size()) {
+    return false;
+  }
+  for (std::size_t k = 0; k < a.kernels.size(); ++k) {
+    if (!sameSpectrum(a.kernels[k], b.kernels[k])) return false;
+  }
+  return sameSpectrum(a.combined, b.combined);
+}
+
+TEST(KernelCache, ClipAndChipWindowSharingADirectoryKeepTheirOwnSets) {
+  // A 1024 nm clip at 8 nm and a 2048 nm chip window at 16 nm share the
+  // 128^2 grid, but not the pupil lattice (161 against 657 samples). Two
+  // chip runs sharing --kernel-cache can hold both; neither may be
+  // served the other's kernels.
+  OpticsConfig clip;
+  clip.clipSizeNm = 1024;
+  clip.pixelNm = 8;
+  OpticsConfig window;
+  window.clipSizeNm = 2048;
+  window.pixelNm = 16;
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mosaic_kcache_shared";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  KernelSet windowSet;
+  {
+    LithoSimulator sim(window);  // the directory is empty: it computes
+    sim.setKernelCacheDir(dir.string());
+    windowSet = sim.kernels(0.0);
+  }
+  LithoSimulator clipSim(clip);
+  clipSim.setKernelCacheDir(dir.string());
+  EXPECT_TRUE(sameKernelBytes(clipSim.kernels(0.0), computeKernelSet(clip, 0.0)));
+  LithoSimulator windowSim(window);
+  windowSim.setKernelCacheDir(dir.string());
+  EXPECT_TRUE(sameKernelBytes(windowSim.kernels(0.0), windowSet));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            2);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(KernelCache, FocusRoundedOntoAnotherSetsNameIsRecomputed) {
+  // The name keeps the focus to 0.1 nm, so 0.0 and 0.04 nm share a file;
+  // each request must still get the set for its own focus.
+  OpticsConfig optics;
+  optics.pixelNm = 16;
+  ASSERT_EQ(kernelCacheName(optics, 0.0), kernelCacheName(optics, 0.04));
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mosaic_kcache_focus";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const double focus : {0.0, 0.04, 0.0}) {
+    LithoSimulator sim(optics);
+    sim.setKernelCacheDir(dir.string());
+    EXPECT_EQ(sim.kernels(focus).focusNm, focus);
   }
   std::filesystem::remove_all(dir);
 }

@@ -8,6 +8,7 @@
 #include <complex>
 #include <cstdint>
 
+#include "math/backend.hpp"
 #include "math/convolution.hpp"
 #include "math/eigen.hpp"
 #include "math/fft.hpp"
@@ -563,6 +564,81 @@ TEST_P(JacobiOracle, RowStoredEigenvectorsMatchColumnFormBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, JacobiOracle,
                          ::testing::Values(1, 2, 3, 17, 64, 322));
+
+// The solver keeps the next 8 rows current and catches every other row
+// up in groups of 8 (a short group padded): sizes B - 1, B, B + 1 and
+// 2B + 1 put the last block and the last group on both sides of a full one.
+INSTANTIATE_TEST_SUITE_P(RowBlockEdges, JacobiOracle,
+                         ::testing::Values(7, 8, 9, 17));
+
+/// jacobiEigenSymmetric(m) must reproduce the column-form oracle bit for
+/// bit: eigenvalues and every eigenvector entry.
+void expectColumnFormBits(const Matrix& m) {
+  const auto oracle = reference::jacobiColumnForm(m);
+  const auto res = jacobiEigenSymmetric(m);
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (int k = 0; k < m.rows(); ++k) {
+    const auto kk = static_cast<std::size_t>(k);
+    ASSERT_EQ(bits(res.eigenvalues[kk]), bits(oracle.eigenvalues[kk]))
+        << "eigenvalue " << k;
+    for (int i = 0; i < m.rows(); ++i) {
+      ASSERT_EQ(bits(res.eigenvectors(k, i)),
+                bits(oracle.eigenvectors[kk][static_cast<std::size_t>(i)]))
+          << "eigenvector " << k << " entry " << i;
+    }
+  }
+}
+
+TEST(JacobiColumnForm, ZeroOffDiagonalBlocksMatchBitForBit) {
+  // The focus-0 TCC is real, so its embedding [[Re, -Im], [Im, Re]] is
+  // block diagonal with exactly zero coupling blocks: every rotation of a
+  // first-half row against a second-half row is skipped.
+  for (const int m : {13, 40}) {
+    Rng rng(static_cast<std::uint64_t>(m) * 17 + 1);
+    Matrix e(2 * m, 2 * m);
+    for (int r = 0; r < m; ++r) {
+      for (int c = r; c < m; ++c) {
+        const double v = rng.uniform(-1, 1);
+        e(r, c) = e(c, r) = e(r + m, c + m) = e(c + m, r + m) = v;
+      }
+    }
+    SCOPED_TRACE(2 * m);
+    expectColumnFormBits(e);
+  }
+}
+
+TEST(JacobiColumnForm, RotationsSkippedMidSweepMatchBitForBit) {
+  // Indices of different classes (i mod 3) couple only through entries
+  // far below the skip threshold |a_pq| <= 1e-14 * scale. Rotations keep
+  // them there, so every p-sweep skips two rotations in three, spread
+  // through it.
+  const int n = 45;
+  Rng rng(2024);
+  Matrix m(n, n);
+  for (int r = 0; r < n; ++r) {
+    for (int c = r; c < n; ++c) {
+      const double v = rng.uniform(-1, 1);
+      m(r, c) = m(c, r) = (r % 3 == c % 3) ? v : v * 1e-17;
+    }
+  }
+  expectColumnFormBits(m);
+}
+
+TEST(JacobiColumnForm, HostSweepKernelMatchesBitForBit) {
+  // On an AVX2 host the solver must take the AVX2 build of its sweep;
+  // n = 67 leaves a scalar tail after the 4-wide row-pair steps.
+  EXPECT_STREQ(jacobiSweepKernel(), exec::cpuHasAvx2() ? "avx2" : "portable");
+  const int n = 67;
+  Rng rng(static_cast<std::uint64_t>(n) * 131 + 5);
+  Matrix m(n, n);
+  for (int r = 0; r < n; ++r) {
+    for (int c = r; c < n; ++c) {
+      m(r, c) = rng.uniform(-1, 1);
+      m(c, r) = m(r, c);
+    }
+  }
+  expectColumnFormBits(m);
+}
 
 TEST(Eigen, AsymmetricInputThrows) {
   Matrix m(2, 2);
