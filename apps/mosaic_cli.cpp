@@ -448,7 +448,7 @@ std::vector<int> parseCaseList(const std::string& text) {
     MOSAIC_CHECK(!token.empty(), "empty entry in --cases list");
     int index = 0;
     try {
-      index = std::stoi(token);
+      index = parseWholeInt(token);
     } catch (const std::exception&) {
       throw InvalidArgument("bad case index in --cases: " + token);
     }

@@ -3,9 +3,9 @@
 /// written to BENCH_fft.json:
 ///   rows      the 2-D forward+inverse pair on the complex path and on
 ///             the real-input/real-output path, across grid sizes and
-///             thread counts. Each thread transforms its own grid through
-///             the shared plan, which is the tile scheduler's access
-///             pattern.
+///             thread counts, on the host's FFT build (fft_build). Each
+///             thread transforms its own grid through the shared plan,
+///             which is the tile scheduler's access pattern.
 ///   backends  the batched SOCS aerial sum and gradient chains
 ///             (math/backend) over 24 synthetic pupil-disc kernels at
 ///             512^2 and 1024^2, single thread.
@@ -229,8 +229,8 @@ int main(int argc, char** argv) {
                      TextTable::num(row.gradMs, 2)});
     }
     std::printf("\n== bm_fft: batched SOCS aerial + gradient (%d kernels, "
-                "avx2 %s) ==\n%s",
-                kKernels, exec::cpuHasAvx2() ? "yes" : "no",
+                "%s build) ==\n%s",
+                kKernels, fftBuildName(hostFftBuild()),
                 btable.render().c_str());
 
     FILE* json = std::fopen(jsonPath.c_str(), "w");
@@ -246,8 +246,11 @@ int main(int argc, char** argv) {
                    row.size, row.threads, row.complexMs, row.realMs,
                    i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(json, "  ],\n  \"avx2\": %s,\n  \"backends\": [\n",
-                 exec::cpuHasAvx2() ? "true" : "false");
+    std::fprintf(json,
+                 "  ],\n  \"avx2\": %s,\n  \"fft_build\": \"%s\",\n"
+                 "  \"backends\": [\n",
+                 exec::cpuHasAvx2() ? "true" : "false",
+                 fftBuildName(hostFftBuild()));
     for (std::size_t i = 0; i < backendRows.size(); ++i) {
       const BackendRow& row = backendRows[i];
       std::fprintf(json,

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "support/atomic_file.hpp"
+#include "support/binary_io.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/log.hpp"
@@ -21,6 +22,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::uint32_t kMagic = 0x4d4f5350u;  // "MOSP"
+constexpr const char* kEntryFormat = "pattern store entry";
 
 // A window mask is at most a few thousand pixels on a side; larger
 // dimensions are corrupt length bytes, not data.
@@ -48,25 +50,6 @@ std::uint32_t crc32(const void* data, std::size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-void writeU32(std::ostream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void writeU64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void writeI32(std::ostream& out, std::int32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void writeF64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <typename T>
-bool readRaw(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return in.good();
-}
-
 /// Header of one entry file, as read back. Kept separate from the payload
 /// so the startup scan can index a directory without touching mask bytes.
 struct EntryHeader {
@@ -78,51 +61,51 @@ struct EntryHeader {
   std::uint32_t payloadCrc = 0;
 };
 
-/// Read + validate an entry header. Returns nullopt on any malformation.
-std::optional<EntryHeader> readHeader(std::istream& in) {
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  if (!readRaw(in, &magic) || magic != kMagic) return std::nullopt;
-  if (!readRaw(in, &version) || version != PatternStore::kFormatVersion) {
-    return std::nullopt;
+/// Read + validate an entry header. Throws FormatError on any malformation.
+EntryHeader readHeader(BinaryReader& in) {
+  if (in.get<std::uint32_t>() != kMagic) in.fail("bad magic");
+  if (in.get<std::uint32_t>() != PatternStore::kFormatVersion) {
+    in.fail("unsupported version");
   }
   EntryHeader h;
-  std::uint32_t emptyFlag = 0;
-  if (!readRaw(in, &h.fp.coreHash) || !readRaw(in, &h.fp.windowHash) ||
-      !readRaw(in, &h.fp.configHash) || !readRaw(in, &h.fp.anchorPxRow) ||
-      !readRaw(in, &h.fp.anchorPxCol) || !readRaw(in, &emptyFlag) ||
-      !readRaw(in, &h.iterations) || !readRaw(in, &h.objective) ||
-      !readRaw(in, &h.rows) || !readRaw(in, &h.cols) ||
-      !readRaw(in, &h.payloadCrc)) {
-    return std::nullopt;
-  }
-  if (emptyFlag > 1) return std::nullopt;
-  h.fp.empty = emptyFlag != 0;
-  if (h.rows <= 0 || h.cols <= 0 || h.rows > kMaxGridSide ||
+  h.fp.coreHash = in.get<std::uint64_t>();
+  h.fp.windowHash = in.get<std::uint64_t>();
+  h.fp.configHash = in.get<std::uint64_t>();
+  h.fp.anchorPxRow = in.get<std::int32_t>();
+  h.fp.anchorPxCol = in.get<std::int32_t>();
+  const auto emptyFlag = in.get<std::uint32_t>();
+  h.iterations = in.get<std::int32_t>();
+  h.objective = in.get<double>();
+  h.rows = in.get<std::int32_t>();
+  h.cols = in.get<std::int32_t>();
+  h.payloadCrc = in.get<std::uint32_t>();
+  if (emptyFlag > 1 || h.rows <= 0 || h.cols <= 0 || h.rows > kMaxGridSide ||
       h.cols > kMaxGridSide || h.iterations < 0) {
-    return std::nullopt;
+    in.fail("implausible header");
   }
+  h.fp.empty = emptyFlag != 0;
   return h;
 }
 
-/// Full load: header + payload + CRC + exact-length check.
+/// Full load: header + payload + CRC + exact-length check. Returns nullopt
+/// on any malformation.
 std::optional<std::pair<EntryHeader, RealGrid>> readEntryFile(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  const std::optional<EntryHeader> header = readHeader(in);
-  if (!header) return std::nullopt;
-  RealGrid mask(header->rows, header->cols);
-  in.read(reinterpret_cast<char*>(mask.data()),
-          static_cast<std::streamsize>(mask.size() * sizeof(double)));
-  if (!in.good()) return std::nullopt;
-  in.peek();
-  if (!in.eof()) return std::nullopt;  // trailing bytes: not our file
-  if (crc32(mask.data(), mask.size() * sizeof(double)) !=
-      header->payloadCrc) {
+  std::ifstream file(path, std::ios::binary);
+  try {
+    BinaryReader in(file, kEntryFormat);
+    const EntryHeader header = readHeader(in);
+    RealGrid mask(header.rows, header.cols);
+    in.getDoubles(mask.data(), mask.size());
+    in.expectEnd();
+    if (crc32(mask.data(), mask.size() * sizeof(double)) !=
+        header.payloadCrc) {
+      return std::nullopt;
+    }
+    return std::make_pair(header, std::move(mask));
+  } catch (const FormatError&) {
     return std::nullopt;
   }
-  return std::make_pair(*header, std::move(mask));
 }
 
 std::string entryFileName(const TileFingerprint& fp) {
@@ -190,9 +173,13 @@ void PatternStore::scanDirectory() {
       continue;
     }
     const std::string path = de.path().string();
-    std::ifstream in(path, std::ios::binary);
     std::optional<EntryHeader> header;
-    if (in.good()) header = readHeader(in);
+    try {
+      std::ifstream file(path, std::ios::binary);
+      BinaryReader in(file, kEntryFormat);
+      header = readHeader(in);
+    } catch (const FormatError&) {
+    }
     if (!header) {
       LOG_WARN("pattern store: quarantining unreadable entry " << name);
       quarantineEntry(0, path);
@@ -381,24 +368,23 @@ bool PatternStore::insert(const TileFingerprint& fp,
   // Atomic publication: readers, including other processes sharing the
   // directory, see no entry or the complete one, never a torn file.
   const fs::path finalPath = fs::path(cfg_.dir) / entryFileName(fp);
-  writeFileAtomically(finalPath.string(), [&](std::ostream& out) {
-    writeU32(out, kMagic);
-    writeU32(out, kFormatVersion);
-    writeU64(out, fp.coreHash);
-    writeU64(out, fp.windowHash);
-    writeU64(out, fp.configHash);
-    writeI32(out, fp.anchorPxRow);
-    writeI32(out, fp.anchorPxCol);
-    writeU32(out, fp.empty ? 1u : 0u);
-    writeI32(out, solution.iterations);
-    writeF64(out, solution.objective);
-    writeI32(out, solution.mask.rows());
-    writeI32(out, solution.mask.cols());
-    writeU32(out, crc32(solution.mask.data(),
-                        solution.mask.size() * sizeof(double)));
-    out.write(reinterpret_cast<const char*>(solution.mask.data()),
-              static_cast<std::streamsize>(solution.mask.size() *
-                                           sizeof(double)));
+  writeFileAtomically(finalPath.string(), [&](std::ostream& stream) {
+    BinaryWriter out(stream);
+    out.put(kMagic);
+    out.put(kFormatVersion);
+    out.put(fp.coreHash);
+    out.put(fp.windowHash);
+    out.put(fp.configHash);
+    out.put<std::int32_t>(fp.anchorPxRow);
+    out.put<std::int32_t>(fp.anchorPxCol);
+    out.put<std::uint32_t>(fp.empty ? 1u : 0u);
+    out.put<std::int32_t>(solution.iterations);
+    out.put(solution.objective);
+    out.put<std::int32_t>(solution.mask.rows());
+    out.put<std::int32_t>(solution.mask.cols());
+    out.put(crc32(solution.mask.data(),
+                  solution.mask.size() * sizeof(double)));
+    out.putDoubles(solution.mask.data(), solution.mask.size());
   });
 
   std::error_code ec;

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "support/atomic_file.hpp"
+#include "support/binary_io.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
@@ -14,52 +15,30 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4d4f534bu;  // "MOSK"
 constexpr std::uint32_t kVersion = 1;
 
-void writeU32(std::ostream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-void writeF64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::uint32_t readU32(std::istream& in) {
-  std::uint32_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  MOSAIC_CHECK(in.good(), "kernel cache: truncated file");
-  return v;
-}
-
-double readF64(std::istream& in) {
-  double v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  MOSAIC_CHECK(in.good(), "kernel cache: truncated file");
-  return v;
-}
-
-void writeSparse(std::ostream& out, const SparseSpectrum& s) {
-  writeU32(out, static_cast<std::uint32_t>(s.sampleCount()));
+void writeSparse(BinaryWriter& out, const SparseSpectrum& s) {
+  out.put(static_cast<std::uint32_t>(s.sampleCount()));
   for (std::size_t i = 0; i < s.sampleCount(); ++i) {
-    writeU32(out, static_cast<std::uint32_t>(s.flatIndex[i]));
-    writeF64(out, s.value[i].real());
-    writeF64(out, s.value[i].imag());
+    out.put(static_cast<std::uint32_t>(s.flatIndex[i]));
+    out.put(s.value[i].real());
+    out.put(s.value[i].imag());
   }
 }
 
-SparseSpectrum readSparse(std::istream& in, int gridSize) {
+SparseSpectrum readSparse(BinaryReader& in, int gridSize) {
   SparseSpectrum s;
   s.gridSize = gridSize;
-  const std::uint32_t count = readU32(in);
+  const auto count = in.get<std::uint32_t>();
   MOSAIC_CHECK(count <= static_cast<std::uint32_t>(gridSize) * gridSize,
                "kernel cache: sample count exceeds grid");
   s.flatIndex.reserve(count);
   s.value.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t flat = readU32(in);
+    const auto flat = in.get<std::uint32_t>();
     MOSAIC_CHECK(flat < static_cast<std::uint32_t>(gridSize) * gridSize,
                  "kernel cache: sample index out of range");
     s.flatIndex.push_back(static_cast<int>(flat));
-    const double re = readF64(in);
-    const double im = readF64(in);
+    const auto re = in.get<double>();
+    const auto im = in.get<double>();
     s.value.emplace_back(re, im);
   }
   return s;
@@ -73,14 +52,15 @@ void saveKernelSet(const std::string& path, const KernelSet& set) {
   // Atomic publication: a concurrent reader (another process sharing the
   // cache directory) sees the old file or the whole new one, and a writer
   // killed mid-file leaves no torn cache entry.
-  writeFileAtomically(path, [&](std::ostream& out) {
-    writeU32(out, kMagic);
-    writeU32(out, kVersion);
-    writeU32(out, static_cast<std::uint32_t>(set.gridSize));
-    writeF64(out, set.focusNm);
-    writeU32(out, static_cast<std::uint32_t>(set.kernels.size()));
+  writeFileAtomically(path, [&](std::ostream& stream) {
+    BinaryWriter out(stream);
+    out.put(kMagic);
+    out.put(kVersion);
+    out.put(static_cast<std::uint32_t>(set.gridSize));
+    out.put(set.focusNm);
+    out.put(static_cast<std::uint32_t>(set.kernels.size()));
     for (std::size_t k = 0; k < set.kernels.size(); ++k) {
-      writeF64(out, set.weights[k]);
+      out.put(set.weights[k]);
       writeSparse(out, set.kernels[k]);
     }
     writeSparse(out, set.combined);
@@ -88,28 +68,29 @@ void saveKernelSet(const std::string& path, const KernelSet& set) {
 }
 
 KernelSet loadKernelSet(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  MOSAIC_CHECK(in.good(), "cannot open kernel cache: " << path);
-  MOSAIC_CHECK(readU32(in) == kMagic, "kernel cache: bad magic in " << path);
-  MOSAIC_CHECK(readU32(in) == kVersion,
+  std::ifstream file(path, std::ios::binary);
+  MOSAIC_CHECK(file.good(), "cannot open kernel cache: " << path);
+  BinaryReader in(file, "kernel cache");
+  MOSAIC_CHECK(in.get<std::uint32_t>() == kMagic,
+               "kernel cache: bad magic in " << path);
+  MOSAIC_CHECK(in.get<std::uint32_t>() == kVersion,
                "kernel cache: unsupported version in " << path);
   KernelSet set;
-  set.gridSize = static_cast<int>(readU32(in));
+  set.gridSize = static_cast<int>(in.get<std::uint32_t>());
   MOSAIC_CHECK(set.gridSize > 0 && set.gridSize <= 1 << 15,
                "kernel cache: implausible grid size");
-  set.focusNm = readF64(in);
-  const std::uint32_t count = readU32(in);
+  set.focusNm = in.get<double>();
+  const auto count = in.get<std::uint32_t>();
   MOSAIC_CHECK(count >= 1 && count <= 4096,
                "kernel cache: implausible kernel count");
   set.weights.reserve(count);
   set.kernels.reserve(count);
   for (std::uint32_t k = 0; k < count; ++k) {
-    set.weights.push_back(readF64(in));
+    set.weights.push_back(in.get<double>());
     set.kernels.push_back(readSparse(in, set.gridSize));
   }
   set.combined = readSparse(in, set.gridSize);
-  MOSAIC_CHECK(in.peek() == std::ifstream::traits_type::eof(),
-               "kernel cache: trailing bytes in " << path);
+  in.expectEnd();
   return set;
 }
 

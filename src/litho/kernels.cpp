@@ -40,20 +40,6 @@ ComplexGrid SparseSpectrum::dense() const {
   return out;
 }
 
-void SparseSpectrum::multiplyInto(const ComplexGrid& signalSpectrum,
-                                  ComplexGrid& out) const {
-  MOSAIC_CHECK(signalSpectrum.rows() == gridSize &&
-                   signalSpectrum.cols() == gridSize,
-               "signal spectrum grid mismatch");
-  MOSAIC_CHECK(out.rows() == gridSize && out.cols() == gridSize,
-               "output grid mismatch");
-  out.fill({0.0, 0.0});
-  for (std::size_t i = 0; i < flatIndex.size(); ++i) {
-    const auto flat = static_cast<std::size_t>(flatIndex[i]);
-    out.data()[flat] = signalSpectrum.data()[flat] * value[i];
-  }
-}
-
 void SparseSpectrum::accumulateProduct(const ComplexGrid& signalSpectrum,
                                        std::complex<double> scale,
                                        ComplexGrid& accum) const {

@@ -34,10 +34,6 @@ struct SparseSpectrum {
   /// Densify to a full grid (mostly zeros).
   [[nodiscard]] ComplexGrid dense() const;
 
-  /// out = (this spectrum) .* signalSpectrum, written into a full-size
-  /// grid that is zero outside the support. `out` must be N x N.
-  void multiplyInto(const ComplexGrid& signalSpectrum, ComplexGrid& out) const;
-
   /// Accumulate scale * (this .* signalSpectrum) into `accum` (N x N).
   void accumulateProduct(const ComplexGrid& signalSpectrum,
                          std::complex<double> scale, ComplexGrid& accum) const;

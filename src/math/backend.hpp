@@ -6,12 +6,13 @@
 /// primitives: the aerial-intensity sum over the SOCS kernel set
 /// (per-kernel sparse product + inverse FFT + weighted |.|^2 accumulate,
 /// Eq. 2) and the gradient convolution chains (inverse FFT, element-wise
-/// product, forward FFT, flipped sparse accumulate, Eq. 17). Both run on
-/// one engine: batched multi-spectrum inverse transforms that skip the
-/// all-zero rows of the band-limited kernel spectra, a liveness-aware
-/// column pass, explicit AVX2/FMA butterflies (portable lanes when the CPU
-/// lacks AVX2), and fused weighted-|.|^2 accumulation. tests/reference.hpp
-/// holds the direct-DFT oracle both primitives are tested against.
+/// product, forward FFT, flipped sparse accumulate, Eq. 17). Their
+/// transforms are the one FFT's (math/fft: Fft2d::transformBatch, on the
+/// plan's build); this engine adds only what is specific to SOCS: the
+/// sparse scatter that flags the live rows of the band-limited kernel
+/// products, batches of four kernels per transform, and fused
+/// weighted-|.|^2 and g .* conj epilogues. tests/reference.hpp holds the
+/// direct-DFT oracle both primitives are tested against.
 ///
 /// Thread-safety: both primitives use only per-thread scratch, so any
 /// number of threads may call them concurrently.
@@ -54,10 +55,6 @@ void accumulateGradientChains(const Fft2d& fft,
                               const SpectrumView* kernels,
                               const double* weights, int count,
                               const RealGrid& gField, ComplexGrid& accum);
-
-/// Runtime AVX2+FMA detection (x86 only; false elsewhere). Picks the
-/// butterfly kernels; results agree either way to roundoff.
-bool cpuHasAvx2();
 
 /// Name handle on the engine for callers that report it (bench/e2e prints
 /// `currentBackend().name()`). There is one engine, so there is nothing

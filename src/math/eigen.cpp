@@ -7,7 +7,7 @@
 #include <numeric>
 #include <utility>
 
-#include "math/backend.hpp"
+#include "math/fft.hpp"
 
 namespace mosaic {
 namespace {

@@ -1,18 +1,24 @@
 #pragma once
 /// \file fft.hpp
-/// From-scratch FFT engine. Provides cached 1-D radix-2 plans and a 2-D
-/// transform over ComplexGrid, plus half-spectrum real-input/real-output
-/// fast paths. This is the computational core of the lithography
-/// simulator: every aerial image and every gradient term is a handful of
-/// these transforms (paper Sec. 3.5).
+/// The program's one FFT. Every 2-D transform runs the passes of fft.cpp:
+/// the mask spectrum, the resist blur, the gradient inverse, and the SOCS
+/// engine's pruned, batched inverses and forwards (math/backend). This is
+/// the computational core of the lithography simulator: every aerial
+/// image and every gradient term is a handful of these transforms (paper
+/// Sec. 3.5).
 ///
 /// Engine layout (docs/performance.md):
-///  - Row transforms run the scalar 1-D plan on contiguous rows.
-///  - Column transforms are "row-vector butterflies": the radix-2
-///    algorithm over row indices where each butterfly combines two whole
-///    rows element-wise. Memory access stays contiguous and the inner
-///    loops autovectorize; there is no per-column gather/scatter and no
-///    per-call scratch.
+///  - The 1-D pass (FftPlan) is iterative radix-2 decimation in time with
+///    consecutive stages fused into radix-4 sweeps; rows run it in place.
+///  - The column pass runs the same algorithm over row indices, where each
+///    butterfly combines whole rows element-wise ("row-vector
+///    butterflies"): memory access stays contiguous, and there is no
+///    per-column gather/scatter and no per-call scratch. One pass advances
+///    several same-shape grids together, can skip rows flagged dead, and
+///    can stop at a column limit.
+///  - Each pass has a portable build (the baseline target, no FMA) and an
+///    AVX2+FMA build. hostFftBuild() picks one once from the CPU, and every
+///    plan in the program runs it.
 ///  - Real input (masks, gradients) packs two real rows into one complex
 ///    transform and only runs the column pass on the non-redundant half
 ///    of the spectrum; the other half is reconstructed from Hermitian
@@ -21,12 +27,30 @@
 /// tests/reference.hpp holds the direct DFT this engine is tested against.
 
 #include <complex>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "math/grid.hpp"
 
 namespace mosaic {
+namespace exec {
+
+/// Runtime AVX2+FMA detection (x86 only; false elsewhere). Picks the FFT
+/// build (hostFftBuild) and the Jacobi sweep's (math/eigen).
+bool cpuHasAvx2();
+
+}  // namespace exec
+
+/// The two builds of the FFT passes. They run the same algorithm and agree
+/// to roundoff; the AVX2 build fuses the twiddle multiplies with FMA.
+enum class FftBuild { kPortable, kAvx2 };
+
+/// The build every plan runs on this CPU, chosen once: kAvx2 when
+/// exec::cpuHasAvx2(), else kPortable.
+FftBuild hostFftBuild();
+
+/// "avx2" or "portable", the names jacobiSweepKernel() uses.
+const char* fftBuildName(FftBuild build);
 
 /// Iterative radix-2 decimation-in-time FFT plan for a fixed power-of-two
 /// size. Precomputes the bit-reversal permutation and twiddle factors so
@@ -34,9 +58,13 @@ namespace mosaic {
 class FftPlan {
  public:
   /// \param n transform length; must be a power of two >= 1.
-  explicit FftPlan(std::size_t n);
+  /// \param build the pass build. The program always takes the host's;
+  ///        tests construct the other to check both (kAvx2 needs
+  ///        exec::cpuHasAvx2()).
+  explicit FftPlan(std::size_t n, FftBuild build = hostFftBuild());
 
   [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] FftBuild build() const { return build_; }
 
   /// In-place forward DFT: X[k] = sum_j x[j] exp(-2 pi i jk / n).
   void forward(std::complex<double>* data) const;
@@ -48,24 +76,13 @@ class FftPlan {
     return n != 0 && (n & (n - 1)) == 0;
   }
 
-  /// Bit-reversal permutation (index i swaps with bitReversal()[i]).
-  /// Exposed so Fft2d can permute whole rows for its column pass.
-  [[nodiscard]] const std::vector<std::size_t>& bitReversal() const {
-    return bitrev_;
-  }
-
-  /// Forward twiddles for the stage with half-length h: factor j lives at
-  /// stageTwiddles(h)[j], j in [0, h). The inverse uses the conjugates.
-  [[nodiscard]] const std::complex<double>* stageTwiddles(
-      std::size_t h) const {
-    return &twiddle_[h];
-  }
-
  private:
+  friend class Fft2d;  // its column pass runs this plan over whole rows
+
   void transform(std::complex<double>* data, bool invert) const;
 
   std::size_t n_;
-  int logN_;
+  FftBuild build_;
   std::vector<std::size_t> bitrev_;
   /// Twiddles for the forward transform, stage-packed: the factors for the
   /// stage with half-length h live at [h, 2h).
@@ -79,10 +96,12 @@ class FftPlan {
 /// to use concurrently from the tile scheduler's worker threads.
 class Fft2d {
  public:
-  Fft2d(int rows, int cols);
+  /// \param build as for FftPlan: the program always takes the host's.
+  Fft2d(int rows, int cols, FftBuild build = hostFftBuild());
 
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int cols() const { return cols_; }
+  [[nodiscard]] FftBuild build() const { return rowPlan_.build(); }
 
   /// In-place forward 2-D DFT.
   void forward(ComplexGrid& grid) const;
@@ -105,16 +124,24 @@ class Fft2d {
   /// `spectrum` actually being (half of) a Hermitian spectrum.
   void inverseRealInto(ComplexGrid& spectrum, RealGrid& out) const;
 
-  /// The cached 1-D plans, exposed so the SOCS engine (math/backend) can
-  /// drive its own pruned/batched passes off the same twiddle and
-  /// bit-reversal tables instead of rebuilding them.
-  [[nodiscard]] const FftPlan& rowPlan() const { return rowPlan_; }
-  [[nodiscard]] const FftPlan& colPlan() const { return colPlan_; }
+  /// In-place 2-D DFT of grids[0..count), all of this plan's shape, as one
+  /// batch: each stage's bookkeeping is paid once for all of them. The
+  /// SOCS engine's transforms (math/backend); no span or fail point fires.
+  /// `live` is null (every row live) or a rows()-long flag per row, shared
+  /// by the batch: a row flagged 0 must be zero in every grid. The row
+  /// pass skips such rows, and the column pass skips every butterfly
+  /// whose rows are all dead and flags the rows it writes. Zeros
+  /// transform to zeros, so the result is exactly the unpruned one.
+  void transformBatch(ComplexGrid* const* grids, int count, bool invert,
+                      std::uint8_t* live) const;
 
  private:
-  void transformRows(ComplexGrid& grid, bool invert) const;
-  /// Row-vector-butterfly column pass over columns [0, colLimit).
-  void transformCols(ComplexGrid& grid, bool invert, int colLimit) const;
+  /// The 1-D pass over every row with live[r] (every row if live is null).
+  void rowPass(ComplexGrid* const* grids, int count, bool invert,
+               const std::uint8_t* live) const;
+  /// The column pass over columns [0, colLimit) of every grid.
+  void colPass(ComplexGrid* const* grids, int count, bool invert,
+               std::uint8_t* live, int colLimit) const;
 
   int rows_;
   int cols_;

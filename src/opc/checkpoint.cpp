@@ -17,6 +17,7 @@
 
 #include "opc/optimizer.hpp"
 #include "support/atomic_file.hpp"
+#include "support/binary_io.hpp"
 #include "support/error.hpp"
 #include "support/telemetry/trace.hpp"
 
@@ -41,59 +42,21 @@ void checkCkpt(bool ok, const char* what) {
   if (!ok) failCheckpoint(what);
 }
 
-void writeU32(std::ostream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
+void writeGrid(BinaryWriter& out, const RealGrid& g) {
+  out.put<std::int32_t>(g.rows());
+  out.put<std::int32_t>(g.cols());
+  out.putDoubles(g.data(), g.size());
 }
 
-void writeI32(std::ostream& out, std::int32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-void writeF64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::uint32_t readU32(std::istream& in) {
-  std::uint32_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  checkCkpt(in.good(), "truncated file");
-  return v;
-}
-
-std::int32_t readI32(std::istream& in) {
-  std::int32_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  checkCkpt(in.good(), "truncated file");
-  return v;
-}
-
-double readF64(std::istream& in) {
-  double v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  checkCkpt(in.good(), "truncated file");
-  return v;
-}
-
-void writeGrid(std::ostream& out, const RealGrid& g) {
-  writeI32(out, g.rows());
-  writeI32(out, g.cols());
-  if (!g.empty()) {
-    out.write(reinterpret_cast<const char*>(g.data()),
-              static_cast<std::streamsize>(g.size() * sizeof(double)));
-  }
-}
-
-RealGrid readGrid(std::istream& in) {
-  const std::int32_t rows = readI32(in);
-  const std::int32_t cols = readI32(in);
+RealGrid readGrid(BinaryReader& in) {
+  const auto rows = in.get<std::int32_t>();
+  const auto cols = in.get<std::int32_t>();
   if (rows == 0 && cols == 0) return {};
   checkCkpt(rows > 0 && cols > 0 && rows <= kMaxGridSide &&
                 cols <= kMaxGridSide,
             "implausible grid shape");
   RealGrid g(rows, cols);
-  in.read(reinterpret_cast<char*>(g.data()),
-          static_cast<std::streamsize>(g.size() * sizeof(double)));
-  checkCkpt(in.good(), "truncated grid data");
+  in.getDoubles(g.data(), g.size());
   return g;
 }
 
@@ -107,28 +70,28 @@ void checkAuxShape(const RealGrid& g, const RealGrid& params,
   }
 }
 
-void writeRecord(std::ostream& out, const IterationRecord& r) {
-  writeI32(out, r.iteration);
-  writeF64(out, r.objective);
-  writeF64(out, r.targetTerm);
-  writeF64(out, r.pvbTerm);
-  writeF64(out, r.rmsGradient);
-  writeF64(out, r.stepSize);
-  writeF64(out, r.wallMs);
-  writeU32(out, (r.improved ? 1u : 0u) | (r.jumped ? 2u : 0u) |
-                    (r.recovered ? 4u : 0u));
+void writeRecord(BinaryWriter& out, const IterationRecord& r) {
+  out.put<std::int32_t>(r.iteration);
+  out.put(r.objective);
+  out.put(r.targetTerm);
+  out.put(r.pvbTerm);
+  out.put(r.rmsGradient);
+  out.put(r.stepSize);
+  out.put(r.wallMs);
+  out.put<std::uint32_t>((r.improved ? 1u : 0u) | (r.jumped ? 2u : 0u) |
+                         (r.recovered ? 4u : 0u));
 }
 
-IterationRecord readRecord(std::istream& in) {
+IterationRecord readRecord(BinaryReader& in) {
   IterationRecord r;
-  r.iteration = readI32(in);
-  r.objective = readF64(in);
-  r.targetTerm = readF64(in);
-  r.pvbTerm = readF64(in);
-  r.rmsGradient = readF64(in);
-  r.stepSize = readF64(in);
-  r.wallMs = readF64(in);
-  const std::uint32_t flags = readU32(in);
+  r.iteration = in.get<std::int32_t>();
+  r.objective = in.get<double>();
+  r.targetTerm = in.get<double>();
+  r.pvbTerm = in.get<double>();
+  r.rmsGradient = in.get<double>();
+  r.stepSize = in.get<double>();
+  r.wallMs = in.get<double>();
+  const auto flags = in.get<std::uint32_t>();
   checkCkpt((flags & ~7u) == 0, "bad iteration record flags");
   r.improved = (flags & 1u) != 0;
   r.jumped = (flags & 2u) != 0;
@@ -137,23 +100,25 @@ IterationRecord readRecord(std::istream& in) {
 }
 
 OptimizerCheckpoint loadImpl(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) failCheckpoint("cannot open file");
-  checkCkpt(readU32(in) == kMagic, "bad magic (not a checkpoint file)");
-  const std::uint32_t version = readU32(in);
+  std::ifstream file(path, std::ios::binary);
+  if (!file.good()) failCheckpoint("cannot open file");
+  BinaryReader in(file, "checkpoint");
+  checkCkpt(in.get<std::uint32_t>() == kMagic,
+            "bad magic (not a checkpoint file)");
+  const auto version = in.get<std::uint32_t>();
   if (version != kVersion) {
     failCheckpoint("unsupported version " + std::to_string(version) +
                    " (this binary writes v" + std::to_string(kVersion) + ")");
   }
   OptimizerCheckpoint ckpt;
-  ckpt.iteration = readI32(in);
-  ckpt.step = readF64(in);
-  ckpt.previousValue = readF64(in);
-  ckpt.sinceImprovement = readI32(in);
-  ckpt.bestObjective = readF64(in);
-  ckpt.bestIteration = readI32(in);
-  ckpt.nonFiniteEvents = readI32(in);
-  ckpt.recoveries = readI32(in);
+  ckpt.iteration = in.get<std::int32_t>();
+  ckpt.step = in.get<double>();
+  ckpt.previousValue = in.get<double>();
+  ckpt.sinceImprovement = in.get<std::int32_t>();
+  ckpt.bestObjective = in.get<double>();
+  ckpt.bestIteration = in.get<std::int32_t>();
+  ckpt.nonFiniteEvents = in.get<std::int32_t>();
+  ckpt.recoveries = in.get<std::int32_t>();
   ckpt.params = readGrid(in);
   ckpt.bestMask = readGrid(in);
   ckpt.velocity = readGrid(in);
@@ -171,16 +136,13 @@ OptimizerCheckpoint loadImpl(const std::string& path) {
   checkAuxShape(ckpt.velocity, ckpt.params, "velocity");
   checkAuxShape(ckpt.adamM, ckpt.params, "adamM");
   checkAuxShape(ckpt.adamV, ckpt.params, "adamV");
-  const std::uint32_t count = readU32(in);
+  const auto count = in.get<std::uint32_t>();
   checkCkpt(count <= 1u << 20, "implausible history length");
   ckpt.history.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     ckpt.history.push_back(readRecord(in));
   }
-  // A well-formed checkpoint ends exactly here; trailing bytes mean the
-  // file was concatenated, doubly-written, or is not ours after all.
-  in.peek();
-  checkCkpt(in.eof(), "trailing bytes after checkpoint payload");
+  in.expectEnd();
   return ckpt;
 }
 
@@ -192,23 +154,24 @@ void saveOptimizerCheckpoint(const std::string& path,
   MOSAIC_CHECK(!ckpt.params.empty(), "cannot checkpoint an empty P-grid");
   // Atomic publication: a crash mid-write never clobbers the previous good
   // checkpoint.
-  writeFileAtomically(path, [&](std::ostream& out) {
-    writeU32(out, kMagic);
-    writeU32(out, kVersion);
-    writeI32(out, ckpt.iteration);
-    writeF64(out, ckpt.step);
-    writeF64(out, ckpt.previousValue);
-    writeI32(out, ckpt.sinceImprovement);
-    writeF64(out, ckpt.bestObjective);
-    writeI32(out, ckpt.bestIteration);
-    writeI32(out, ckpt.nonFiniteEvents);
-    writeI32(out, ckpt.recoveries);
+  writeFileAtomically(path, [&](std::ostream& stream) {
+    BinaryWriter out(stream);
+    out.put(kMagic);
+    out.put(kVersion);
+    out.put<std::int32_t>(ckpt.iteration);
+    out.put(ckpt.step);
+    out.put(ckpt.previousValue);
+    out.put<std::int32_t>(ckpt.sinceImprovement);
+    out.put(ckpt.bestObjective);
+    out.put<std::int32_t>(ckpt.bestIteration);
+    out.put<std::int32_t>(ckpt.nonFiniteEvents);
+    out.put<std::int32_t>(ckpt.recoveries);
     writeGrid(out, ckpt.params);
     writeGrid(out, ckpt.bestMask);
     writeGrid(out, ckpt.velocity);
     writeGrid(out, ckpt.adamM);
     writeGrid(out, ckpt.adamV);
-    writeU32(out, static_cast<std::uint32_t>(ckpt.history.size()));
+    out.put(static_cast<std::uint32_t>(ckpt.history.size()));
     for (const IterationRecord& r : ckpt.history) writeRecord(out, r);
   });
 }
@@ -217,7 +180,7 @@ OptimizerCheckpoint loadOptimizerCheckpoint(const std::string& path) {
   MOSAIC_SPAN("checkpoint.load");
   try {
     return loadImpl(path);
-  } catch (const CheckpointError& e) {
+  } catch (const FormatError& e) {  // ours, or the reader's
     throw CheckpointError(std::string(e.what()) + " [" + path + "]");
   } catch (const std::bad_alloc&) {
     failCheckpoint("allocation failed (corrupt length bytes?) in " + path);

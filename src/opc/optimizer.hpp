@@ -84,12 +84,13 @@ struct OptimizerCheckpoint {
 
 /// Typed error for unreadable checkpoints: missing file, truncated or
 /// garbage bytes, version mismatch, implausible shapes. Derives from
-/// InvalidArgument so pre-existing catch sites keep working; catching it
-/// specifically lets recovery paths (tile scheduler, serve workers)
-/// restart cleanly from scratch instead of failing the whole job.
-class CheckpointError : public InvalidArgument {
+/// InvalidArgument (through FormatError) so pre-existing catch sites keep
+/// working; catching it specifically lets recovery paths (tile scheduler,
+/// serve workers) restart cleanly from scratch instead of failing the
+/// whole job.
+class CheckpointError : public FormatError {
  public:
-  explicit CheckpointError(const std::string& what) : InvalidArgument(what) {}
+  explicit CheckpointError(const std::string& what) : FormatError(what) {}
 };
 
 /// Serialize a checkpoint to a versioned binary file (written atomically:

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "opc/mosaic.hpp"
 #include "suite/testcases.hpp"
@@ -40,15 +41,32 @@ void specToJson(const JobSpec& spec, telemetry::JsonObject* out) {
   out->set("checkpoint_every", spec.checkpointEvery);
 }
 
+namespace {
+
+/// obj[key] as an int, `fallback` when absent. A number that is not an
+/// integer in int range is rejected, naming the field, rather than read
+/// as the fallback or truncated.
+int intField(const telemetry::JsonValue& obj, std::string_view key,
+             int fallback) {
+  const telemetry::JsonValue* v = obj.find(key);
+  MOSAIC_CHECK(v == nullptr || !v->isNumber() || v->isInt(),
+               "job " << key << " must be an integer, got "
+                      << v->asNumber());
+  return obj.intOr(key, fallback);
+}
+
+}  // namespace
+
 JobSpec specFromJson(const telemetry::JsonValue& obj) {
   JobSpec spec;
   spec.caseName = obj.stringOr("case", spec.caseName);
   spec.method = obj.stringOr("method", spec.method);
-  spec.pixelNm = obj.intOr("pixel_nm", spec.pixelNm);
-  spec.iterations = obj.intOr("iterations", spec.iterations);
+  spec.pixelNm = intField(obj, "pixel_nm", spec.pixelNm);
+  spec.iterations = intField(obj, "iterations", spec.iterations);
   spec.deadlineSeconds = obj.numberOr("deadline_s", spec.deadlineSeconds);
-  spec.maxAttempts = obj.intOr("max_attempts", spec.maxAttempts);
-  spec.checkpointEvery = obj.intOr("checkpoint_every", spec.checkpointEvery);
+  spec.maxAttempts = intField(obj, "max_attempts", spec.maxAttempts);
+  spec.checkpointEvery =
+      intField(obj, "checkpoint_every", spec.checkpointEvery);
   validateSpec(spec);
   return spec;
 }

@@ -2,10 +2,25 @@
 
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 #include "support/error.hpp"
 
 namespace mosaic {
+
+int parseWholeInt(const std::string& text) {
+  std::size_t used = 0;
+  const int value = std::stoi(text, &used);
+  if (used != text.size()) throw std::invalid_argument(text);
+  return value;
+}
+
+double parseWholeDouble(const std::string& text) {
+  std::size_t used = 0;
+  const double value = std::stod(text, &used);
+  if (used != text.size()) throw std::invalid_argument(text);
+  return value;
+}
 
 CliParser::CliParser(std::string programName, std::string description)
     : program_(std::move(programName)), description_(std::move(description)) {}
@@ -48,10 +63,10 @@ void CliParser::assign(const std::string& name, const std::string& value) {
   try {
     switch (opt.kind) {
       case Kind::kInt:
-        *static_cast<int*>(opt.target) = std::stoi(value);
+        *static_cast<int*>(opt.target) = parseWholeInt(value);
         break;
       case Kind::kDouble:
-        *static_cast<double*>(opt.target) = std::stod(value);
+        *static_cast<double*>(opt.target) = parseWholeDouble(value);
         break;
       case Kind::kString:
         *static_cast<std::string*>(opt.target) = value;

@@ -12,6 +12,14 @@
 
 namespace mosaic {
 
+/// Parse all of `text` as one int (double), as std::stoi (std::stod)
+/// does, except that a character left unread is an error: "7x", "4.5" and
+/// "1e3" are not ints, and "0.25s" is not a double. Throws
+/// std::invalid_argument when `text` is not one number and
+/// std::out_of_range when the number does not fit.
+int parseWholeInt(const std::string& text);
+double parseWholeDouble(const std::string& text);
+
 /// Declarative option parser.
 ///
 /// Usage:

@@ -27,6 +27,13 @@ class InvalidArgument : public Error {
   explicit InvalidArgument(const std::string& what) : Error(what) {}
 };
 
+/// Raised when a file is not what its reader expects: truncated, trailing
+/// bytes, or a field that fails its check (support/binary_io.hpp).
+class FormatError : public InvalidArgument {
+ public:
+  explicit FormatError(const std::string& what) : InvalidArgument(what) {}
+};
+
 /// Raised when an internal invariant is violated (a library bug).
 class InternalError : public Error {
  public:

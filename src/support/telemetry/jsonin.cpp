@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "support/error.hpp"
 #include "support/telemetry/json.hpp"
@@ -279,10 +280,17 @@ double JsonValue::numberOr(std::string_view key, double fallback) const {
   return v != nullptr && v->isNumber() ? v->number_ : fallback;
 }
 
+bool JsonValue::isInt() const {
+  // The range test comes first: converting an out-of-range double to int
+  // is undefined behaviour, and NaN fails every comparison.
+  return isNumber() && number_ >= std::numeric_limits<int>::min() &&
+         number_ <= std::numeric_limits<int>::max() &&
+         std::trunc(number_) == number_;
+}
+
 int JsonValue::intOr(std::string_view key, int fallback) const {
   const JsonValue* v = find(key);
-  if (v == nullptr || !v->isNumber()) return fallback;
-  return static_cast<int>(v->number_);
+  return v != nullptr && v->isInt() ? static_cast<int>(v->number_) : fallback;
 }
 
 bool JsonValue::boolOr(std::string_view key, bool fallback) const {

@@ -38,6 +38,8 @@ class JsonValue {
   [[nodiscard]] bool isString() const { return type_ == Type::kString; }
   [[nodiscard]] bool isArray() const { return type_ == Type::kArray; }
   [[nodiscard]] bool isObject() const { return type_ == Type::kObject; }
+  /// A number that is an integer in int range: what intOr reads.
+  [[nodiscard]] bool isInt() const;
 
   [[nodiscard]] bool asBool() const;
   [[nodiscard]] double asNumber() const;
@@ -51,6 +53,7 @@ class JsonValue {
   [[nodiscard]] std::string stringOr(std::string_view key,
                                      std::string fallback) const;
   [[nodiscard]] double numberOr(std::string_view key, double fallback) const;
+  /// A number that is not an integer in int range is a wrong type.
   [[nodiscard]] int intOr(std::string_view key, int fallback) const;
   [[nodiscard]] bool boolOr(std::string_view key, bool fallback) const;
 

@@ -2,7 +2,8 @@
 /// \file reference.hpp
 /// Test-only oracles: a deliberately naive direct DFT and the SOCS sums
 /// written on top of it straight from the formulas (Eq. 2 and the Eq. 17
-/// gradient chain), plus the column-form cyclic Jacobi eigensolver. The
+/// gradient chain), a direct cyclic convolution, and the column-form
+/// cyclic Jacobi eigensolver. The
 /// DFT calls no Fft2d/FftPlan code, so agreement with the engine is
 /// evidence rather than a tautology. A 2-D transform costs
 /// O(rows * cols * (rows + cols)): keep grids at 128^2 or below.
@@ -67,6 +68,31 @@ inline ComplexGrid dft2d(ComplexGrid grid, bool inverse) {
     for (int r = 0; r < rows; ++r) grid(r, c) = line[r];
   }
   return grid;
+}
+
+/// Direct O(N^4) cyclic convolution: (a (*) b)(x) = sum_t a(t) b(x - t),
+/// indices wrapping modulo the grid shape (a and b share one shape).
+inline ComplexGrid directCyclicConvolve(const ComplexGrid& a,
+                                        const ComplexGrid& b) {
+  const int rows = a.rows();
+  const int cols = a.cols();
+  ComplexGrid out(rows, cols);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      Complex acc{0.0, 0.0};
+      // tr/tc are already in [0, rows/cols), so r - tr + rows stays
+      // positive and the remainder is the cyclic index.
+      for (int tr = 0; tr < rows; ++tr) {
+        const int br = (r - tr + rows) % rows;
+        for (int tc = 0; tc < cols; ++tc) {
+          const int bc = (c - tc + cols) % cols;
+          acc += a(tr, tc) * b(br, bc);
+        }
+      }
+      out(r, c) = acc;
+    }
+  }
+  return out;
 }
 
 /// ifft(kernel .* spectrum) for a sparse kernel.

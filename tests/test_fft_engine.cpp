@@ -1,16 +1,20 @@
 /// Property tests for the FFT engine: invariants (Parseval, round-trip,
 /// Hermitian symmetry of real-input spectra), equivalence against the
-/// direct DFT of tests/reference.hpp, the spectral-vs-spatial blur
-/// regression, scratch-pool reuse, and a thread hammer on the lock-free
-/// plan cache.
+/// direct DFT of tests/reference.hpp for both builds of the passes (the
+/// portable one and AVX2+FMA, each run wherever the CPU can), exact row
+/// pruning, the spectral-vs-spatial blur regression, scratch-pool reuse,
+/// and a thread hammer on the lock-free plan cache.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "math/convolution.hpp"
@@ -183,6 +187,187 @@ TEST(FftEngine, PlanMatchesReference1d) {
   }
 }
 
+// ----------------------------------------------------- the two builds
+
+/// Every build this CPU can run: the portable one, and AVX2+FMA when the
+/// CPU has it. On an AVX2 host this is the only coverage of what a CPU
+/// without AVX2 runs.
+std::vector<FftBuild> runnableBuilds() {
+  std::vector<FftBuild> builds{FftBuild::kPortable};
+  if (exec::cpuHasAvx2()) builds.push_back(FftBuild::kAvx2);
+  return builds;
+}
+
+const std::pair<int, int> kBuildShapes[] = {{1, 1},   {2, 2},   {4, 4},
+                                            {2, 16},  {16, 4},  {64, 32},
+                                            {128, 128}};
+
+/// A batch of four grids shaped like the SOCS engine's band-limited kernel
+/// products: only the rows within rows/8 of row 0 (cyclically) are live,
+/// every other row is zero in every grid (dead), and live rows r % 4 == 2
+/// are zero in the first two grids only. Also returns the liveness flags.
+std::vector<ComplexGrid> prunableBatch(int rows, int cols,
+                                       std::vector<std::uint8_t>& live) {
+  std::vector<ComplexGrid> grids;
+  for (int i = 0; i < 4; ++i) {
+    grids.push_back(randomComplexGrid(rows, cols, 301u + 17u * i + rows));
+  }
+  live.assign(static_cast<std::size_t>(rows), 1);
+  for (int r = 0; r < rows; ++r) {
+    const bool dead = std::min(r, rows - r) > rows / 8;
+    for (int i = 0; i < 4; ++i) {
+      if (dead || (r % 4 == 2 && i < 2)) {
+        for (int c = 0; c < cols; ++c) grids[i](r, c) = {0.0, 0.0};
+      }
+    }
+    if (dead) live[static_cast<std::size_t>(r)] = 0;
+  }
+  return grids;
+}
+
+std::string label(FftBuild build, int rows, int cols) {
+  return std::string(fftBuildName(build)) + " " + std::to_string(rows) +
+         "x" + std::to_string(cols);
+}
+
+TEST(FftBuilds, HostRunsAvx2WhenTheCpuHasIt) {
+  EXPECT_STREQ(fftBuildName(hostFftBuild()),
+               exec::cpuHasAvx2() ? "avx2" : "portable");
+  EXPECT_EQ(fft2dFor(8, 8).build(), hostFftBuild());
+  EXPECT_EQ(FftPlan(8).build(), hostFftBuild());
+}
+
+TEST(FftBuilds, ComplexMatchesReference) {
+  for (const FftBuild build : runnableBuilds()) {
+    for (const auto& [rows, cols] : kBuildShapes) {
+      const Fft2d fft(rows, cols, build);
+      const ComplexGrid x = randomComplexGrid(rows, cols, 211u + rows + cols);
+      ComplexGrid fast = x;
+      fft.forward(fast);
+      const ComplexGrid spectrum = reference::dft2d(x, /*inverse=*/false);
+      EXPECT_LT(maxDiff(fast, spectrum), 1e-10) << label(build, rows, cols);
+      fft.inverse(fast);
+      EXPECT_LT(maxDiff(fast, reference::dft2d(spectrum, /*inverse=*/true)),
+                1e-12)
+          << label(build, rows, cols);
+    }
+  }
+}
+
+TEST(FftBuilds, RealMatchesReference) {
+  for (const FftBuild build : runnableBuilds()) {
+    for (const auto& [rows, cols] : kBuildShapes) {
+      const Fft2d fft(rows, cols, build);
+      const RealGrid x = randomRealGrid(rows, cols, 223u + rows + cols);
+      ComplexGrid spectrum = fft.forwardReal(x);
+      EXPECT_LT(maxDiff(spectrum, reference::dft2d(toComplex(x), false)),
+                1e-10)
+          << label(build, rows, cols);
+      const ComplexGrid direct = reference::dft2d(spectrum, /*inverse=*/true);
+      RealGrid back(rows, cols);
+      fft.inverseRealInto(spectrum, back);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) {
+          EXPECT_NEAR(back(r, c), direct(r, c).real(), 1e-10)
+              << label(build, rows, cols);
+          EXPECT_NEAR(back(r, c), x(r, c), 1e-10) << label(build, rows, cols);
+        }
+      }
+    }
+  }
+}
+
+TEST(FftBuilds, BatchMatchesReference) {
+  for (const FftBuild build : runnableBuilds()) {
+    for (const auto& [rows, cols] : kBuildShapes) {
+      const Fft2d fft(rows, cols, build);
+      for (const bool invert : {false, true}) {
+        std::vector<std::uint8_t> live;
+        std::vector<ComplexGrid> grids = prunableBatch(rows, cols, live);
+        const std::vector<ComplexGrid> inputs = grids;
+        ComplexGrid* ptrs[4] = {&grids[0], &grids[1], &grids[2], &grids[3]};
+        fft.transformBatch(ptrs, 4, invert, live.data());
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_LT(maxDiff(grids[i], reference::dft2d(inputs[i], invert)),
+                    invert ? 1e-12 : 1e-10)
+              << label(build, rows, cols) << " grid " << i
+              << (invert ? " inverse" : " forward");
+        }
+      }
+    }
+  }
+}
+
+TEST(FftBuilds, PortableAndAvx2Agree) {
+  if (!exec::cpuHasAvx2()) {
+    GTEST_SKIP() << "this CPU runs only the portable build";
+  }
+  for (const auto& [rows, cols] : kBuildShapes) {
+    const Fft2d portable(rows, cols, FftBuild::kPortable);
+    const Fft2d avx2(rows, cols, FftBuild::kAvx2);
+    const ComplexGrid x = randomComplexGrid(rows, cols, 239u + rows + cols);
+    ComplexGrid a = x;
+    ComplexGrid b = x;
+    portable.forward(a);
+    avx2.forward(b);
+    EXPECT_LT(maxDiff(a, b), 1e-12) << rows << "x" << cols << " forward";
+    portable.inverse(a);
+    avx2.inverse(b);
+    EXPECT_LT(maxDiff(a, b), 1e-12) << rows << "x" << cols << " inverse";
+
+    const RealGrid real = randomRealGrid(rows, cols, 241u + rows + cols);
+    ComplexGrid sa = portable.forwardReal(real);
+    ComplexGrid sb = avx2.forwardReal(real);
+    EXPECT_LT(maxDiff(sa, sb), 1e-12) << rows << "x" << cols << " real";
+    RealGrid ra(rows, cols);
+    RealGrid rb(rows, cols);
+    portable.inverseRealInto(sa, ra);
+    avx2.inverseRealInto(sb, rb);
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_NEAR(ra.data()[i], rb.data()[i], 1e-12)
+          << rows << "x" << cols << " real inverse";
+    }
+
+    std::vector<std::uint8_t> liveA;
+    std::vector<std::uint8_t> liveB;
+    std::vector<ComplexGrid> ga = prunableBatch(rows, cols, liveA);
+    std::vector<ComplexGrid> gb = prunableBatch(rows, cols, liveB);
+    ComplexGrid* pa[4] = {&ga[0], &ga[1], &ga[2], &ga[3]};
+    ComplexGrid* pb[4] = {&gb[0], &gb[1], &gb[2], &gb[3]};
+    portable.transformBatch(pa, 4, /*invert=*/true, liveA.data());
+    avx2.transformBatch(pb, 4, /*invert=*/true, liveB.data());
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_LT(maxDiff(ga[i], gb[i]), 1e-12) << rows << "x" << cols
+                                              << " batch grid " << i;
+    }
+  }
+}
+
+TEST(FftBuilds, PruningIsExact) {
+  // Dead rows are zero, and zeros transform to zeros: skipping them must
+  // give exactly the unpruned transform, element for element.
+  for (const FftBuild build : runnableBuilds()) {
+    for (const auto& [rows, cols] : kBuildShapes) {
+      const Fft2d fft(rows, cols, build);
+      for (const bool invert : {false, true}) {
+        std::vector<std::uint8_t> live;
+        std::vector<ComplexGrid> pruned = prunableBatch(rows, cols, live);
+        std::vector<ComplexGrid> dense = pruned;
+        std::vector<std::uint8_t> allLive(static_cast<std::size_t>(rows), 1);
+        ComplexGrid* pp[4] = {&pruned[0], &pruned[1], &pruned[2], &pruned[3]};
+        ComplexGrid* pd[4] = {&dense[0], &dense[1], &dense[2], &dense[3]};
+        fft.transformBatch(pp, 4, invert, live.data());
+        fft.transformBatch(pd, 4, invert, allLive.data());
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_TRUE(pruned[i] == dense[i])
+              << label(build, rows, cols) << " grid " << i
+              << (invert ? " inverse" : " forward");
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ blur regression
 
 TEST(FftEngine, GaussianBlurMatchesDirectSpatialConvolution) {
@@ -211,7 +396,8 @@ TEST(FftEngine, GaussianBlurMatchesDirectSpatialConvolution) {
   ComplexGrid kernel = multiplier;
   fft2dFor(n, n).inverse(kernel);
 
-  const ComplexGrid direct = directCyclicConvolve(toComplex(signal), kernel);
+  const ComplexGrid direct =
+      reference::directCyclicConvolve(toComplex(signal), kernel);
   for (int r = 0; r < n; ++r) {
     for (int c = 0; c < n; ++c) {
       EXPECT_NEAR(blurred(r, c), direct(r, c).real(), 1e-10)

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/store.hpp"
 #include "geometry/polygon.hpp"
 #include "geometry/raster.hpp"
 #include "io/glp.hpp"
@@ -17,8 +18,10 @@
 #include "litho/simulator.hpp"
 #include "litho/tcc.hpp"
 #include "math/stats.hpp"
+#include "opc/optimizer.hpp"
 #include "suite/testcases.hpp"
 #include "support/failpoint.hpp"
+#include "support/hash.hpp"
 
 namespace mosaic {
 namespace {
@@ -477,6 +480,93 @@ TEST(KernelCache, FocusRoundedOntoAnotherSetsNameIsRecomputed) {
     sim.setKernelCacheDir(dir.string());
     EXPECT_EQ(sim.kernels(focus).focusNm, focus);
   }
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------- binary formats
+
+TEST(BinaryFormats, FileBytesArePinned) {
+  // One checkpoint, one kernel-cache file and one pattern-store entry from
+  // fixed inputs: their FNV-1a digests pin every byte of the three binary
+  // formats, so a change to the shared reader/writer that moves a byte
+  // fails here instead of orphaning the files already on disk.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mosaic_binary_formats";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto digestOf = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes(std::istreambuf_iterator<char>(in), {});
+    return Fnv1a::hashHex(fnv1a(bytes.data(), bytes.size()));
+  };
+  auto ramp = [](int rows, int cols, double scale) {
+    RealGrid g(rows, cols);
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      g.data()[i] = scale * static_cast<double>(i) - 0.5;
+    }
+    return g;
+  };
+
+  OptimizerCheckpoint ckpt;
+  ckpt.iteration = 7;
+  ckpt.step = 0.125;
+  ckpt.previousValue = 2.5;
+  ckpt.sinceImprovement = 1;
+  ckpt.bestObjective = 1.75;
+  ckpt.bestIteration = 6;
+  ckpt.recoveries = 1;
+  ckpt.params = ramp(3, 4, 0.1);
+  ckpt.bestMask = ramp(3, 4, 0.2);
+  ckpt.adamM = ramp(3, 4, 0.3);
+  ckpt.adamV = ramp(3, 4, 0.4);
+  IterationRecord record;
+  record.iteration = 6;
+  record.objective = 1.75;
+  record.targetTerm = 1.5;
+  record.pvbTerm = 0.25;
+  record.rmsGradient = 0.0625;
+  record.stepSize = 0.125;
+  record.wallMs = 3.5;
+  record.improved = true;
+  ckpt.history = {record, record};
+  ckpt.history[1].iteration = 7;
+  ckpt.history[1].jumped = true;
+  ckpt.history[1].recovered = true;
+  saveOptimizerCheckpoint((dir / "state.ckpt").string(), ckpt);
+  EXPECT_EQ(digestOf(dir / "state.ckpt"), "bf3bff7444bf9a91");
+
+  KernelSet set;
+  set.gridSize = 4;
+  set.focusNm = 25.0;
+  set.weights = {0.75, 0.25};
+  for (int k = 0; k < 2; ++k) {
+    SparseSpectrum s;
+    s.gridSize = 4;
+    s.flatIndex = {0, 1 + k, 15};
+    s.value = {{1.0, 0.5 * k}, {-0.25, 0.125}, {0.0, -1.0 - k}};
+    set.kernels.push_back(s);
+  }
+  set.combined = set.kernels[1];
+  saveKernelSet((dir / "kernels.bin").string(), set);
+  EXPECT_EQ(digestOf(dir / "kernels.bin"), "58aaed0607d17a94");
+
+  const auto storeDir = dir / "store";
+  {
+    PatternStore store(PatternStoreConfig{storeDir.string()});
+    TileFingerprint fp;
+    fp.coreHash = 0x0123456789abcdefull;
+    fp.windowHash = 0xfedcba9876543210ull;
+    fp.configHash = 0x00ff00ff00ff00ffull;
+    fp.anchorPxRow = 2;
+    fp.anchorPxCol = -3;
+    ASSERT_TRUE(store.insert(fp, CachedSolution{ramp(4, 5, 0.05), 9, 0.5}));
+  }
+  std::vector<std::filesystem::path> entries;
+  for (const auto& e : std::filesystem::directory_iterator(storeDir)) {
+    if (e.path().extension() == ".bin") entries.push_back(e.path());
+  }
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(digestOf(entries[0]), "cdb5fdaf6f062d2d");
   std::filesystem::remove_all(dir);
 }
 

@@ -1,5 +1,5 @@
-/// Unit and property tests for the math library: Grid, FFT, convolution,
-/// eigensolvers, stats.
+/// Unit and property tests for the math library: Grid, FFT, the Gaussian
+/// blur, eigensolvers, stats.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <complex>
 #include <cstdint>
 
-#include "math/backend.hpp"
 #include "math/convolution.hpp"
 #include "math/eigen.hpp"
 #include "math/fft.hpp"
@@ -282,111 +281,6 @@ TEST(Fft2d, SharedCacheReturnsSameInstance) {
   EXPECT_EQ(&a, &b);
   const Fft2d& c = fft2dFor(16, 32);
   EXPECT_NE(&a, &c);
-}
-
-// ---------------------------------------------------------- convolution
-
-class ConvolutionSizes : public ::testing::TestWithParam<int> {};
-
-TEST_P(ConvolutionSizes, FftMatchesDirect) {
-  const int n = GetParam();
-  Rng rng(n * 13 + 1);
-  const ComplexGrid a = randomComplexGrid(n, n, rng);
-  const ComplexGrid b = randomComplexGrid(n, n, rng);
-  const ComplexGrid fast = cyclicConvolve(a, b);
-  const ComplexGrid slow = directCyclicConvolve(a, b);
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_NEAR(std::abs(fast.data()[i] - slow.data()[i]), 0.0, 1e-8);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ConvolutionSizes, ::testing::Values(2, 4, 8, 16));
-
-TEST(Convolution, DeltaIsIdentity) {
-  Rng rng(5);
-  const int n = 8;
-  const ComplexGrid a = randomComplexGrid(n, n, rng);
-  ComplexGrid delta(n, n, {0, 0});
-  delta(0, 0) = {1, 0};
-  const ComplexGrid out = cyclicConvolve(a, delta);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(std::abs(out.data()[i] - a.data()[i]), 0.0, 1e-10);
-  }
-}
-
-TEST(Convolution, ShiftedDeltaShiftsCyclically) {
-  const int n = 4;
-  ComplexGrid a(n, n, {0, 0});
-  a(1, 2) = {1, 0};
-  ComplexGrid delta(n, n, {0, 0});
-  delta(2, 3) = {1, 0};
-  const ComplexGrid out = cyclicConvolve(a, delta);
-  // (1+2, 2+3) mod 4 = (3, 1)
-  EXPECT_NEAR(std::abs(out(3, 1) - Cplx{1, 0}), 0.0, 1e-10);
-  double total = 0.0;
-  for (const auto& v : out) total += std::abs(v);
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(Convolution, FlippedSpectrumIsInvolution) {
-  Rng rng(11);
-  const ComplexGrid s = randomComplexGrid(8, 8, rng);
-  const ComplexGrid twice = flippedSpectrum(flippedSpectrum(s));
-  EXPECT_EQ(twice, s);
-}
-
-TEST(Convolution, FlippedSpectrumMatchesSpatialFlip) {
-  // FFT of h(-x) equals the index-flipped FFT of h.
-  const int n = 8;
-  Rng rng(17);
-  ComplexGrid h = randomComplexGrid(n, n, rng);
-  ComplexGrid hFlip(n, n);
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      hFlip(r, c) = h((n - r) % n, (n - c) % n);
-    }
-  }
-  const Fft2d& fft = fft2dFor(n, n);
-  ComplexGrid hHat = h;
-  ComplexGrid hFlipHat = hFlip;
-  fft.forward(hHat);
-  fft.forward(hFlipHat);
-  const ComplexGrid flippedHat = flippedSpectrum(hHat);
-  for (std::size_t i = 0; i < hHat.size(); ++i) {
-    EXPECT_NEAR(std::abs(hFlipHat.data()[i] - flippedHat.data()[i]), 0.0,
-                1e-9);
-  }
-}
-
-TEST(Convolution, ConjugateSpectrum) {
-  Rng rng(19);
-  const ComplexGrid s = randomComplexGrid(4, 4, rng);
-  const ComplexGrid c = conjugateSpectrum(s);
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_EQ(c.data()[i], std::conj(s.data()[i]));
-  }
-}
-
-TEST(Convolution, SpectrumConvolutionPathsAgree) {
-  const int n = 16;
-  Rng rng(23);
-  const ComplexGrid signal = randomComplexGrid(n, n, rng);
-  ComplexGrid kernel = randomComplexGrid(n, n, rng);
-  const Fft2d& fft = fft2dFor(n, n);
-  ComplexGrid kernelHat = kernel;
-  fft.forward(kernelHat);
-  const ComplexGrid viaSpectrum = convolveWithSpectrum(signal, kernelHat);
-  const ComplexGrid direct = cyclicConvolve(signal, kernel);
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_NEAR(std::abs(viaSpectrum.data()[i] - direct.data()[i]), 0.0, 1e-9);
-  }
-}
-
-TEST(Convolution, ShapeMismatchThrows) {
-  ComplexGrid a(4, 4);
-  ComplexGrid b(8, 8);
-  EXPECT_THROW(cyclicConvolve(a, b), InvalidArgument);
-  EXPECT_THROW(multiplySpectra(a, b), InvalidArgument);
 }
 
 // ------------------------------------------------------------- resample

@@ -146,6 +146,21 @@ TEST(JsonIn, RoundTripsEmitterOutput) {
   EXPECT_EQ(v.stringOr("name", ""), "quote\"back\\slash");
 }
 
+TEST(JsonIn, IntOrReadsOnlyIntegersInRange) {
+  // Anything else used to be static_cast to int: 4.5 read as 4, and 1e300
+  // was an out-of-range conversion (undefined behaviour).
+  for (const char* bad : {"4.5", "1e300", "-1e300", "2147483648"}) {
+    const JsonValue v = JsonValue::parse(std::string(R"({"n":)") + bad + "}");
+    EXPECT_FALSE(v.find("n")->isInt()) << bad;
+    EXPECT_EQ(v.intOr("n", 17), 17) << bad;
+  }
+  const JsonValue v = JsonValue::parse(
+      R"({"max":2147483647,"min":-2147483648,"whole":7.0})");
+  EXPECT_EQ(v.intOr("max", 0), 2147483647);
+  EXPECT_EQ(v.intOr("min", 0), -2147483647 - 1);
+  EXPECT_EQ(v.intOr("whole", 0), 7);
+}
+
 // ------------------------------------------------------------- job model
 
 TEST(JobSpecValidation, AcceptsBuiltinAndRandomCases) {
@@ -190,6 +205,23 @@ TEST(JobSpecValidation, JsonRoundTrip) {
   EXPECT_EQ(back.deadlineSeconds, spec.deadlineSeconds);
   EXPECT_EQ(back.maxAttempts, spec.maxAttempts);
   EXPECT_EQ(back.checkpointEvery, spec.checkpointEvery);
+}
+
+TEST(JobSpecValidation, RejectsNonIntegerFields) {
+  for (const char* field :
+       {"pixel_nm", "iterations", "max_attempts", "checkpoint_every"}) {
+    for (const char* bad : {"4.5", "1e300", "-1e300", "2147483648"}) {
+      const std::string json = std::string(R"({"case":"B1","method":)") +
+                               R"("baseline",")" + field + "\":" + bad + "}";
+      try {
+        (void)specFromJson(JsonValue::parse(json));
+        ADD_FAILURE() << json << " was accepted";
+      } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(MaskHash, DetectsSingleBitDifference) {
@@ -748,6 +780,17 @@ TEST(Protocol, PingUnknownOpAndMalformedJson) {
   EXPECT_NE(handleRequestLine(service, "{not json").response.find(
                 "bad_request"),
             std::string::npos);
+}
+
+TEST(Protocol, SubmitWithFractionalPixelIsABadRequest) {
+  JobService service(tinyConfig(freshWorkDir("proto_fraction")));
+  const std::string response =
+      handleRequestLine(service,
+                        R"({"op":"submit","case":"B3","pixel_nm":4.5,)"
+                        R"("iterations":1})")
+          .response;
+  EXPECT_NE(response.find("bad_request"), std::string::npos) << response;
+  EXPECT_NE(response.find("pixel_nm"), std::string::npos) << response;
 }
 
 TEST(Protocol, SubmitStatusResultCancelFlow) {

@@ -136,6 +136,17 @@ TEST(Cli, Errors) {
     const char* argv[] = {"prog", "count"};
     EXPECT_THROW(cli.parse(2, argv), InvalidArgument);
   }
+  // A number must be the whole value: std::stoi alone reads "7x" as 7.
+  for (const char* bad : {"7x", "4.5", "1e3"}) {
+    const char* argv[] = {"prog", "--count", bad};
+    EXPECT_THROW(cli.parse(3, argv), InvalidArgument) << bad;
+  }
+  double ratio = 0.0;
+  cli.addDouble("ratio", &ratio, "a ratio");
+  {
+    const char* argv[] = {"prog", "--ratio", "0.25s"};
+    EXPECT_THROW(cli.parse(3, argv), InvalidArgument);
+  }
 }
 
 TEST(Cli, MalformedInputPrintsUsageToStderr) {
