@@ -484,8 +484,8 @@ int cmdBatch(int argc, char** argv) {
 
   const OpcMethod m = parseOpcMethod(solve.method);
   const std::vector<int> caseList = parseCaseList(cases);
-  if (!attempt.checkpointDir.empty()) {
-    std::filesystem::create_directories(attempt.checkpointDir);
+  for (const std::string& dir : {attempt.checkpointDir, outDir}) {
+    if (!dir.empty()) std::filesystem::create_directories(dir);
   }
 
   // One simulator for the whole batch: clips share the kernel sets. The
@@ -761,6 +761,7 @@ int cmdChip(int argc, char** argv) {
 
   const ChipResult res = optimizeChip(chip, cfg);
   const ChipPartition& part = res.partition;
+  std::printf("kernel sets: %.2f s\n", res.kernelSeconds);
   std::printf("== chip %s: %d x %d nm, %dx%d tiles of %d nm core + %d nm "
               "halo (%d px windows), %d threads ==\n",
               chip.name.c_str(), part.chipSizeNm, part.chipSizeNm,

@@ -4,11 +4,13 @@
 /// Jacobi) and the chip-window lattice (2048 nm, n = 657, subspace
 /// iteration), at focus 0 and 25, one computeKernelSet runs on the calling
 /// thread and is split into its `litho.tcc.assemble` and `litho.tcc.eigen`
-/// spans. Then a fresh clip simulator times the concurrent
-/// warmKernels({0, 25}) that every cold run pays. Each repeat runs every
-/// configuration once, in the same order, so host drift lands on all of
-/// them alike; min and median over the repeats are reported with a host
-/// fingerprint (CPU model, hardware threads, L3 size).
+/// spans. Then a fresh simulator of each lattice times the concurrent
+/// warmKernels({0, 25}): the clip's is what every cold run pays, the
+/// window's what every cold `mosaic_cli chip` and the chip_mix set-up
+/// pay. Each repeat runs every configuration once, in the same order, so
+/// host drift lands on all of them alike; min and median over the repeats
+/// are reported with a host fingerprint (CPU model, hardware threads, L3
+/// size).
 ///
 /// --json PATH --label NAME writes the run into PATH under NAME and keeps
 /// the runs of other labels already there, so running the parent's build
@@ -108,7 +110,7 @@ int main(int argc, char** argv) {
 
   CliParser cli("bm_kernels",
                 "TCC assembly and eigensolve per focus, and the concurrent "
-                "kernel warm-up of a cold clip");
+                "kernel warm-up of a cold clip and a cold chip window");
   cli.addInt("repeats", &repeats,
              "interleaved repeats of every configuration (min and median)");
   cli.addString("json", &jsonPath, "write the run into this JSON file");
@@ -141,8 +143,11 @@ int main(int argc, char** argv) {
         }
       }
     }
-    series.push_back({"warm_kernels", "clip",
-                      static_cast<int>(pupilLattice(clip).size()), "0+25", {}});
+    for (const Lattice& lat : lattices) {
+      series.push_back({"warm_kernels", lat.name,
+                        static_cast<int>(pupilLattice(lat.optics).size()),
+                        "0+25", {}});
+    }
 
     telemetry::Histogram& assemble =
         telemetry::metrics().histogram("litho.tcc.assemble");
@@ -162,10 +167,12 @@ int main(int argc, char** argv) {
           series[s++].ms.push_back(wallMs);
         }
       }
-      const LithoSimulator sim(clip);
-      WallTimer timer;
-      sim.warmKernels({0.0, 25.0});
-      series[s].ms.push_back(timer.milliseconds());
+      for (const Lattice& lat : lattices) {
+        const LithoSimulator sim(lat.optics);
+        WallTimer timer;
+        sim.warmKernels({0.0, 25.0});
+        series[s++].ms.push_back(timer.milliseconds());
+      }
       std::printf("repeat %d/%d done\n", r + 1, repeats);
       std::fflush(stdout);
     }

@@ -1,9 +1,9 @@
 #pragma once
 /// \file kernel_cache.hpp
-/// Binary serialization of SOCS kernel sets. Building one costs a few
-/// hundred ms per focus for a 1024 nm clip and a few seconds for a 2048 nm
-/// chip window (docs/performance.md, "Kernel construction"); persisting
-/// the result lets repeated chip runs skip it. The format is a
+/// Binary serialization of SOCS kernel sets. Building one costs 0.1-0.3 s
+/// per focus for a 1024 nm clip and 0.6-0.9 s for a 2048 nm chip window on
+/// a 4-vCPU Xeon VM (docs/performance.md, "Kernel construction");
+/// persisting the result lets repeated chip runs skip it. The format is a
 /// little-endian private binary with a magic/version header; files are
 /// validated on load and rejected on any mismatch.
 

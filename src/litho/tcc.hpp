@@ -10,6 +10,7 @@
 
 #include "litho/kernels.hpp"
 #include "litho/optics.hpp"
+#include "math/fft.hpp"
 
 namespace mosaic {
 
@@ -29,9 +30,15 @@ std::vector<PupilSample> pupilLattice(const OpticsConfig& optics);
 /// T(p, q) = (1/S) * sum_s J(s) P(s + f_p) conj(P(s + f_q)),
 /// with J a uniform annular source sampled `sourceOversample` times finer
 /// than the pupil lattice. Row-major n x n Hermitian, n = lattice size.
+/// Each entry adds its products in source order from +0, bit for bit the
+/// per-source loop of tests/reference.hpp.
+/// \param build the target the accumulation runs compiled for; both give
+///        the same bits. The program always takes the host's; tests run
+///        the other too (kAvx2 needs exec::cpuHasAvx2()).
 std::vector<std::complex<double>> buildTcc(
     const OpticsConfig& optics, double focusNm,
-    const std::vector<PupilSample>& lattice);
+    const std::vector<PupilSample>& lattice,
+    FftBuild build = hostFftBuild());
 
 /// Decompose the TCC into the top `optics.kernelCount` SOCS kernels and
 /// normalize so the open-frame (mask == 1 everywhere) intensity is exactly

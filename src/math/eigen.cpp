@@ -325,56 +325,307 @@ HermitianEigenResult jacobiEigenHermitian(std::vector<std::complex<double>> h,
 
 namespace {
 
-using ComplexVec = std::vector<std::complex<double>>;
+using Complex = std::complex<double>;
 
-/// Modified Gram-Schmidt over the columns in `basis`. Columns that cancel
-/// to (near) zero are replaced by fresh deterministic directions and the
-/// pass restarts on them, so the basis always leaves with full rank.
-void orthonormalize(std::vector<ComplexVec>& basis, std::uint64_t& seed) {
-  auto nextUnit = [&seed](std::size_t dim) {
-    ComplexVec v(dim);
-    for (auto& z : v) {
+/// Columns the subspace products carry as vector lanes: the real and the
+/// imaginary parts of eight columns, two Lanes each.
+constexpr int kLaneColumns = 8;
+
+/// A rows x cols complex block, row-major with its real and imaginary
+/// parts split and each row padded to whole lane groups. The subspace
+/// products run their lanes along a row, over the block's columns; the
+/// padding columns stay zero and no result reads them.
+struct SplitBlock {
+  SplitBlock(int rowCount, int colCount)
+      : rows(rowCount),
+        cols(colCount),
+        stride((colCount + kLaneColumns - 1) / kLaneColumns * kLaneColumns),
+        re(static_cast<std::size_t>(rowCount) * stride, 0.0),
+        im(static_cast<std::size_t>(rowCount) * stride, 0.0) {}
+
+  [[nodiscard]] std::size_t at(int i, int j) const {
+    return static_cast<std::size_t>(i) * stride + j;
+  }
+  [[nodiscard]] Complex get(int i, int j) const {
+    return {re[at(i, j)], im[at(i, j)]};
+  }
+  void set(int i, int j, Complex z) {
+    re[at(i, j)] = z.real();
+    im[at(i, j)] = z.imag();
+  }
+
+  int rows;
+  int cols;
+  int stride;
+  std::vector<double> re;
+  std::vector<double> im;
+};
+
+// The products below keep the summation order of the column-at-a-time
+// loops they replace (tests/reference.hpp): every output entry is one
+// chain acc += a * b from +0, in the same index order, with std::complex's
+// product. Eight output columns run as independent vector lanes.
+
+/// acc += a * b for one complex a = (ar, ai) and the eight lane values b
+/// at bRe/bIm: std::complex's (ar br - ai bi, ar bi + ai br). The factors
+/// of each product and the terms of its imaginary part may come in either
+/// order: IEEE multiplication and addition commute exactly.
+[[gnu::always_inline]] inline void addProducts(Lanes* accRe, Lanes* accIm,
+                                               double ar, double ai,
+                                               const double* bRe,
+                                               const double* bIm) {
+  for (int g = 0; g < 2; ++g) {
+    Lanes br;
+    Lanes bi;
+    std::memcpy(&br, bRe + 4 * g, sizeof br);
+    std::memcpy(&bi, bIm + 4 * g, sizeof bi);
+    accRe[g] += ar * br - ai * bi;
+    accIm[g] += ar * bi + ai * br;
+  }
+}
+
+/// Y = H X for the row-major n x n matrix H: entry (r, j) sums
+/// H(r, c) X(c, j) over c. H streams once per eight columns.
+[[gnu::always_inline]] inline void multiplyBlock(const Complex* h,
+                                                 const SplitBlock& x,
+                                                 SplitBlock& y) {
+  const int n = x.rows;
+  for (int r = 0; r < n; ++r) {
+    const double* row =
+        reinterpret_cast<const double*>(h + static_cast<std::size_t>(r) * n);
+    for (int j0 = 0; j0 < x.stride; j0 += kLaneColumns) {
+      Lanes accRe[2] = {};
+      Lanes accIm[2] = {};
+      for (int c = 0; c < n; ++c) {
+        const std::size_t at = x.at(c, j0);
+        addProducts(accRe, accIm, row[2 * c], row[2 * c + 1], &x.re[at],
+                    &x.im[at]);
+      }
+      std::memcpy(&y.re[y.at(r, j0)], accRe, sizeof accRe);
+      std::memcpy(&y.im[y.at(r, j0)], accIm, sizeof accIm);
+    }
+  }
+}
+
+/// out(p, q) = sum_i conj(X(i, p)) Y(i, q), row-major cols x cols; the
+/// conjugate enters the product as (xr, -xi).
+[[gnu::always_inline]] inline void projectBlock(const SplitBlock& x,
+                                                const SplitBlock& y,
+                                                Complex* out) {
+  const int cols = x.cols;
+  for (int p = 0; p < cols; ++p) {
+    for (int q0 = 0; q0 < y.stride; q0 += kLaneColumns) {
+      Lanes accRe[2] = {};
+      Lanes accIm[2] = {};
+      for (int i = 0; i < x.rows; ++i) {
+        const std::size_t at = y.at(i, q0);
+        addProducts(accRe, accIm, x.re[x.at(i, p)], -x.im[x.at(i, p)],
+                    &y.re[at], &y.im[at]);
+      }
+      for (int l = 0; l < kLaneColumns && q0 + l < cols; ++l) {
+        out[static_cast<std::size_t>(p) * cols + q0 + l] = {
+            accRe[l / 4][l % 4], accIm[l / 4][l % 4]};
+      }
+    }
+  }
+}
+
+/// out(i, j) = sum_p S(p, j) Y(i, p): the Ritz rotation, S's column j
+/// holding the j-th Ritz vector (std::complex's S(p, j) * Y(i, p), its
+/// factors swapped).
+[[gnu::always_inline]] inline void rotateBlock(const SplitBlock& y,
+                                               const SplitBlock& s,
+                                               SplitBlock& out) {
+  for (int i = 0; i < y.rows; ++i) {
+    for (int j0 = 0; j0 < s.stride; j0 += kLaneColumns) {
+      Lanes accRe[2] = {};
+      Lanes accIm[2] = {};
+      for (int p = 0; p < y.cols; ++p) {
+        const std::size_t at = s.at(p, j0);
+        addProducts(accRe, accIm, y.re[y.at(i, p)], y.im[y.at(i, p)],
+                    &s.re[at], &s.im[at]);
+      }
+      std::memcpy(&out.re[out.at(i, j0)], accRe, sizeof accRe);
+      std::memcpy(&out.im[out.at(i, j0)], accIm, sizeof accIm);
+    }
+  }
+}
+
+/// Finishes column j of the Gram-Schmidt pass: projects out the columns
+/// [from, j), normalizes, and on a column that cancels to (near) zero
+/// refills it with a fresh deterministic direction and starts over against
+/// every earlier column.
+void finishColumn(SplitBlock& basis, int j, int from,
+                  std::uint64_t& seed) {
+  const int n = basis.rows;
+  for (int retry = 0; retry < 8; ++retry) {
+    for (int p = retry == 0 ? from : 0; p < j; ++p) {
+      Complex dot{0.0, 0.0};
+      for (int i = 0; i < n; ++i) {
+        dot += std::conj(basis.get(i, p)) * basis.get(i, j);
+      }
+      for (int i = 0; i < n; ++i) {
+        basis.set(i, j, basis.get(i, j) - dot * basis.get(i, p));
+      }
+    }
+    double norm = 0.0;
+    for (int i = 0; i < n; ++i) norm += std::norm(basis.get(i, j));
+    norm = std::sqrt(norm);
+    if (norm > 1e-12) {
+      for (int i = 0; i < n; ++i) basis.set(i, j, basis.get(i, j) / norm);
+      return;
+    }
+    for (int i = 0; i < n; ++i) {
       seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
       const double re = static_cast<double>(seed >> 11) * 0x1p-53 - 0.5;
       seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
       const double im = static_cast<double>(seed >> 11) * 0x1p-53 - 0.5;
-      z = {re, im};
-    }
-    return v;
-  };
-  for (std::size_t j = 0; j < basis.size(); ++j) {
-    for (int retry = 0; retry < 8; ++retry) {
-      for (std::size_t p = 0; p < j; ++p) {
-        std::complex<double> dot{0.0, 0.0};
-        for (std::size_t i = 0; i < basis[j].size(); ++i) {
-          dot += std::conj(basis[p][i]) * basis[j][i];
-        }
-        for (std::size_t i = 0; i < basis[j].size(); ++i) {
-          basis[j][i] -= dot * basis[p][i];
-        }
-      }
-      double norm = 0.0;
-      for (const auto& z : basis[j]) norm += std::norm(z);
-      norm = std::sqrt(norm);
-      if (norm > 1e-12) {
-        for (auto& z : basis[j]) z /= norm;
-        break;
-      }
-      basis[j] = nextUnit(basis[j].size());
+      basis.set(i, j, {re, im});
     }
   }
+}
+
+/// Modified Gram-Schmidt over the columns of `basis`, so the basis always
+/// leaves with full rank. Each group of eight columns first takes the
+/// projections against every earlier group as vector lanes, column p
+/// after column p, each one (dot, then subtract) in the order a column at
+/// a time would; finishColumn does the rest column by column.
+[[gnu::always_inline]] inline void orthonormalize(SplitBlock& basis,
+                                                  std::uint64_t& seed) {
+  const int n = basis.rows;
+  for (int j0 = 0; j0 < basis.cols; j0 += kLaneColumns) {
+    for (int p = 0; p < j0; ++p) {
+      Lanes dotRe[2] = {};
+      Lanes dotIm[2] = {};
+      for (int i = 0; i < n; ++i) {
+        const std::size_t at = basis.at(i, j0);
+        addProducts(dotRe, dotIm, basis.re[basis.at(i, p)],
+                    -basis.im[basis.at(i, p)], &basis.re[at],
+                    &basis.im[at]);
+      }
+      for (int i = 0; i < n; ++i) {
+        const double xr = basis.re[basis.at(i, p)];
+        const double xi = basis.im[basis.at(i, p)];
+        const std::size_t at = basis.at(i, j0);
+        for (int g = 0; g < 2; ++g) {
+          Lanes yr;
+          Lanes yi;
+          std::memcpy(&yr, &basis.re[at + 4 * g], sizeof yr);
+          std::memcpy(&yi, &basis.im[at + 4 * g], sizeof yi);
+          yr -= dotRe[g] * xr - dotIm[g] * xi;
+          yi -= dotRe[g] * xi + dotIm[g] * xr;
+          std::memcpy(&basis.re[at + 4 * g], &yr, sizeof yr);
+          std::memcpy(&basis.im[at + 4 * g], &yi, sizeof yi);
+        }
+      }
+    }
+    const int j1 = std::min(j0 + kLaneColumns, basis.cols);
+    for (int j = j0; j < j1; ++j) finishColumn(basis, j, j0, seed);
+  }
+}
+
+/// What the subspace iteration carries from round to round.
+struct Subspace {
+  SplitBlock basis;   ///< n x block, orthonormal columns
+  SplitBlock image;   ///< n x block, H * basis
+  SplitBlock ritz;    ///< block x block, column j the j-th Ritz vector
+  std::vector<double> values;  ///< Ritz values of the last round
+  std::uint64_t seed;
+};
+
+/// Orthonormalizes the (zero) start basis, then runs rounds until the top
+/// k Ritz values settle or maxIters is spent; returns whether they settled.
+[[gnu::always_inline]] inline bool iterateBody(const Complex* h, int k,
+                                               int maxIters, double tol,
+                                               Subspace& sub) {
+  const int block = sub.basis.cols;
+  orthonormalize(sub.basis, sub.seed);  // zero columns are seeded
+  std::vector<double> prevRitz;
+  for (int iter = 0; iter < maxIters; ++iter) {
+    multiplyBlock(h, sub.basis, sub.image);
+    // Rayleigh-Ritz on the projected block: B = basis^H * image.
+    std::vector<Complex> projected(static_cast<std::size_t>(block) * block);
+    projectBlock(sub.basis, sub.image, projected.data());
+    // The projection is Hermitian up to round-off; symmetrize before the
+    // small dense solve so its input validation holds.
+    for (int p = 0; p < block; ++p) {
+      for (int q = p; q < block; ++q) {
+        const Complex mean =
+            0.5 * (projected[static_cast<std::size_t>(p) * block + q] +
+                   std::conj(projected[static_cast<std::size_t>(q) * block + p]));
+        projected[static_cast<std::size_t>(p) * block + q] = mean;
+        projected[static_cast<std::size_t>(q) * block + p] = std::conj(mean);
+      }
+    }
+    const HermitianEigenResult small =
+        jacobiEigenHermitian(std::move(projected), block);
+
+    // Rotate the power-step image into the Ritz basis for the next round.
+    for (int j = 0; j < block; ++j) {
+      for (int p = 0; p < block; ++p) {
+        sub.ritz.set(p, j,
+                     small.eigenvectors[static_cast<std::size_t>(j)]
+                                       [static_cast<std::size_t>(p)]);
+      }
+    }
+    rotateBlock(sub.image, sub.ritz, sub.basis);
+    orthonormalize(sub.basis, sub.seed);
+    sub.values = small.eigenvalues;
+
+    const double scale = std::max(1.0, std::fabs(sub.values.front()));
+    if (!prevRitz.empty()) {
+      bool settled = true;
+      for (int j = 0; j < k; ++j) {
+        if (std::fabs(sub.values[static_cast<std::size_t>(j)] -
+                      prevRitz[static_cast<std::size_t>(j)]) > tol * scale) {
+          settled = false;
+          break;
+        }
+      }
+      if (settled) return true;
+    }
+    prevRitz = sub.values;
+  }
+  return false;
+}
+
+/// iterateBody compiled for the baseline target and for AVX2 (without
+/// FMA, which would fuse the products into the adds).
+using Iterate = bool (*)(const Complex*, int, int, double, Subspace&);
+
+bool iteratePortable(const Complex* h, int k, int maxIters, double tol,
+                     Subspace& sub) {
+  return iterateBody(h, k, maxIters, tol, sub);
+}
+
+#if MOSAIC_EIGEN_AVX2
+[[gnu::target("avx2")]] bool iterateAvx2(const Complex* h, int k,
+                                         int maxIters, double tol,
+                                         Subspace& sub) {
+  return iterateBody(h, k, maxIters, tol, sub);
+}
+#endif
+
+Iterate iterateFor(FftBuild build) {
+  MOSAIC_CHECK(build == FftBuild::kPortable || exec::cpuHasAvx2(),
+               "the AVX2 build needs an AVX2 CPU");
+#if MOSAIC_EIGEN_AVX2
+  if (build == FftBuild::kAvx2) return iterateAvx2;
+#endif
+  return iteratePortable;
 }
 
 }  // namespace
 
 HermitianEigenResult topEigenpairsHermitian(
     const std::vector<std::complex<double>>& h, int n, int k, int maxIters,
-    double tol) {
+    double tol, FftBuild build) {
   MOSAIC_CHECK(n > 0, "matrix dimension must be positive");
   MOSAIC_CHECK(h.size() == static_cast<std::size_t>(n) * n,
                "matrix storage size mismatch");
   MOSAIC_CHECK(k >= 1 && k <= n, "requested eigenpair count out of range");
   MOSAIC_CHECK(maxIters > 0 && tol > 0.0, "iteration budget must be positive");
+  const Iterate iterate = iterateFor(build);
 
   auto at = [&](int r, int c) -> const std::complex<double>& {
     return h[static_cast<std::size_t>(r) * n + c];
@@ -390,104 +641,30 @@ HermitianEigenResult topEigenpairsHermitian(
   // settles at rate (|lambda_{b+1}| / |lambda_j|)^iter, so the guard band
   // pushes the contaminating tail further down the spectrum.
   const int block = std::min(n, std::max(2 * k, k + 8));
-  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  std::vector<ComplexVec> basis(static_cast<std::size_t>(block));
-  for (auto& column : basis) column.assign(static_cast<std::size_t>(n), {});
-  orthonormalize(basis, seed);  // empty columns are seeded deterministically
-
-  std::vector<ComplexVec> image(static_cast<std::size_t>(block));
-  std::vector<double> prevRitz;
-  HermitianEigenResult small;
-  bool settled = false;
-  for (int iter = 0; iter < maxIters && !settled; ++iter) {
-    // image = H * basis, one dense row sweep per output entry.
-    for (int j = 0; j < block; ++j) {
-      auto& y = image[static_cast<std::size_t>(j)];
-      y.assign(static_cast<std::size_t>(n), {});
-      const auto& x = basis[static_cast<std::size_t>(j)];
-      for (int r = 0; r < n; ++r) {
-        const std::complex<double>* row = &h[static_cast<std::size_t>(r) * n];
-        std::complex<double> acc{0.0, 0.0};
-        for (int c = 0; c < n; ++c) acc += row[c] * x[static_cast<std::size_t>(c)];
-        y[static_cast<std::size_t>(r)] = acc;
-      }
-    }
-    // Rayleigh-Ritz on the projected block: B = basis^H * image.
-    ComplexVec projected(static_cast<std::size_t>(block) * block);
-    for (int p = 0; p < block; ++p) {
-      for (int q = 0; q < block; ++q) {
-        std::complex<double> dot{0.0, 0.0};
-        for (int i = 0; i < n; ++i) {
-          dot += std::conj(basis[static_cast<std::size_t>(p)]
-                                [static_cast<std::size_t>(i)]) *
-                 image[static_cast<std::size_t>(q)][static_cast<std::size_t>(i)];
-        }
-        projected[static_cast<std::size_t>(p) * block + q] = dot;
-      }
-    }
-    // The projection is Hermitian up to round-off; symmetrize before the
-    // small dense solve so its input validation holds.
-    for (int p = 0; p < block; ++p) {
-      for (int q = p; q < block; ++q) {
-        const std::complex<double> mean =
-            0.5 * (projected[static_cast<std::size_t>(p) * block + q] +
-                   std::conj(projected[static_cast<std::size_t>(q) * block + p]));
-        projected[static_cast<std::size_t>(p) * block + q] = mean;
-        projected[static_cast<std::size_t>(q) * block + p] = std::conj(mean);
-      }
-    }
-    small = jacobiEigenHermitian(std::move(projected), block);
-
-    // Rotate the power-step image into the Ritz basis for the next round.
-    std::vector<ComplexVec> rotated(static_cast<std::size_t>(block));
-    for (int j = 0; j < block; ++j) {
-      auto& column = rotated[static_cast<std::size_t>(j)];
-      column.assign(static_cast<std::size_t>(n), {});
-      for (int p = 0; p < block; ++p) {
-        const std::complex<double> coeff =
-            small.eigenvectors[static_cast<std::size_t>(j)]
-                              [static_cast<std::size_t>(p)];
-        const auto& y = image[static_cast<std::size_t>(p)];
-        for (int i = 0; i < n; ++i) {
-          column[static_cast<std::size_t>(i)] +=
-              coeff * y[static_cast<std::size_t>(i)];
-        }
-      }
-    }
-    basis = std::move(rotated);
-    orthonormalize(basis, seed);
-
-    const double scale = std::max(1.0, std::fabs(small.eigenvalues.front()));
-    if (!prevRitz.empty()) {
-      settled = true;
-      for (int j = 0; j < k; ++j) {
-        if (std::fabs(small.eigenvalues[static_cast<std::size_t>(j)] -
-                      prevRitz[static_cast<std::size_t>(j)]) > tol * scale) {
-          settled = false;
-          break;
-        }
-      }
-    }
-    prevRitz = small.eigenvalues;
-  }
-  MOSAIC_CHECK(settled, "subspace iteration did not settle in "
-                            << maxIters << " iterations");
+  Subspace sub{SplitBlock(n, block), SplitBlock(n, block),
+               SplitBlock(block, block), {}, 0x9e3779b97f4a7c15ULL};
+  MOSAIC_CHECK(iterate(h.data(), k, maxIters, tol, sub),
+               "subspace iteration did not settle in " << maxIters
+                                                       << " iterations");
 
   // The final basis columns are ordered by descending Ritz value already
   // (the last rotation sorted them); fix each eigenvector's global phase
   // so results are reproducible across runs and solvers.
   HermitianEigenResult result;
-  result.eigenvalues.assign(prevRitz.begin(), prevRitz.begin() + k);
+  result.eigenvalues.assign(sub.values.begin(), sub.values.begin() + k);
   result.eigenvectors.reserve(static_cast<std::size_t>(k));
   for (int j = 0; j < k; ++j) {
-    ComplexVec vec = basis[static_cast<std::size_t>(j)];
+    std::vector<Complex> vec(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      vec[static_cast<std::size_t>(i)] = sub.basis.get(i, j);
+    }
     std::size_t pivot = 0;
     for (std::size_t i = 1; i < vec.size(); ++i) {
       if (std::norm(vec[i]) > std::norm(vec[pivot])) pivot = i;
     }
     const double mag = std::abs(vec[pivot]);
     if (mag > 0.0) {
-      const std::complex<double> phase = std::conj(vec[pivot]) / mag;
+      const Complex phase = std::conj(vec[pivot]) / mag;
       for (auto& z : vec) z *= phase;
     }
     result.eigenvectors.push_back(std::move(vec));

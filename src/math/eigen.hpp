@@ -8,6 +8,7 @@
 #include <complex>
 #include <vector>
 
+#include "math/fft.hpp"
 #include "support/error.hpp"
 
 namespace mosaic {
@@ -97,13 +98,19 @@ HermitianEigenResult jacobiEigenHermitian(std::vector<std::complex<double>> h,
 /// The iteration block is sized internally above k, start vectors come
 /// from a fixed-seed generator, and each returned eigenvector is rotated
 /// so its largest-magnitude component is real positive, so results are
-/// deterministic run to run.
+/// deterministic run to run. The block products H X, X^H Y and the Ritz
+/// rotation run eight columns as vector lanes, each entry summed in the
+/// order of the column-at-a-time loops that tests/reference.hpp keeps as
+/// the oracle, so the result is bit for bit theirs.
 /// \param h row-major n x n Hermitian matrix.
 /// \param k number of leading eigenpairs to return (1 <= k <= n).
 /// \param maxIters iteration cap (throws if Ritz values have not settled).
 /// \param tol relative Ritz-value settling tolerance.
+/// \param build the target the iteration runs compiled for; both give the
+///        same bits. The program always takes the host's; tests run the
+///        other too (kAvx2 needs exec::cpuHasAvx2()).
 HermitianEigenResult topEigenpairsHermitian(
     const std::vector<std::complex<double>>& h, int n, int k,
-    int maxIters = 600, double tol = 1e-11);
+    int maxIters = 600, double tol = 1e-11, FftBuild build = hostFftBuild());
 
 }  // namespace mosaic

@@ -1,5 +1,6 @@
 #include "serve/job.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -98,8 +99,10 @@ void validateSpec(const JobSpec& spec) {
                "job pixel_nm out of range [1, 64]: " << spec.pixelNm);
   MOSAIC_CHECK(spec.iterations >= 0 && spec.iterations <= 100000,
                "job iterations out of range: " << spec.iterations);
-  MOSAIC_CHECK(spec.deadlineSeconds >= 0.0,
-               "job deadline_s must be >= 0: " << spec.deadlineSeconds);
+  MOSAIC_CHECK(std::isfinite(spec.deadlineSeconds) &&
+                   spec.deadlineSeconds >= 0.0,
+               "job deadline_s must be finite and >= 0: "
+                   << spec.deadlineSeconds);
   MOSAIC_CHECK(spec.maxAttempts >= 1 && spec.maxAttempts <= 10,
                "job max_attempts out of range [1, 10]: " << spec.maxAttempts);
   MOSAIC_CHECK(spec.checkpointEvery >= 1,

@@ -36,14 +36,29 @@ class CancelToken {
                       std::memory_order_relaxed);
   }
 
-  /// Arm a deadline `seconds` from now (<= 0 clears it).
+  /// Arm a deadline `seconds` from now (<= 0 or NaN clears it). A deadline
+  /// past the clock's range, +inf included, saturates to its last time
+  /// point, which never expires: converting an out-of-range double to
+  /// integer ticks is undefined behaviour.
   void setDeadlineIn(double seconds) {
-    if (seconds <= 0.0) {
+    if (!(seconds > 0.0)) {
       deadlineNs_.store(0, std::memory_order_relaxed);
       return;
     }
-    setDeadline(Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(seconds)));
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double> wanted(seconds);
+    // A second to spare absorbs the rounding of the double comparison.
+    if (wanted >= Clock::time_point::max() - now - std::chrono::seconds(1)) {
+      setDeadline(Clock::time_point::max());
+      return;
+    }
+    setDeadline(now + std::chrono::duration_cast<Clock::duration>(wanted));
+  }
+
+  /// The armed deadline; Clock::time_point{} when none is.
+  [[nodiscard]] Clock::time_point deadline() const {
+    return Clock::time_point(
+        Clock::duration(deadlineNs_.load(std::memory_order_relaxed)));
   }
 
   /// True iff a deadline is armed and has passed.

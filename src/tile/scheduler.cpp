@@ -67,6 +67,7 @@ void emitChipRecord(telemetry::RunLog* runLog, const ChipResult& result) {
   obj.set("seam_core_mismatch_px", seam.coreMismatchPixels);
   obj.set("seam_non_finite_px", seam.nonFinitePixels);
   obj.set("wall_s", result.wallSeconds);
+  obj.set("kernel_s", result.kernelSeconds);
   if (result.cacheEnabled) {
     const PatternStoreStats& cs = result.cacheStats;
     obj.set("cache_exact", static_cast<unsigned long long>(cs.exactHits));
@@ -128,7 +129,9 @@ ChipResult optimizeChip(const Layout& chip, const ChipConfig& cfg) {
     for (const ProcessCorner& corner : baseConfig.pvbCorners) {
       focuses.push_back(corner.focusNm);
     }
+    WallTimer kernelTimer;
     sim.warmKernels(focuses);
+    result.kernelSeconds = kernelTimer.seconds();
   }
 
   const std::size_t tileCount = part.tiles.size();

@@ -123,6 +123,7 @@ struct ChipResult {
   StitchResult stitched;
   BitGrid chipTarget;  ///< chip-grid rasterization of the input layout
   double wallSeconds = 0.0;
+  double kernelSeconds = 0.0;  ///< window kernel build (warmKernels) wall
   int succeeded = 0;  ///< tiles that optimized (or were trivially empty)
   int failed = 0;     ///< tiles that fell back to the uncorrected pattern
   bool interrupted = false;  ///< cfg.cancel fired before the run finished

@@ -10,6 +10,9 @@
 # deleted and the clip restarts fresh without using up an attempt, so the
 # run exits 0 with B1 at 1 attempt.
 #
+# A third run writes masks into a --out-dir that does not exist yet: it
+# must be created, and both clips must succeed and leave their masks.
+#
 # Invoke with:
 #   cmake -DMOSAIC_CLI=<path-to-mosaic_cli> -DWORK_DIR=<scratch dir>
 #         -P batch_runner_test.cmake
@@ -75,3 +78,25 @@ endif()
 if(EXISTS ${WORK_DIR}/ckpt/B1.ckpt)
   message(FATAL_ERROR "the unusable B1.ckpt was not deleted")
 endif()
+
+# A missing (nested) --out-dir is created before the first clip: every
+# clip succeeds and leaves its mask, rather than failing in the GLP write
+# after its solve.
+file(REMOVE_RECURSE ${WORK_DIR}/out)
+execute_process(
+  COMMAND ${MOSAIC_CLI} batch --method baseline --pixel 16 --iters 1
+          --cases 1,2 --out-dir ${WORK_DIR}/out/nested/masks
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE code)
+
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR
+    "expected a batch into a missing --out-dir to exit 0, got '${code}'\n"
+    "stdout:\n${out}\nstderr:\n${err}")
+endif()
+foreach(clip 1 2)
+  if(NOT EXISTS ${WORK_DIR}/out/nested/masks/B${clip}_mask.glp)
+    message(FATAL_ERROR "B${clip}_mask.glp missing from --out-dir:\n${out}")
+  endif()
+endforeach()

@@ -1,7 +1,8 @@
 # Integration test for `mosaic_cli chip` (full-chip tiling engine).
 #
 # Run 1: a clean 2x2 replicated chip with 512 nm tiles must exit 0 and
-# print a per-tile table plus the seam-consistency summary.
+# print its window kernel build time ("kernel sets:"), a per-tile table
+# and the seam-consistency summary.
 #
 # Run 2: fail-point hits on `tile.optimize` are counted globally across
 # tiles and attempts. With --threads 1 the schedule is serial, so arming
@@ -33,7 +34,7 @@ if(NOT code EQUAL 0)
     "expected clean chip run to exit 0, got '${code}'\n"
     "stdout:\n${out}\nstderr:\n${err}")
 endif()
-foreach(needle "tiles ok" "seam consistency" "0 non-finite")
+foreach(needle "kernel sets: " "tiles ok" "seam consistency" "0 non-finite")
   string(FIND "${out}" "${needle}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "missing '${needle}' in chip report:\n${out}")

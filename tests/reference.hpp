@@ -2,11 +2,11 @@
 /// \file reference.hpp
 /// Test-only oracles: a deliberately naive direct DFT and the SOCS sums
 /// written on top of it straight from the formulas (Eq. 2 and the Eq. 17
-/// gradient chain), a direct cyclic convolution, and the column-form
-/// cyclic Jacobi eigensolver. The
-/// DFT calls no Fft2d/FftPlan code, so agreement with the engine is
-/// evidence rather than a tautology. A 2-D transform costs
-/// O(rows * cols * (rows + cols)): keep grids at 128^2 or below.
+/// gradient chain), a direct cyclic convolution, the column-form cyclic
+/// Jacobi eigensolver, the per-source TCC loop and the column-at-a-time
+/// subspace iteration. The DFT calls no Fft2d/FftPlan code, so agreement
+/// with the engine is evidence rather than a tautology. A 2-D transform
+/// costs O(rows * cols * (rows + cols)): keep grids at 128^2 or below.
 
 #include <algorithm>
 #include <cmath>
@@ -16,14 +16,28 @@
 #include <numeric>
 #include <vector>
 
+#include <cstdint>
+#include <utility>
+
+#include "litho/pupil.hpp"
+#include "litho/tcc.hpp"
 #include "math/backend.hpp"
 #include "math/eigen.hpp"
+#include "math/fft.hpp"
 #include "math/grid.hpp"
 
 namespace mosaic {
 namespace reference {
 
 using Complex = std::complex<double>;
+
+/// The builds of the vector passes this host can run: the portable one,
+/// and the AVX2 one on an AVX2 CPU.
+inline std::vector<FftBuild> runnableBuilds() {
+  std::vector<FftBuild> builds{FftBuild::kPortable};
+  if (exec::cpuHasAvx2()) builds.push_back(FftBuild::kAvx2);
+  return builds;
+}
 
 /// Direct 1-D DFT: X[k] = sum_j x[j] exp(-2 pi i jk / n); the inverse
 /// conjugates the twiddles and divides by n. Twiddles exp(-+2 pi i m / n)
@@ -219,6 +233,196 @@ inline JacobiResult jacobiColumnForm(Matrix a, int maxSweeps = 64) {
     result.eigenvalues.push_back(a(idx, idx));
     std::vector<double> vec(static_cast<std::size_t>(n));
     for (int k = 0; k < n; ++k) vec[static_cast<std::size_t>(k)] = v(k, idx);
+    result.eigenvectors.push_back(std::move(vec));
+  }
+  return result;
+}
+
+/// The per-source TCC loop buildTcc ran before it took the source in
+/// chunks: one source point after another, the shifted pupil over the
+/// lattice, then P(s + f_p) conj(P(s + f_q)) added to entry (p, q) for
+/// every p <= q of its nonzero support; the lower triangle by Hermitian
+/// symmetry at the end. buildTcc must reproduce it bit for bit.
+inline std::vector<Complex> tccPerSource(
+    const OpticsConfig& optics, double focusNm,
+    const std::vector<PupilSample>& lattice) {
+  const Pupil pupil(optics, focusNm);
+  const double df = optics.freqStep();
+  const double cutoff = optics.cutoffFreq();
+  const double srcStep = df / optics.sourceOversample;
+  const double srcInner = optics.sigmaInner * cutoff;
+  const double srcOuter = optics.sigmaOuter * cutoff;
+  std::vector<std::pair<double, double>> source;
+  const int srcMax = static_cast<int>(std::ceil(srcOuter / srcStep));
+  for (int si = -srcMax; si <= srcMax; ++si) {
+    for (int sj = -srcMax; sj <= srcMax; ++sj) {
+      const double sy = si * srcStep;
+      const double sx = sj * srcStep;
+      const double r2 = sx * sx + sy * sy;
+      if (r2 < srcInner * srcInner || r2 > srcOuter * srcOuter) continue;
+      source.emplace_back(sx, sy);
+    }
+  }
+  const int n = static_cast<int>(lattice.size());
+  std::vector<Complex> tcc(static_cast<std::size_t>(n) * n, {0.0, 0.0});
+  std::vector<Complex> shifted(static_cast<std::size_t>(n));
+  std::vector<int> support;
+  for (const auto& [sx, sy] : source) {
+    support.clear();
+    for (int p = 0; p < n; ++p) {
+      const PupilSample& f = lattice[static_cast<std::size_t>(p)];
+      const Complex value = pupil.value(sx + f.fx, sy + f.fy);
+      shifted[static_cast<std::size_t>(p)] = value;
+      if (value != Complex{0.0, 0.0}) support.push_back(p);
+    }
+    for (std::size_t i = 0; i < support.size(); ++i) {
+      const int p = support[i];
+      const Complex pp = shifted[static_cast<std::size_t>(p)];
+      Complex* row = &tcc[static_cast<std::size_t>(p) * n];
+      for (std::size_t j = i; j < support.size(); ++j) {
+        const int q = support[j];
+        row[q] += pp * std::conj(shifted[static_cast<std::size_t>(q)]);
+      }
+    }
+  }
+  const double norm = 1.0 / static_cast<double>(source.size());
+  for (int p = 0; p < n; ++p) {
+    for (int q = p; q < n; ++q) {
+      auto& upper = tcc[static_cast<std::size_t>(p) * n + q];
+      upper *= norm;
+      tcc[static_cast<std::size_t>(q) * n + p] = std::conj(upper);
+    }
+  }
+  return tcc;
+}
+
+/// The subspace iteration topEigenpairsHermitian ran before its block
+/// products took vector lanes: the basis and its image as vectors of
+/// columns, H X one column at a time, X^H Y one entry at a time, the Ritz
+/// rotation column by column, and Gram-Schmidt one column at a time.
+/// topEigenpairsHermitian must reproduce it bit for bit.
+inline HermitianEigenResult topEigenpairsByColumns(
+    const std::vector<Complex>& h, int n, int k, int maxIters = 600,
+    double tol = 1e-11) {
+  using Column = std::vector<Complex>;
+  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
+  auto orthonormalize = [&seed](std::vector<Column>& basis) {
+    for (std::size_t j = 0; j < basis.size(); ++j) {
+      for (int retry = 0; retry < 8; ++retry) {
+        for (std::size_t p = 0; p < j; ++p) {
+          Complex dot{0.0, 0.0};
+          for (std::size_t i = 0; i < basis[j].size(); ++i) {
+            dot += std::conj(basis[p][i]) * basis[j][i];
+          }
+          for (std::size_t i = 0; i < basis[j].size(); ++i) {
+            basis[j][i] -= dot * basis[p][i];
+          }
+        }
+        double norm = 0.0;
+        for (const auto& z : basis[j]) norm += std::norm(z);
+        norm = std::sqrt(norm);
+        if (norm > 1e-12) {
+          for (auto& z : basis[j]) z /= norm;
+          break;
+        }
+        for (auto& z : basis[j]) {
+          seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+          const double re = static_cast<double>(seed >> 11) * 0x1p-53 - 0.5;
+          seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+          const double im = static_cast<double>(seed >> 11) * 0x1p-53 - 0.5;
+          z = {re, im};
+        }
+      }
+    }
+  };
+
+  const int block = std::min(n, std::max(2 * k, k + 8));
+  std::vector<Column> basis(static_cast<std::size_t>(block),
+                            Column(static_cast<std::size_t>(n)));
+  orthonormalize(basis);
+  std::vector<Column> image(static_cast<std::size_t>(block));
+  std::vector<double> prevRitz;
+  bool settled = false;
+  for (int iter = 0; iter < maxIters && !settled; ++iter) {
+    for (int j = 0; j < block; ++j) {
+      auto& y = image[static_cast<std::size_t>(j)];
+      y.assign(static_cast<std::size_t>(n), {});
+      const auto& x = basis[static_cast<std::size_t>(j)];
+      for (int r = 0; r < n; ++r) {
+        const Complex* row = &h[static_cast<std::size_t>(r) * n];
+        Complex acc{0.0, 0.0};
+        for (int c = 0; c < n; ++c) {
+          acc += row[c] * x[static_cast<std::size_t>(c)];
+        }
+        y[static_cast<std::size_t>(r)] = acc;
+      }
+    }
+    std::vector<Complex> projected(static_cast<std::size_t>(block) * block);
+    for (int p = 0; p < block; ++p) {
+      for (int q = 0; q < block; ++q) {
+        const Column& x = basis[static_cast<std::size_t>(p)];
+        const Column& y = image[static_cast<std::size_t>(q)];
+        Complex dot{0.0, 0.0};
+        for (int i = 0; i < n; ++i) {
+          dot += std::conj(x[static_cast<std::size_t>(i)]) *
+                 y[static_cast<std::size_t>(i)];
+        }
+        projected[static_cast<std::size_t>(p) * block + q] = dot;
+      }
+    }
+    for (int p = 0; p < block; ++p) {
+      for (int q = p; q < block; ++q) {
+        Complex& upper = projected[static_cast<std::size_t>(p) * block + q];
+        Complex& lower = projected[static_cast<std::size_t>(q) * block + p];
+        const Complex mean = 0.5 * (upper + std::conj(lower));
+        upper = mean;
+        lower = std::conj(mean);
+      }
+    }
+    const HermitianEigenResult small =
+        jacobiEigenHermitian(std::move(projected), block);
+    std::vector<Column> rotated(static_cast<std::size_t>(block));
+    for (int j = 0; j < block; ++j) {
+      auto& column = rotated[static_cast<std::size_t>(j)];
+      column.assign(static_cast<std::size_t>(n), {});
+      for (int p = 0; p < block; ++p) {
+        const Complex coeff = small.eigenvectors[static_cast<std::size_t>(j)]
+                                                [static_cast<std::size_t>(p)];
+        const auto& y = image[static_cast<std::size_t>(p)];
+        for (int i = 0; i < n; ++i) {
+          column[static_cast<std::size_t>(i)] +=
+              coeff * y[static_cast<std::size_t>(i)];
+        }
+      }
+    }
+    basis = std::move(rotated);
+    orthonormalize(basis);
+    const double scale = std::max(1.0, std::fabs(small.eigenvalues.front()));
+    if (!prevRitz.empty()) {
+      settled = true;
+      for (int j = 0; j < k; ++j) {
+        if (std::fabs(small.eigenvalues[static_cast<std::size_t>(j)] -
+                      prevRitz[static_cast<std::size_t>(j)]) > tol * scale) {
+          settled = false;
+          break;
+        }
+      }
+    }
+    prevRitz = small.eigenvalues;
+  }
+  HermitianEigenResult result;
+  result.eigenvalues.assign(prevRitz.begin(), prevRitz.begin() + k);
+  for (int j = 0; j < k; ++j) {
+    Column vec = basis[static_cast<std::size_t>(j)];
+    std::size_t pivot = 0;
+    for (std::size_t i = 1; i < vec.size(); ++i) {
+      if (std::norm(vec[i]) > std::norm(vec[pivot])) pivot = i;
+    }
+    const double mag = std::abs(vec[pivot]);
+    if (mag > 0.0) {
+      const Complex phase = std::conj(vec[pivot]) / mag;
+      for (auto& z : vec) z *= phase;
+    }
     result.eigenvectors.push_back(std::move(vec));
   }
   return result;

@@ -189,14 +189,10 @@ TEST(FftEngine, PlanMatchesReference1d) {
 
 // ----------------------------------------------------- the two builds
 
-/// Every build this CPU can run: the portable one, and AVX2+FMA when the
-/// CPU has it. On an AVX2 host this is the only coverage of what a CPU
-/// without AVX2 runs.
-std::vector<FftBuild> runnableBuilds() {
-  std::vector<FftBuild> builds{FftBuild::kPortable};
-  if (exec::cpuHasAvx2()) builds.push_back(FftBuild::kAvx2);
-  return builds;
-}
+// Every build this CPU can run: the portable one, and AVX2+FMA when the
+// CPU has it. On an AVX2 host this is the only coverage of what a CPU
+// without AVX2 runs.
+using reference::runnableBuilds;
 
 const std::pair<int, int> kBuildShapes[] = {{1, 1},   {2, 2},   {4, 4},
                                             {2, 16},  {16, 4},  {64, 32},

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -309,11 +311,12 @@ std::string kernelSetDigest(const KernelSet& set) {
 }
 
 TEST(Tcc, KernelSetBytesAreLocked) {
-  // Goldens generated before the row-stored Jacobi and the streamed TCC:
-  // both keep every floating-point operation and its order, so the
-  // kernel sets (and with them the cache files and every mask) must not
-  // move by one bit. The clip takes the dense Jacobi path (161 pupil
-  // samples), the 2048 nm chip window the truncated subspace solve (657).
+  // Goldens generated before the row-stored Jacobi, the streamed and then
+  // source-chunked TCC and the lane-blocked subspace products: each keeps
+  // every floating-point operation and its order, so the kernel sets (and
+  // with them the cache files and every mask) must not move by one bit.
+  // The clip takes the dense Jacobi path (161 pupil samples), the 2048 nm
+  // chip window the truncated subspace solve (657).
   struct Case {
     int clipNm;
     int pixelNm;
@@ -333,6 +336,97 @@ TEST(Tcc, KernelSetBytesAreLocked) {
     EXPECT_EQ(kernelSetDigest(computeKernelSet(o, c.focusNm)), c.digest)
         << c.clipNm << " nm clip at pixel " << c.pixelNm << ", focus "
         << c.focusNm;
+  }
+}
+
+/// got and want hold the same bits, entry for entry.
+void expectSameBits(const std::vector<std::complex<double>>& got,
+                    const std::vector<std::complex<double>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  const auto first = std::mismatch(
+      got.begin(), got.end(), want.begin(),
+      [](const std::complex<double>& a, const std::complex<double>& b) {
+        return std::bit_cast<std::uint64_t>(a.real()) ==
+                   std::bit_cast<std::uint64_t>(b.real()) &&
+               std::bit_cast<std::uint64_t>(a.imag()) ==
+                   std::bit_cast<std::uint64_t>(b.imag());
+      });
+  EXPECT_TRUE(first.first == got.end())
+      << "first difference at entry " << (first.first - got.begin()) << ": "
+      << *first.first << " vs " << *first.second;
+}
+
+TEST(Tcc, ChunkedAssemblyMatchesPerSourceLoopBitForBit) {
+  // buildTcc takes the source 64 points at a time and runs each row over
+  // the chunk; every entry must still be the per-source loop's sum, bit
+  // for bit, in every build the host can run. Clip (n = 161, 1152 source
+  // points: 18 whole chunks) and window (n = 657, 4636 points: a partial
+  // last chunk) lattices in and out of focus, a Zernike-aberrated lens (a
+  // pupil phase without symmetry), and source oversampling 1 and 3 (76
+  // and 668 points, each ending in a partial chunk).
+  OpticsConfig clip;
+  clip.clipSizeNm = 1024;
+  clip.pixelNm = 8;
+  OpticsConfig window;
+  window.clipSizeNm = 2048;
+  window.pixelNm = 16;
+  OpticsConfig aberrated = clip;
+  aberrated.aberrations.comaX = 0.05;
+  aberrated.aberrations.astigmatism45 = 0.03;
+  aberrated.aberrations.spherical = 0.02;
+  OpticsConfig coarse = clip;
+  coarse.sourceOversample = 1;
+  OpticsConfig fine = clip;
+  fine.sourceOversample = 3;
+  struct Case {
+    const char* name;
+    OpticsConfig optics;
+    double focusNm;
+  };
+  const Case cases[] = {
+      {"clip", clip, 0.0},          {"clip", clip, 25.0},
+      {"window", window, 0.0},      {"window", window, 25.0},
+      {"aberrated", aberrated, 0.0}, {"aberrated", aberrated, 25.0},
+      {"oversample 1", coarse, 25.0}, {"oversample 3", fine, 0.0},
+  };
+  for (const Case& c : cases) {
+    const auto lattice = pupilLattice(c.optics);
+    const auto want = reference::tccPerSource(c.optics, c.focusNm, lattice);
+    for (const FftBuild build : reference::runnableBuilds()) {
+      SCOPED_TRACE(std::string(c.name) + ", focus " +
+                   std::to_string(c.focusNm) + ", " + fftBuildName(build));
+      expectSameBits(buildTcc(c.optics, c.focusNm, lattice, build), want);
+    }
+  }
+}
+
+TEST(Tcc, SubspaceSolveMatchesColumnLoopsBitForBit) {
+  // The lane-blocked block products on a real TCC, as computeKernelSet
+  // asks (24 kernels + 8 guard pairs, a 64-column block), against the
+  // column-at-a-time iteration, in every build the host can run. The
+  // 2048 nm window takes this path in production; the 1024 nm clip
+  // lattice (n = 161) keeps the oracle cheap.
+  const OpticsConfig optics = testOptics(8);
+  const auto lattice = pupilLattice(optics);
+  const int n = static_cast<int>(lattice.size());
+  const int k = optics.kernelCount + 8;
+  for (const double focus : {0.0, 25.0}) {
+    const auto tcc = buildTcc(optics, focus, lattice);
+    const HermitianEigenResult want =
+        reference::topEigenpairsByColumns(tcc, n, k);
+    for (const FftBuild build : reference::runnableBuilds()) {
+      SCOPED_TRACE("focus " + std::to_string(focus) + ", " +
+                   fftBuildName(build));
+      const HermitianEigenResult got =
+          topEigenpairsHermitian(tcc, n, k, 600, 1e-11, build);
+      ASSERT_EQ(got.eigenvalues.size(), want.eigenvalues.size());
+      for (std::size_t j = 0; j < want.eigenvalues.size(); ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.eigenvalues[j]),
+                  std::bit_cast<std::uint64_t>(want.eigenvalues[j]))
+            << "eigenvalue " << j;
+        expectSameBits(got.eigenvectors[j], want.eigenvectors[j]);
+      }
+    }
   }
 }
 

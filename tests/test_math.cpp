@@ -7,6 +7,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <utility>
 
 #include "math/convolution.hpp"
 #include "math/eigen.hpp"
@@ -628,12 +629,11 @@ TEST_P(EigenReconstruction, HermitianReconstructs) {
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenReconstruction,
                          ::testing::Values(2, 3, 5, 8, 16));
 
-TEST(Eigen, SubspaceTopKMatchesJacobiOnDecayingSpectrum) {
-  // PSD matrix with a geometrically decaying spectrum, the shape of the
-  // TCC operator that the truncated solver exists for.
-  const int n = 40;
-  const int k = 6;
-  Rng rng(47);
+/// n x n PSD Hermitian matrix with a geometrically decaying spectrum
+/// (ratio 0.7), the shape of the TCC operator that the truncated solver
+/// exists for.
+std::vector<Cplx> decayingPsd(int n, std::uint64_t seed) {
+  Rng rng(seed);
   std::vector<Cplx> h(static_cast<std::size_t>(n) * n, Cplx{0, 0});
   double weight = 1.0;
   for (int term = 0; term < n; ++term, weight *= 0.7) {
@@ -655,6 +655,13 @@ TEST(Eigen, SubspaceTopKMatchesJacobiOnDecayingSpectrum) {
       h[static_cast<std::size_t>(c) * n + r] = std::conj(sym);
     }
   }
+  return h;
+}
+
+TEST(Eigen, SubspaceTopKMatchesJacobiOnDecayingSpectrum) {
+  const int n = 40;
+  const int k = 6;
+  const std::vector<Cplx> h = decayingPsd(n, 47);
 
   const auto full = jacobiEigenHermitian(h, n);
   const auto top = topEigenpairsHermitian(h, n, k);
@@ -699,6 +706,52 @@ TEST(Eigen, SubspaceTopKMatchesJacobiOnDecayingSpectrum) {
   EXPECT_EQ(top.eigenvalues, again.eigenvalues);
   EXPECT_EQ(top.eigenvectors, again.eigenvectors);
 }
+
+/// (n, k): the iteration block is min(n, max(2k, k + 8)) columns.
+class SubspaceOracle
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(SubspaceOracle, LaneBlockedProductsMatchColumnLoopsBitForBit) {
+  // The block products run eight columns as vector lanes in a split
+  // re/im layout padded to whole lane groups; every eigenvalue and
+  // eigenvector entry must equal the column-at-a-time iteration's, in
+  // every build the host can run.
+  const auto [n, k] = GetParam();
+  const std::vector<Cplx> h =
+      decayingPsd(n, static_cast<std::uint64_t>(n) * 7 + 3);
+  const HermitianEigenResult want = reference::topEigenpairsByColumns(h, n, k);
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const FftBuild build : reference::runnableBuilds()) {
+    SCOPED_TRACE(fftBuildName(build));
+    const HermitianEigenResult got =
+        topEigenpairsHermitian(h, n, k, 600, 1e-11, build);
+    ASSERT_EQ(got.eigenvalues.size(), static_cast<std::size_t>(k));
+    for (int j = 0; j < k; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      ASSERT_EQ(bits(got.eigenvalues[jj]), bits(want.eigenvalues[jj]))
+          << "eigenvalue " << j;
+      for (int i = 0; i < n; ++i) {
+        const auto ii = static_cast<std::size_t>(i);
+        ASSERT_EQ(bits(got.eigenvectors[jj][ii].real()),
+                  bits(want.eigenvectors[jj][ii].real()))
+            << "eigenvector " << j << " entry " << i;
+        ASSERT_EQ(bits(got.eigenvectors[jj][ii].imag()),
+                  bits(want.eigenvectors[jj][ii].imag()))
+            << "eigenvector " << j << " entry " << i;
+      }
+    }
+  }
+}
+
+// n = 5, 7, 8 and 9 put the whole (n-column) block below, at and one past
+// the eight lanes; blocks of 10, 14 and 60 columns end in a partial lane
+// group, 48 and 64 in whole ones.
+INSTANTIATE_TEST_SUITE_P(
+    LaneEdges, SubspaceOracle,
+    ::testing::Values(std::pair{5, 1}, std::pair{7, 2}, std::pair{8, 1},
+                      std::pair{9, 1}, std::pair{12, 2}, std::pair{40, 6},
+                      std::pair{70, 24}, std::pair{90, 30},
+                      std::pair{100, 32}));
 
 TEST(Eigen, SubspaceRejectsBadArguments) {
   std::vector<Cplx> h = {{2, 0}, {0, 0}, {0, 0}, {1, 0}};

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 
 #include "geometry/raster.hpp"
@@ -189,6 +190,18 @@ TEST(JobSpecValidation, RejectsBadSpecs) {
   spec = tinySpec();
   spec.deadlineSeconds = -1.0;
   EXPECT_THROW(validateSpec(spec), InvalidArgument);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    spec = tinySpec();
+    spec.deadlineSeconds = bad;
+    try {
+      validateSpec(spec);
+      ADD_FAILURE() << "deadline_s " << bad << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("deadline_s"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(JobSpecValidation, JsonRoundTrip) {
@@ -791,6 +804,27 @@ TEST(Protocol, SubmitWithFractionalPixelIsABadRequest) {
           .response;
   EXPECT_NE(response.find("bad_request"), std::string::npos) << response;
   EXPECT_NE(response.find("pixel_nm"), std::string::npos) << response;
+}
+
+TEST(Protocol, FarDeadlineJobRunsToDone) {
+  // deadline_s 1e300 overflows the steady clock; the token saturates
+  // instead of reading it as already expired. A number JSON cannot hold
+  // as a finite double is a bad request.
+  JobService service(tinyConfig(freshWorkDir("proto_far_deadline")));
+  const ProtocolResult submitted = handleRequestLine(
+      service,
+      R"({"op":"submit","case":"B1","method":"baseline","pixel_nm":16,)"
+      R"("iterations":2,"deadline_s":1e300})");
+  const JsonValue reply = JsonValue::parse(submitted.response);
+  ASSERT_TRUE(reply.boolOr("ok", false)) << submitted.response;
+  const std::string id = reply.stringOr("job", "");
+  ASSERT_TRUE(eventually([&] { return isTerminal(stateOf(service, id)); }));
+  EXPECT_EQ(stateOf(service, id), JobState::kDone);
+
+  EXPECT_NE(handleRequestLine(
+                service, R"({"op":"submit","case":"B1","deadline_s":1e999})")
+                .response.find("bad_request"),
+            std::string::npos);
 }
 
 TEST(Protocol, SubmitStatusResultCancelFlow) {

@@ -5,15 +5,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "support/atomic_file.hpp"
+#include "support/cancel.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
@@ -267,6 +270,43 @@ TEST(Rng, BelowBounds) {
 }
 
 // --------------------------------------------------------------- timer
+
+TEST(CancelToken, DeadlinesPastTheClockSaturateInsteadOfExpiring) {
+  // 1e300 s and +inf overflow the clock's integer ticks (a cast that used
+  // to be undefined and read as already expired): they saturate to its
+  // last time point, armed and not expired.
+  for (const double seconds :
+       {1e300, std::numeric_limits<double>::infinity()}) {
+    CancelToken token;
+    token.setDeadlineIn(seconds);
+    EXPECT_EQ(token.deadline(), CancelToken::Clock::time_point::max())
+        << seconds;
+    EXPECT_FALSE(token.expired()) << seconds;
+    EXPECT_FALSE(token.stopRequested()) << seconds;
+  }
+}
+
+TEST(CancelToken, RepresentableDeadlinesArmFromNow) {
+  // 1e9 s (about 32 years) fits the clock: now + 1e9 s, as before.
+  CancelToken token;
+  const auto before = CancelToken::Clock::now();
+  token.setDeadlineIn(1e9);
+  const auto after = CancelToken::Clock::now();
+  const auto span = std::chrono::seconds(1000000000);
+  EXPECT_GE(token.deadline(), before + span);
+  EXPECT_LE(token.deadline(), after + span);
+  EXPECT_FALSE(token.expired());
+  // <= 0 and NaN clear it; a short one expires.
+  for (const double none : {0.0, -1.0, std::nan("")}) {
+    token.setDeadlineIn(1e9);
+    token.setDeadlineIn(none);
+    EXPECT_EQ(token.deadline(), CancelToken::Clock::time_point{}) << none;
+    EXPECT_FALSE(token.expired()) << none;
+  }
+  token.setDeadlineIn(0.001);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(token.expired());
+}
 
 TEST(Timer, MonotoneNonNegative) {
   WallTimer t;

@@ -23,6 +23,8 @@
 #include "suite/testcases.hpp"
 #include "support/failpoint.hpp"
 #include "support/parallel.hpp"
+#include "support/telemetry/jsonin.hpp"
+#include "support/telemetry/runlog.hpp"
 #include "tile/scheduler.hpp"
 #include "tile/stitch.hpp"
 #include "tile/tiling.hpp"
@@ -234,6 +236,35 @@ TEST(TileScheduler, EmptyChipIsTriviallyOptimized) {
     ASSERT_EQ(res.stitched.maskBinary.data()[i], 0u);
   }
   EXPECT_EQ(res.stitched.report.nonFinitePixels, 0);
+}
+
+TEST(TileScheduler, ChipRecordCarriesTheKernelBuildTime) {
+  // optimizeChip times its window kernel build (a disk-cache load here)
+  // into ChipResult and the chip run-log record.
+  const std::string path = ::testing::TempDir() + "mosaic_chip_runlog.jsonl";
+  std::filesystem::remove(path);
+  Layout chip;
+  chip.name = "blank";
+  chip.sizeNm = 1024;
+  ChipConfig cfg = fastChipConfig();
+  ChipResult res;
+  {
+    telemetry::RunLog log(path);
+    cfg.runLog = &log;
+    res = optimizeChip(chip, cfg);
+  }
+  EXPECT_GT(res.kernelSeconds, 0.0);
+  EXPECT_LE(res.kernelSeconds, res.wallSeconds);
+  std::ifstream in(path);
+  std::string line;
+  int chipRecords = 0;
+  while (std::getline(in, line)) {
+    const telemetry::JsonValue record = telemetry::JsonValue::parse(line);
+    if (record.stringOr("type", "") != "chip") continue;
+    ++chipRecords;
+    EXPECT_NEAR(record.numberOr("kernel_s", -1.0), res.kernelSeconds, 1e-9);
+  }
+  EXPECT_EQ(chipRecords, 1);
 }
 
 TEST(TileScheduler, FailpointTileFallsBackAndChipSurvives) {
