@@ -6,14 +6,17 @@
 ///             thread counts, on the host's FFT build (fft_build). Each
 ///             thread transforms its own grid through the shared plan,
 ///             which is the tile scheduler's access pattern.
-///   backends  the batched SOCS aerial sum and gradient chains
-///             (math/backend) over 24 synthetic pupil-disc kernels at
-///             512^2 and 1024^2, single thread.
+///   backends  the SOCS image and gradient (math/backend, on the
+///             coarse Nyquist grid) over 24 synthetic pupil-disc kernels
+///             at 512^2 and 1024^2, single thread, under --label; rows of
+///             other labels already in the file are kept, so a parent
+///             build's rows and a change's can sit side by side.
 
 #include <algorithm>
 #include <complex>
 #include <cstdio>
 #include <exception>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +27,8 @@
 #include "support/cli.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
+#include "support/telemetry/json.hpp"
+#include "support/telemetry/jsonin.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -78,10 +83,9 @@ struct Row {
 };
 
 // ---------------------------------------------------------------------------
-// SOCS series: the batched aerial + gradient hot path (docs/performance.md,
-// "The SOCS engine"). Synthetic pupil-disc kernels reproduce the sparsity
-// structure the engine's pruning exploits (support ~ a disc around DC, a
-// few percent of rows at production size).
+// SOCS series: the image + gradient hot path (docs/performance.md, "The
+// SOCS engine"). Synthetic pupil-disc kernels reproduce the band limit the
+// engine's coarse grid exploits (support a disc of radius R around DC).
 // ---------------------------------------------------------------------------
 
 struct SyntheticKernels {
@@ -92,7 +96,8 @@ struct SyntheticKernels {
 
   SyntheticKernels(int n, int count) {
     // Radius chosen so the live-row fraction matches real SOCS kernel
-    // sets (~5-6% of rows at 1024^2; see litho/kernels).
+    // sets (~5-6% of rows at 1024^2; see litho/kernels): R = 14 at 512^2
+    // and 28 at 1024^2, coarse grids of 64^2 and 128^2.
     const int radius = std::max(3, n / 36);
     Rng rng(42);
     for (int k = 0; k < count; ++k) {
@@ -125,16 +130,38 @@ struct BackendRow {
   double gradMs = 0.0;
 };
 
+/// Backend rows already in `path` under another label, one rendered
+/// object each (rows are written one per line).
+std::vector<std::string> otherBackendRows(const std::string& path,
+                                          const std::string& label) {
+  std::vector<std::string> kept;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("    {", 0) != 0 ||
+        line.find("\"aerial_ms\"") == std::string::npos) {
+      continue;
+    }
+    std::string row = line.substr(4);
+    if (row.back() == ',') row.pop_back();
+    if (telemetry::JsonValue::parse(row).stringOr("label", "") != label) {
+      kept.push_back(row);
+    }
+  }
+  return kept;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   int reps = 3;
   std::string jsonPath = "BENCH_fft.json";
+  std::string label = "run";
 
-  CliParser cli("bm_fft",
-                "FFT forward+inverse pairs and the batched SOCS engine");
+  CliParser cli("bm_fft", "FFT forward+inverse pairs and the SOCS engine");
   cli.addInt("reps", &reps, "repetitions per config (minimum is reported)");
   cli.addString("json", &jsonPath, "output JSON path");
+  cli.addString("label", &label, "name of this run's SOCS rows in the JSON");
   try {
     if (!cli.parse(argc, argv)) return 0;
     MOSAIC_CHECK(reps > 0, "reps must be positive");
@@ -189,21 +216,17 @@ int main(int argc, char** argv) {
       const SyntheticKernels kern(n, kKernels);
       const ComplexGrid spectrum = randomGrid(n, 7);
       const RealGrid gField = randomRealGrid(n, 8);
-      RealGrid intensity(n, n, 0.0);
-      ComplexGrid accum(n, n, {0.0, 0.0});
+      RealGrid intensity(n, n);
+      RealGrid grad(n, n);
       BackendRow row;
       row.size = n;
       row.aerialMs = 1000.0 * timeBatch(1, 1, reps, [&](int) {
-        intensity.fill(0.0);
-        exec::accumulateCoherentIntensity(fft, spectrum, kern.views.data(),
-                                          kern.weights.data(), kKernels, 1.05,
-                                          intensity);
+        exec::socsImage(fft, spectrum, kern.views.data(), kern.weights.data(),
+                        kKernels, 1.05, intensity);
       });
       row.gradMs = 1000.0 * timeBatch(1, 1, reps, [&](int) {
-        accum.fill({0.0, 0.0});
-        exec::accumulateGradientChains(fft, spectrum, kern.views.data(),
-                                       kern.weights.data(), kKernels, gField,
-                                       accum);
+        exec::socsGradient(fft, spectrum, kern.views.data(),
+                           kern.weights.data(), kKernels, gField, grad);
       });
       backendRows.push_back(row);
       std::printf("socs size %4d  aerial %8.2f ms  grad %8.2f ms\n", n,
@@ -228,11 +251,22 @@ int main(int argc, char** argv) {
       btable.addRow({std::to_string(row.size), TextTable::num(row.aerialMs, 2),
                      TextTable::num(row.gradMs, 2)});
     }
-    std::printf("\n== bm_fft: batched SOCS aerial + gradient (%d kernels, "
+    std::printf("\n== bm_fft: SOCS image + gradient (%d kernels, "
                 "%s build) ==\n%s",
                 kKernels, fftBuildName(hostFftBuild()),
                 btable.render().c_str());
 
+    std::vector<std::string> socsRows = otherBackendRows(jsonPath, label);
+    for (const BackendRow& row : backendRows) {
+      telemetry::JsonObject obj;
+      obj.set("label", label);
+      obj.set("backend", "cpu_simd");
+      obj.set("size", row.size);
+      obj.set("kernels", kKernels);
+      obj.set("aerial_ms", row.aerialMs);
+      obj.set("grad_ms", row.gradMs);
+      socsRows.push_back(obj.str());
+    }
     FILE* json = std::fopen(jsonPath.c_str(), "w");
     MOSAIC_CHECK(json != nullptr, "cannot write " << jsonPath);
     std::fprintf(json, "{\n  \"bench\": \"bm_fft\",\n  \"reps\": %d,\n"
@@ -251,13 +285,9 @@ int main(int argc, char** argv) {
                  "  \"backends\": [\n",
                  exec::cpuHasAvx2() ? "true" : "false",
                  fftBuildName(hostFftBuild()));
-    for (std::size_t i = 0; i < backendRows.size(); ++i) {
-      const BackendRow& row = backendRows[i];
-      std::fprintf(json,
-                   "    {\"backend\": \"cpu_simd\", \"size\": %d, "
-                   "\"aerial_ms\": %.3f, \"grad_ms\": %.3f}%s\n",
-                   row.size, row.aerialMs, row.gradMs,
-                   i + 1 < backendRows.size() ? "," : "");
+    for (std::size_t i = 0; i < socsRows.size(); ++i) {
+      std::fprintf(json, "    %s%s\n", socsRows[i].c_str(),
+                   i + 1 < socsRows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);

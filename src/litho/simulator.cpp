@@ -7,6 +7,7 @@
 #include "litho/tcc.hpp"
 #include "math/backend.hpp"
 #include "math/convolution.hpp"
+#include "math/scratch.hpp"
 #include "support/failpoint.hpp"
 #include "support/telemetry/metrics.hpp"
 #include "support/log.hpp"
@@ -16,6 +17,8 @@
 
 namespace mosaic {
 namespace {
+
+using Complex = std::complex<double>;
 
 /// Whether a set read from the disk cache is the one computeKernelSet
 /// would build for this request: the file name rounds the focus, so the
@@ -130,7 +133,26 @@ ComplexGrid LithoSimulator::maskSpectrum(const RealGrid& mask) const {
   static telemetry::Counter& spectra =
       telemetry::metrics().counter("litho.mask_spectrum");
   spectra.add(1);
-  return fft2dFor(n, n).forwardReal(mask);
+  // Only the kernels' lattice band is ever read: its non-negative columns
+  // come from one band-pruned forward, the negative ones from Hermitian
+  // symmetry X(r, -c) = conj(X(-r, c)).
+  const int band = pupilRadius(optics_);
+  const Fft2d& fft = fft2dFor(n, n);
+  scratch::ComplexLease half(n, fft.bandColumns(band));
+  fft.forwardRealBand(mask, band, *half);
+  const int last = std::min(band, n / 2);
+  ComplexGrid spectrum(n, n);
+  for (int r = 0; r < n; ++r) {
+    if (std::min(r, n - r) > band) continue;
+    const Complex* src = half->rowPtr(r);
+    const Complex* mirror = half->rowPtr((n - r) % n);
+    Complex* dst = spectrum.rowPtr(r);
+    std::copy_n(src, last + 1, dst);
+    for (int c = std::max(last + 1, n - last); c < n; ++c) {
+      dst[c] = std::conj(mirror[n - c]);
+    }
+  }
+  return spectrum;
 }
 
 RealGrid LithoSimulator::aerial(const RealGrid& mask,
@@ -155,8 +177,7 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
   const int count = (maxKernels <= 0)
                         ? set.kernelCount()
                         : std::min(maxKernels, set.kernelCount());
-  const Fft2d& fft = fft2dFor(n, n);
-  RealGrid intensity(n, n, 0.0);
+  RealGrid intensity(n, n);
   // The dose factor is applied exactly once, inside the SOCS sum; the
   // resist blur below stays outside so it also applies exactly once
   // (regression-tested in tests/test_backend.cpp for dose != 1 combined
@@ -168,9 +189,8 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
                                           spec.value.data(),
                                           spec.flatIndex.size()};
   }
-  exec::accumulateCoherentIntensity(fft, spectrum, views.data(),
-                                    set.weights.data(), count, corner.dose,
-                                    intensity);
+  exec::socsImage(fft2dFor(n, n), spectrum, views.data(), set.weights.data(),
+                  count, corner.dose, intensity);
   if (resist_.diffusionSigmaNm > 0.0) {
     intensity = gaussianBlur(
         intensity, resist_.diffusionSigmaNm / optics_.pixelNm);

@@ -20,7 +20,9 @@ namespace mosaic {
 
 /// Forward lithography simulator.
 ///
-/// The expensive part of a simulation is the per-kernel inverse FFT; when
+/// A simulation is a mask spectrum and one SOCS sum per condition, each
+/// sum a per-kernel inverse FFT on the intensity's coarse Nyquist grid
+/// plus one band-pruned inverse onto the pixel grid (math/backend). When
 /// evaluating several corners of the same mask, compute the mask spectrum
 /// once via maskSpectrum() and image every corner from it in one
 /// imageConditions() call, which sums each distinct condition once.
@@ -65,7 +67,10 @@ class LithoSimulator {
   /// this before fan-out). Rethrows the first failed computation.
   void warmKernels(const std::vector<double>& focusValuesNm) const;
 
-  /// Forward FFT of a real mask.
+  /// Spectrum of a real mask on the pixel grid's FFT lattice, computed
+  /// only where the SOCS kernels read it: the band |row|, |col| <=
+  /// pupilRadius() (litho/tcc.hpp), from one band-pruned forward FFT.
+  /// Every other sample is zero.
   [[nodiscard]] ComplexGrid maskSpectrum(const RealGrid& mask) const;
 
   /// Aerial image I = dose * sum_k w_k |M (x) h_k|^2 (Eq. 2).

@@ -12,6 +12,10 @@
 
 namespace mosaic {
 
+int pupilRadius(const OpticsConfig& optics) {
+  return static_cast<int>(std::floor(optics.cutoffFreq() / optics.freqStep()));
+}
+
 std::vector<PupilSample> pupilLattice(const OpticsConfig& optics) {
   optics.validate();
   const int n = optics.gridSize();
@@ -19,7 +23,7 @@ std::vector<PupilSample> pupilLattice(const OpticsConfig& optics) {
   const double cutoff = optics.cutoffFreq();
   std::vector<PupilSample> lattice;
   // Signed index range covering the cutoff circle.
-  const int maxIdx = static_cast<int>(std::floor(cutoff / df));
+  const int maxIdx = pupilRadius(optics);
   for (int si = -maxIdx; si <= maxIdx; ++si) {
     for (int sj = -maxIdx; sj <= maxIdx; ++sj) {
       const double fy = si * df;

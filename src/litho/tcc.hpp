@@ -22,6 +22,11 @@ struct PupilSample {
   double fy = 0;
 };
 
+/// Largest |row| or |col| lattice index of the pupil lattice,
+/// floor(cutoff / freqStep): 7 for a 1024-nm clip, 14 for a 2048-nm
+/// window, at every pitch. Every SOCS kernel lives within it.
+int pupilRadius(const OpticsConfig& optics);
+
 /// Enumerate the FFT lattice sites whose spatial frequency lies within the
 /// pupil cutoff NA/lambda.
 std::vector<PupilSample> pupilLattice(const OpticsConfig& optics);

@@ -1,20 +1,24 @@
 /// \file backend.cpp
-/// The SOCS engine behind math/backend.hpp. Its transforms are the one
-/// FFT's (math/fft): what it adds around them is specific to SOCS.
-///  - Pruned inverse transforms: SOCS kernel spectra are band-limited to
-///    the pupil disc, so at production sizes ~94% of the rows of
-///    (kernel .* spectrum) are exactly zero. The sparse scatter flags the
-///    rows it writes, and Fft2d::transformBatch skips dead rows in the row
-///    pass and dead butterfly groups in the column pass. Skipping exact
-///    zeros is exact — zeros transform to zeros — so this is not an
-///    approximation.
-///  - Batching: up to four kernel fields advance through the column pass
-///    together, so every stage's twiddle/liveness bookkeeping is paid
-///    once per batch instead of once per kernel.
-///  - Fused epilogues: the weighted |.|^2 accumulate (aerial, with the
-///    dose folded into the weights) and the g .* conj sweep (gradient)
-///    run as single passes over each field; the |.|^2 accumulate has an
-///    AVX2+FMA build, taken with the plan's FFT build.
+/// The SOCS engine behind math/backend.hpp: the image and the gradient on
+/// the coarse grid. Its transforms are the one FFT's (math/fft): per
+/// kernel, a row-pruned inverse of the kernel product on the coarse grid
+/// (rows outside the kernel's support are skipped, exactly), and at the
+/// pixel boundary the band-pruned real transforms.
+///
+/// Sampling. A kernel product c(f) = S(f) h(f), |f| <= R, has the pixel
+/// field a(x) = n^-2 sum_f c(f) e^{2 pi i f.x/n} and the coarse field
+/// b(y) = N^-2 sum_f c(f) e^{2 pi i f.y/N}: the same trigonometric
+/// polynomial, a(y n/N) = (N/n)^2 b(y). Hence
+///  - image: sum_k w_k |b_k|^2 samples I (n/N)^4-scaled; its spectrum's
+///    +-2R band times (N/n)^2 is I's pixel spectrum, and nothing aliases
+///    since N > 4R;
+///  - gradient: with g_c the +-2R band of dF/dI resampled onto the coarse
+///    grid ((N/n)^2 times the coarse inverse of its band), the coarse
+///    spectrum of g_c .* conj(b_k) equals the pixel spectrum of
+///    dF/dI .* conj(a_k) on +-R, which is all the flipped kernel reads
+///    (the product's band is +-3R, and 3R + R < N).
+/// Each pixel axis runs the coarse axis min(n, N); where that is n, the
+/// band covers the axis and the step is the pixel grid's cyclic model.
 ///
 /// Numerics: tests/test_backend.cpp checks both primitives against the
 /// direct-DFT reference in tests/reference.hpp, from 1x1 grids up.
@@ -22,188 +26,216 @@
 #include "math/backend.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "math/scratch.hpp"
 #include "support/failpoint.hpp"
-#include "support/telemetry/trace.hpp"
-
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define MOSAIC_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define MOSAIC_SIMD_X86 0
-#endif
 
 namespace mosaic {
 namespace exec {
 
 namespace {
 
-constexpr int kBatch = 4;  ///< Kernel fields advanced together per sweep.
+using Complex = std::complex<double>;
 
-// ---------------------------------------------------------------------------
-// Sparse scatter + row liveness
-// ---------------------------------------------------------------------------
+/// Signed frequency of index i on an axis of n samples, in (-n/2, n/2].
+int signedIndex(int i, int n) { return i <= n / 2 ? i : i - n; }
 
-/// out = kernel .* spectrum on the sparse support, zero elsewhere; marks
-/// live[r] for every row that received a sample.
-void scatterProduct(const ComplexGrid& spectrum, const SpectrumView& spec,
-                    ComplexGrid& out, std::uint8_t* live, int cols) {
-  out.fill({0.0, 0.0});
-  for (std::size_t i = 0; i < spec.count; ++i) {
-    const auto flat = static_cast<std::size_t>(spec.flatIndex[i]);
-    out.data()[flat] = spectrum.data()[flat] * spec.value[i];
-    live[flat / static_cast<std::size_t>(cols)] = 1;
-  }
-}
+/// Index of signed frequency s on an axis of n samples.
+int wrapIndex(int s, int n) { return ((s % n) + n) % n; }
 
-// ---------------------------------------------------------------------------
-// Fused epilogues
-// ---------------------------------------------------------------------------
+/// One call's coarse grid: the kernels' lattice radius R, an axis of
+/// min(n, N) samples per pixel axis (N the smallest power of two above
+/// 4R), and the coarse flat index of every kernel sample, kernels back to
+/// back. Pixel-grid dimensions are powers of two, so flat indices split
+/// with shifts.
+struct CoarseGrid {
+  int pixelRows;
+  int pixelCols;
+  int radius = 0;
+  int rows = 1;
+  int cols = 1;
+  int colShift = 0;  ///< log2(cols)
+  std::vector<int> index;
+  std::vector<std::size_t> first;  ///< kernel k owns [first[k], first[k+1])
 
-#if MOSAIC_SIMD_X86
-
-/// out += scale * |field|^2, 4 complex elements per iteration.
-__attribute__((target("avx2,fma"))) void accumNormAvx2(
-    const ComplexGrid& field, double scale, RealGrid& out) {
-  const double* f = reinterpret_cast<const double*>(field.data());
-  double* o = out.data();
-  const std::size_t n = out.size();
-  const std::size_t n4 = n & ~std::size_t{3};
-  const __m256d sv = _mm256_set1_pd(scale);
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256d a = _mm256_loadu_pd(f + 2 * i);      // f0 f1
-    const __m256d b = _mm256_loadu_pd(f + 2 * i + 4);  // f2 f3
-    const __m256d sa = _mm256_mul_pd(a, a);
-    const __m256d sb = _mm256_mul_pd(b, b);
-    // hadd: [sa0+sa1, sb0+sb1, sa2+sa3, sb2+sb3] = [|f0|²,|f2|²,|f1|²,|f3|²]
-    const __m256d h = _mm256_hadd_pd(sa, sb);
-    const __m256d p = _mm256_permute4x64_pd(h, 0xD8);  // [0,2,1,3] lanes
-    const __m256d acc = _mm256_loadu_pd(o + i);
-    _mm256_storeu_pd(o + i, _mm256_fmadd_pd(p, sv, acc));
-  }
-  for (std::size_t i = n4; i < n; ++i) {
-    o[i] += scale * std::norm(field.data()[i]);
-  }
-}
-
-#endif  // MOSAIC_SIMD_X86
-
-void accumNorm(const ComplexGrid& field, double scale, RealGrid& out,
-               bool avx2) {
-#if MOSAIC_SIMD_X86
-  if (avx2) {
-    accumNormAvx2(field, scale, out);
-    return;
-  }
-#else
-  (void)avx2;
-#endif
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] += scale * std::norm(field.data()[i]);
-  }
-}
-
-/// field = gField .* conj(field), in place.
-void conjMulInPlace(const RealGrid& gField, ComplexGrid& field) {
-  double* f = reinterpret_cast<double*>(field.data());
-  const double* g = gField.data();
-  const std::size_t n = field.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    f[2 * i] *= g[i];
-    f[2 * i + 1] *= -g[i];
-  }
-}
-
-/// Pooled field grids for one batch of up to kBatch kernels.
-struct BatchGrids {
-  std::vector<scratch::ComplexLease> leases;
-  ComplexGrid* grid[kBatch] = {};
-
-  BatchGrids(int rows, int cols, int count) {
-    const int n = std::min(count, kBatch);
-    leases.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      leases.emplace_back(rows, cols);
-      grid[i] = &*leases.back();
+  CoarseGrid(const Fft2d& fft, const SpectrumView* kernels, int count)
+      : pixelRows(fft.rows()), pixelCols(fft.cols()) {
+    const int shift = std::countr_zero(static_cast<unsigned>(pixelCols));
+    const int mask = pixelCols - 1;
+    first.push_back(0);
+    for (int k = 0; k < count; ++k) {
+      for (std::size_t s = 0; s < kernels[k].count; ++s) {
+        const int flat = kernels[k].flatIndex[s];
+        radius = std::max({radius,
+                           std::abs(signedIndex(flat >> shift, pixelRows)),
+                           std::abs(signedIndex(flat & mask, pixelCols))});
+      }
+      first.push_back(first.back() + kernels[k].count);
     }
-  }
-};
-
-/// grids[i] = ifft(kernels[i] .* spectrum) for i < count <= kBatch: sparse
-/// scatter, then one pruned, batched transform.
-void inverseKernelProducts(const Fft2d& fft, const ComplexGrid& spectrum,
-                           const SpectrumView* kernels, int count,
-                           ComplexGrid* const* grids,
-                           std::vector<std::uint8_t>& live) {
-  std::fill(live.begin(), live.end(), std::uint8_t{0});
-  for (int i = 0; i < count; ++i) {
-    scatterProduct(spectrum, kernels[i], *grids[i], live.data(), fft.cols());
-  }
-  fft.transformBatch(grids, count, /*invert=*/true, live.data());
-}
-
-}  // namespace
-
-void accumulateCoherentIntensity(const Fft2d& fft, const ComplexGrid& spectrum,
-                                 const SpectrumView* kernels,
-                                 const double* weights, int count, double dose,
-                                 RealGrid& intensity) {
-  MOSAIC_SPAN("backend.aerial_simd");
-  const bool avx2 = fft.build() == FftBuild::kAvx2;
-  BatchGrids batch(fft.rows(), fft.cols(), count);
-  std::vector<std::uint8_t> live(static_cast<std::size_t>(fft.rows()));
-  for (int k0 = 0; k0 < count; k0 += kBatch) {
-    const int b = std::min(kBatch, count - k0);
-    inverseKernelProducts(fft, spectrum, kernels + k0, b, batch.grid, live);
-    for (int i = 0; i < b; ++i) {
-      accumNorm(*batch.grid[i], weights[k0 + i] * dose, intensity, avx2);
-    }
-  }
-}
-
-void accumulateGradientChains(const Fft2d& fft,
-                              const ComplexGrid& maskSpectrum,
-                              const SpectrumView* kernels,
-                              const double* weights, int count,
-                              const RealGrid& gField, ComplexGrid& accum) {
-  MOSAIC_SPAN("backend.gradient_simd");
-  const int rows = fft.rows();
-  const int cols = fft.cols();
-  BatchGrids batch(rows, cols, count);
-  ComplexGrid* const* grids = batch.grid;
-  std::vector<std::uint8_t> live(static_cast<std::size_t>(rows));
-  for (int k0 = 0; k0 < count; k0 += kBatch) {
-    const int b = std::min(kBatch, count - k0);
-    // A = ifft(Mhat .* spec), pruned + batched like the aerial path.
-    inverseKernelProducts(fft, maskSpectrum, kernels + k0, b, grids, live);
-    // B = G .* conj(A), then the full (dense) forward transform.
-    for (int i = 0; i < b; ++i) {
-      conjMulInPlace(gField, *grids[i]);
-      // The same fault-injection site as Fft2d::forward.
-      MOSAIC_FAILPOINT_DATA("fft.forward",
-                            reinterpret_cast<double*>(grids[i]->data()),
-                            grids[i]->size() * 2);
-    }
-    fft.transformBatch(grids, b, /*invert=*/false, nullptr);
-    // accum += w * fft(B) .* spec_flipped.
-    for (int i = 0; i < b; ++i) {
-      const SpectrumView& spec = kernels[k0 + i];
-      const ComplexGrid& field = *grids[i];
-      const std::complex<double> scale(weights[k0 + i], 0.0);
-      for (std::size_t s = 0; s < spec.count; ++s) {
-        const int flat = spec.flatIndex[s];
-        const int r = flat / cols;
-        const int c = flat % cols;
-        const auto flipped = static_cast<std::size_t>(
-            ((rows - r) % rows) * cols + ((cols - c) % cols));
-        accum.data()[flipped] +=
-            field.data()[flipped] * spec.value[s] * scale;
+    int n = 1;
+    while (n <= 4 * radius) n <<= 1;
+    rows = std::min(pixelRows, n);
+    cols = std::min(pixelCols, n);
+    colShift = std::countr_zero(static_cast<unsigned>(cols));
+    index.reserve(first.back());
+    for (int k = 0; k < count; ++k) {
+      for (std::size_t s = 0; s < kernels[k].count; ++s) {
+        const int flat = kernels[k].flatIndex[s];
+        index.push_back(
+            wrapIndex(signedIndex(flat >> shift, pixelRows), rows) * cols +
+            wrapIndex(signedIndex(flat & mask, pixelCols), cols));
       }
     }
   }
+
+  /// (coarse samples) / (pixel samples): the factor between a coarse and a
+  /// pixel spectrum of one band-limited function.
+  [[nodiscard]] double spectrumScale() const {
+    return (static_cast<double>(rows) * cols) /
+           (static_cast<double>(pixelRows) * pixelCols);
+  }
+
+  /// Calls f(coarseRow, pixelRow) for every coarse row in the signed band
+  /// |row| <= band, with the pixel row of the same frequency.
+  template <typename F>
+  void forBandRows(int band, const F& f) const {
+    for (int i = 0; i < rows; ++i) {
+      if (std::min(i, rows - i) > band) continue;
+      f(i, wrapIndex(signedIndex(i, rows), pixelRows));
+    }
+  }
+
+  /// field = ifft(kernels[k] .* spectrum) on this grid, rows outside the
+  /// kernel's support pruned (`live` is scratch of `rows` flags).
+  void kernelField(const Fft2d& coarseFft, const ComplexGrid& spectrum,
+                   const SpectrumView& kernel, int k, ComplexGrid& field,
+                   std::vector<std::uint8_t>& live) const {
+    const int* idx = index.data() + first[static_cast<std::size_t>(k)];
+    std::fill(live.begin(), live.end(), std::uint8_t{0});
+    for (std::size_t s = 0; s < kernel.count; ++s) {
+      const int r = idx[s] >> colShift;
+      if (live[static_cast<std::size_t>(r)] != 0) continue;
+      live[static_cast<std::size_t>(r)] = 1;
+      std::fill_n(field.rowPtr(r), cols, Complex(0.0, 0.0));
+    }
+    for (std::size_t s = 0; s < kernel.count; ++s) {
+      const auto flat = static_cast<std::size_t>(kernel.flatIndex[s]);
+      field.data()[idx[s]] = spectrum.data()[flat] * kernel.value[s];
+    }
+    coarseFft.transform(field, /*invert=*/true, live.data());
+  }
+};
+
+}  // namespace
+
+void socsImage(const Fft2d& fft, const ComplexGrid& spectrum,
+               const SpectrumView* kernels, const double* weights, int count,
+               double dose, RealGrid& intensity) {
+  const CoarseGrid grid(fft, kernels, count);
+  const Fft2d& coarseFft = fft2dFor(grid.rows, grid.cols, fft.build());
+  scratch::ComplexLease field(grid.rows, grid.cols);
+  scratch::RealLease sum(grid.rows, grid.cols);
+  sum->fill(0.0);
+  std::vector<std::uint8_t> live(static_cast<std::size_t>(grid.rows));
+  for (int k = 0; k < count; ++k) {
+    grid.kernelField(coarseFft, spectrum, kernels[k], k, *field, live);
+    const double w = weights[k] * dose;
+    const Complex* f = field->data();
+    double* out = sum->data();
+    for (std::size_t i = 0; i < sum->size(); ++i) out[i] += w * std::norm(f[i]);
+  }
+
+  // The sum's +-2R band, scaled to the pixel spectrum, then one
+  // band-pruned inverse onto the pixel grid.
+  const int band = 2 * grid.radius;
+  scratch::ComplexLease coarseBand(grid.rows, coarseFft.bandColumns(band));
+  coarseFft.forwardRealBand(*sum, band, *coarseBand);
+  scratch::ComplexLease pixelBand(fft.rows(), fft.bandColumns(band));
+  const int lastCol = std::min(band, grid.cols / 2);
+  const double scale = grid.spectrumScale();
+  grid.forBandRows(band, [&](int cr, int pr) {
+    const Complex* src = coarseBand->rowPtr(cr);
+    Complex* dst = pixelBand->rowPtr(pr);
+    for (int c = 0; c <= lastCol; ++c) dst[c] = src[c] * scale;
+  });
+  fft.inverseRealBand(*pixelBand, band, intensity);
+}
+
+void socsGradient(const Fft2d& fft, const ComplexGrid& maskSpectrum,
+                  const SpectrumView* kernels, const double* weights,
+                  int count, const RealGrid& gField, RealGrid& grad) {
+  const CoarseGrid grid(fft, kernels, count);
+  const Fft2d& coarseFft = fft2dFor(grid.rows, grid.cols, fft.build());
+
+  // g_c: the +-2R band of dF/dI, resampled onto the coarse grid.
+  const int gBand = 2 * grid.radius;
+  scratch::RealLease gCoarse(grid.rows, grid.cols);
+  {
+    scratch::ComplexLease pixelBand(fft.rows(), fft.bandColumns(gBand));
+    fft.forwardRealBand(gField, gBand, *pixelBand);
+    scratch::ComplexLease coarseBand(grid.rows, coarseFft.bandColumns(gBand));
+    const int lastCol = std::min(gBand, grid.cols / 2);
+    const double scale = grid.spectrumScale();
+    grid.forBandRows(gBand, [&](int cr, int pr) {
+      const Complex* src = pixelBand->rowPtr(pr);
+      Complex* dst = coarseBand->rowPtr(cr);
+      for (int c = 0; c <= lastCol; ++c) dst[c] = src[c] * scale;
+    });
+    coarseFft.inverseRealBand(*coarseBand, gBand, *gCoarse);
+  }
+
+  // X = sum_k w_k flip(h_k) .* fft(g_c .* conj(b_k)), read only at the
+  // flipped kernel samples.
+  scratch::ComplexLease field(grid.rows, grid.cols);
+  scratch::ComplexLease accum(grid.rows, grid.cols);
+  accum->fill({0.0, 0.0});
+  std::vector<std::uint8_t> live(static_cast<std::size_t>(grid.rows));
+  for (int k = 0; k < count; ++k) {
+    grid.kernelField(coarseFft, maskSpectrum, kernels[k], k, *field, live);
+    double* f = reinterpret_cast<double*>(field->data());
+    const double* g = gCoarse->data();
+    for (std::size_t i = 0; i < gCoarse->size(); ++i) {
+      f[2 * i] *= g[i];
+      f[2 * i + 1] *= -g[i];
+    }
+    // The same fault-injection site as Fft2d::forward.
+    MOSAIC_FAILPOINT_DATA("fft.forward", f, field->size() * 2);
+    coarseFft.transform(*field, /*invert=*/false, nullptr);
+    const int* idx = grid.index.data() + grid.first[static_cast<std::size_t>(k)];
+    const Complex w(weights[k], 0.0);
+    for (std::size_t s = 0; s < kernels[k].count; ++s) {
+      const int r = idx[s] >> grid.colShift;
+      const int c = idx[s] & (grid.cols - 1);
+      const auto flipped = static_cast<std::size_t>(
+          ((grid.rows - r) % grid.rows) * grid.cols +
+          (grid.cols - c) % grid.cols);
+      accum->data()[flipped] +=
+          field->data()[flipped] * kernels[k].value[s] * w;
+    }
+  }
+
+  // 2 Re ifft(X) = ifft(H) with the Hermitian H(f) = X(f) + conj(X(-f)):
+  // its +-R half band onto the pixel grid through one real inverse.
+  const int band = grid.radius;
+  scratch::ComplexLease pixelBand(fft.rows(), fft.bandColumns(band));
+  const int lastCol = std::min(band, fft.cols() / 2);
+  const ComplexGrid& x = *accum;
+  for (int pr = 0; pr < fft.rows(); ++pr) {
+    const int sr = signedIndex(pr, fft.rows());
+    if (std::abs(sr) > band) continue;
+    const int r = wrapIndex(sr, grid.rows);
+    const int mr = wrapIndex(-sr, grid.rows);
+    Complex* dst = pixelBand->rowPtr(pr);
+    for (int c = 0; c <= lastCol; ++c) {
+      dst[c] = x(r, wrapIndex(c, grid.cols)) +
+               std::conj(x(mr, wrapIndex(-c, grid.cols)));
+    }
+  }
+  fft.inverseRealBand(*pixelBand, band, grad);
 }
 
 }  // namespace exec

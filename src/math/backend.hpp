@@ -2,17 +2,21 @@
 /// \file backend.hpp
 /// The SOCS hot path (docs/performance.md, "The SOCS engine").
 ///
-/// One ILT iteration spends nearly all of its time in two math-level
-/// primitives: the aerial-intensity sum over the SOCS kernel set
-/// (per-kernel sparse product + inverse FFT + weighted |.|^2 accumulate,
-/// Eq. 2) and the gradient convolution chains (inverse FFT, element-wise
-/// product, forward FFT, flipped sparse accumulate, Eq. 17). Their
-/// transforms are the one FFT's (math/fft: Fft2d::transformBatch, on the
-/// plan's build); this engine adds only what is specific to SOCS: the
-/// sparse scatter that flags the live rows of the band-limited kernel
-/// products, batches of four kernels per transform, and fused
-/// weighted-|.|^2 and g .* conj epilogues. tests/reference.hpp holds the
-/// direct-DFT oracle both primitives are tested against.
+/// One ILT iteration spends most of its transform time in two primitives:
+/// the aerial image, the SOCS sum of Eq. 2, and the gradient convolution
+/// chains of Eq. 17. Both run on a coarse grid, not on the pixel grid.
+/// Every kernel field h_k (*) M is band-limited to the kernels' lattice,
+/// |row|, |col| <= R (R = 7 for a 1024-nm clip and 14 for the 2048-nm
+/// window, at any pitch), so its intensity is band-limited to +-2R and the
+/// gradient's product g_c .* conj(h_k (*) M) to +-3R. On an N x N grid with
+/// N > 4R no frequency either primitive reads aliases, so every term is
+/// exact there. N is the smallest power of two above 4R; a pixel axis no
+/// longer than that is its own coarse axis, which is the plain cyclic
+/// model through the same code. The pixel grid is crossed only by the
+/// band-pruned real transforms of math/fft: the image's +-2R band out,
+/// dF/dI's +-2R band in and the gradient's +-R band out. tests/reference.hpp
+/// holds the direct-DFT, pixel-grid oracle both primitives are tested
+/// against.
 ///
 /// Thread-safety: both primitives use only per-thread scratch, so any
 /// number of threads may call them concurrently.
@@ -35,26 +39,23 @@ struct SpectrumView {
   std::size_t count = 0;
 };
 
-/// intensity += dose * sum_k weights[k] * |ifft(kernels[k] .* spectrum)|^2.
-/// `intensity` is accumulated into (callers pass a zeroed grid); the dose
-/// is folded into the per-kernel weights.
-void accumulateCoherentIntensity(const Fft2d& fft, const ComplexGrid& spectrum,
-                                 const SpectrumView* kernels,
-                                 const double* weights, int count, double dose,
-                                 RealGrid& intensity);
+/// intensity = dose * sum_k weights[k] * |ifft(kernels[k] .* spectrum)|^2
+/// on the pixel grid of `fft` (Eq. 2). `spectrum` is read only at the
+/// kernels' samples; `intensity` (fft's shape) is overwritten.
+void socsImage(const Fft2d& fft, const ComplexGrid& spectrum,
+               const SpectrumView* kernels, const double* weights, int count,
+               double dose, RealGrid& intensity);
 
-/// accum += sum_k weights[k] * flip(kernels[k]) .*
-///          fft(gField .* conj(ifft(kernels[k] .* maskSpectrum)))
+/// grad = 2 Re ifft(sum_k weights[k] flip(kernels[k]) .*
+///                  fft(gField .* conj(ifft(kernels[k] .* maskSpectrum))))
 ///
-/// The gradient convolution chain of Eq. 17, summed over a kernel set
-/// into the spectral accumulator (the caller inverse-transforms `accum`
-/// once per evaluation). flip(s) moves the sample at (r, c) to
-/// ((R-r)%R, (C-c)%C) with the value unchanged.
-void accumulateGradientChains(const Fft2d& fft,
-                              const ComplexGrid& maskSpectrum,
-                              const SpectrumView* kernels,
-                              const double* weights, int count,
-                              const RealGrid& gField, ComplexGrid& accum);
+/// The mask gradient of Eq. 17 for a kernel set: the convolution chains
+/// summed in the spectrum, then one real inverse. flip(s) moves the sample
+/// at (r, c) to ((R-r)%R, (C-c)%C) with the value unchanged. `grad`
+/// (fft's shape) is overwritten.
+void socsGradient(const Fft2d& fft, const ComplexGrid& maskSpectrum,
+                  const SpectrumView* kernels, const double* weights,
+                  int count, const RealGrid& gField, RealGrid& grad);
 
 /// Name handle on the engine for callers that report it (bench/e2e prints
 /// `currentBackend().name()`). There is one engine, so there is nothing

@@ -6,6 +6,7 @@
 
 #include "math/fft.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <mutex>
@@ -222,16 +223,15 @@ __attribute__((target("avx2,fma"))) void lineAvx2(const Tables& t,
 // the transforms of those columns (the real paths skip the redundant
 // Hermitian half this way).
 
-/// The grids one column pass advances, the doubles per row it transforms,
-/// and the optional per-row liveness they share.
-struct Batch {
-  ComplexGrid* const* grids;
-  int count;
+/// The grid one column pass advances, the doubles per row it transforms,
+/// and the optional per-row liveness.
+struct Columns {
+  ComplexGrid* grid;
   std::size_t width;
   std::uint8_t* live;  ///< nullptr: every row live
 
-  [[nodiscard]] double* row(int b, std::size_t r) const {
-    return reinterpret_cast<double*>(grids[b]->rowPtr(static_cast<int>(r)));
+  [[nodiscard]] double* row(std::size_t r) const {
+    return reinterpret_cast<double*>(grid->rowPtr(static_cast<int>(r)));
   }
 
   /// Permutes rows (and their flags) into bit-reversed order.
@@ -243,21 +243,25 @@ struct Batch {
         std::swap(live[i], live[j]);
         if (!(live[i] | live[j])) continue;
       }
-      for (int b = 0; b < count; ++b) {
-        std::swap_ranges(row(b, i), row(b, i) + width, row(b, j));
-      }
+      std::swap_ranges(row(i), row(i) + width, row(j));
     }
   }
 
   /// Whether the butterfly over rows r0, r0 + h, ... (k of them) has work:
-  /// not when all are dead, since zeros transform to zeros. Otherwise its
-  /// outputs are live from here on.
+  /// not when all are dead, since zeros transform to zeros. Otherwise a
+  /// dead row among them is zeroed (its content was ignored until now),
+  /// and all of them are live from here on.
   [[nodiscard]] bool enter(std::size_t r0, std::size_t h, int k) const {
     if (live == nullptr) return true;
     std::uint8_t any = 0;
     for (int i = 0; i < k; ++i) any |= live[r0 + i * h];
     if (any == 0) return false;
-    for (int i = 0; i < k; ++i) live[r0 + i * h] = 1;
+    for (int i = 0; i < k; ++i) {
+      const std::size_t r = r0 + i * h;
+      if (live[r] != 0) continue;
+      std::fill(row(r), row(r) + width, 0.0);
+      live[r] = 1;
+    }
     return true;
   }
 };
@@ -280,7 +284,7 @@ struct GroupTwiddles {
   }
 };
 
-void columnsPortable(const Tables& t, const Batch& g, bool invert) {
+void columnsPortable(const Tables& t, const Columns& g, bool invert) {
   const std::size_t n = t.n;
   if (n == 1) return;
   g.bitReverse(t);
@@ -290,15 +294,13 @@ void columnsPortable(const Tables& t, const Batch& g, bool invert) {
     const double s = (n == 2) ? fullScale : 1.0;
     for (std::size_t base = 0; base < n; base += 2) {
       if (!g.enter(base, 1, 2)) continue;
-      for (int b = 0; b < g.count; ++b) {
-        double* lo = g.row(b, base);
-        double* hi = g.row(b, base + 1);
-        for (std::size_t c = 0; c < g.width; ++c) {
-          const double l = lo[c];
-          const double r = hi[c];
-          lo[c] = (l + r) * s;
-          hi[c] = (l - r) * s;
-        }
+      double* lo = g.row(base);
+      double* hi = g.row(base + 1);
+      for (std::size_t c = 0; c < g.width; ++c) {
+        const double l = lo[c];
+        const double r = hi[c];
+        lo[c] = (l + r) * s;
+        hi[c] = (l - r) * s;
       }
     }
     h = 2;
@@ -310,39 +312,37 @@ void columnsPortable(const Tables& t, const Batch& g, bool invert) {
       for (std::size_t j = 0; j < h; ++j) {
         if (!g.enter(base + j, h, 4)) continue;
         const GroupTwiddles w(t, h, j, invert);
-        for (int b = 0; b < g.count; ++b) {
-          double* pa = g.row(b, base + j);
-          double* pb = g.row(b, base + j + h);
-          double* pc = g.row(b, base + j + 2 * h);
-          double* pd = g.row(b, base + j + 3 * h);
-          for (std::size_t c = 0; c < g.width; c += 2) {
-            const double ar = pa[c], ai = pa[c + 1];
-            const double br = pb[c], bi = pb[c + 1];
-            const double cr = pc[c], ci = pc[c + 1];
-            const double dr = pd[c], di = pd[c + 1];
-            // Stage h: (a,b) and (c,d) with W1.
-            const double tbr = br * w.w1r - bi * w.w1i;
-            const double tbi = br * w.w1i + bi * w.w1r;
-            const double tdr = dr * w.w1r - di * w.w1i;
-            const double tdi = dr * w.w1i + di * w.w1r;
-            const double a1r = ar + tbr, a1i = ai + tbi;
-            const double b1r = ar - tbr, b1i = ai - tbi;
-            const double c1r = cr + tdr, c1i = ci + tdi;
-            const double d1r = cr - tdr, d1i = ci - tdi;
-            // Stage 2h: (a1,c1) with W2, (b1,d1) with W3.
-            const double t0r = c1r * w.w2r - c1i * w.w2i;
-            const double t0i = c1r * w.w2i + c1i * w.w2r;
-            const double t1r = d1r * w.w3r - d1i * w.w3i;
-            const double t1i = d1r * w.w3i + d1i * w.w3r;
-            pa[c] = (a1r + t0r) * s;
-            pa[c + 1] = (a1i + t0i) * s;
-            pc[c] = (a1r - t0r) * s;
-            pc[c + 1] = (a1i - t0i) * s;
-            pb[c] = (b1r + t1r) * s;
-            pb[c + 1] = (b1i + t1i) * s;
-            pd[c] = (b1r - t1r) * s;
-            pd[c + 1] = (b1i - t1i) * s;
-          }
+        double* pa = g.row(base + j);
+        double* pb = g.row(base + j + h);
+        double* pc = g.row(base + j + 2 * h);
+        double* pd = g.row(base + j + 3 * h);
+        for (std::size_t c = 0; c < g.width; c += 2) {
+          const double ar = pa[c], ai = pa[c + 1];
+          const double br = pb[c], bi = pb[c + 1];
+          const double cr = pc[c], ci = pc[c + 1];
+          const double dr = pd[c], di = pd[c + 1];
+          // Stage h: (a,b) and (c,d) with W1.
+          const double tbr = br * w.w1r - bi * w.w1i;
+          const double tbi = br * w.w1i + bi * w.w1r;
+          const double tdr = dr * w.w1r - di * w.w1i;
+          const double tdi = dr * w.w1i + di * w.w1r;
+          const double a1r = ar + tbr, a1i = ai + tbi;
+          const double b1r = ar - tbr, b1i = ai - tbi;
+          const double c1r = cr + tdr, c1i = ci + tdi;
+          const double d1r = cr - tdr, d1i = ci - tdi;
+          // Stage 2h: (a1,c1) with W2, (b1,d1) with W3.
+          const double t0r = c1r * w.w2r - c1i * w.w2i;
+          const double t0i = c1r * w.w2i + c1i * w.w2r;
+          const double t1r = d1r * w.w3r - d1i * w.w3i;
+          const double t1i = d1r * w.w3i + d1i * w.w3r;
+          pa[c] = (a1r + t0r) * s;
+          pa[c + 1] = (a1i + t0i) * s;
+          pc[c] = (a1r - t0r) * s;
+          pc[c + 1] = (a1i - t0i) * s;
+          pb[c] = (b1r + t1r) * s;
+          pb[c + 1] = (b1i + t1i) * s;
+          pd[c] = (b1r - t1r) * s;
+          pd[c + 1] = (b1i - t1i) * s;
         }
       }
     }
@@ -353,7 +353,7 @@ void columnsPortable(const Tables& t, const Batch& g, bool invert) {
 
 /// Two complex elements per vector: g.width must be a multiple of 4.
 __attribute__((target("avx2,fma"))) void columnsAvx2(const Tables& t,
-                                                     const Batch& g,
+                                                     const Columns& g,
                                                      bool invert) {
   const std::size_t n = t.n;
   if (n == 1) return;
@@ -365,15 +365,13 @@ __attribute__((target("avx2,fma"))) void columnsAvx2(const Tables& t,
     const __m256d sv = _mm256_set1_pd(s);
     for (std::size_t base = 0; base < n; base += 2) {
       if (!g.enter(base, 1, 2)) continue;
-      for (int b = 0; b < g.count; ++b) {
-        double* lo = g.row(b, base);
-        double* hi = g.row(b, base + 1);
-        for (std::size_t c = 0; c < g.width; c += 4) {
-          const __m256d l = _mm256_loadu_pd(lo + c);
-          const __m256d r = _mm256_loadu_pd(hi + c);
-          _mm256_storeu_pd(lo + c, _mm256_mul_pd(_mm256_add_pd(l, r), sv));
-          _mm256_storeu_pd(hi + c, _mm256_mul_pd(_mm256_sub_pd(l, r), sv));
-        }
+      double* lo = g.row(base);
+      double* hi = g.row(base + 1);
+      for (std::size_t c = 0; c < g.width; c += 4) {
+        const __m256d l = _mm256_loadu_pd(lo + c);
+        const __m256d r = _mm256_loadu_pd(hi + c);
+        _mm256_storeu_pd(lo + c, _mm256_mul_pd(_mm256_add_pd(l, r), sv));
+        _mm256_storeu_pd(hi + c, _mm256_mul_pd(_mm256_sub_pd(l, r), sv));
       }
     }
     h = 2;
@@ -392,33 +390,31 @@ __attribute__((target("avx2,fma"))) void columnsAvx2(const Tables& t,
         const __m256d v2i = _mm256_set1_pd(w.w2i);
         const __m256d v3r = _mm256_set1_pd(w.w3r);
         const __m256d v3i = _mm256_set1_pd(w.w3i);
-        for (int b = 0; b < g.count; ++b) {
-          double* pa = g.row(b, base + j);
-          double* pb = g.row(b, base + j + h);
-          double* pc = g.row(b, base + j + 2 * h);
-          double* pd = g.row(b, base + j + 3 * h);
-          for (std::size_t c = 0; c < g.width; c += 4) {
-            const __m256d a = _mm256_loadu_pd(pa + c);
-            const __m256d bv = _mm256_loadu_pd(pb + c);
-            const __m256d cv = _mm256_loadu_pd(pc + c);
-            const __m256d dv = _mm256_loadu_pd(pd + c);
-            const __m256d tb = cmulScalar(bv, v1r, v1i);
-            const __m256d td = cmulScalar(dv, v1r, v1i);
-            const __m256d a1 = _mm256_add_pd(a, tb);
-            const __m256d b1 = _mm256_sub_pd(a, tb);
-            const __m256d c1 = _mm256_add_pd(cv, td);
-            const __m256d d1 = _mm256_sub_pd(cv, td);
-            const __m256d t0 = cmulScalar(c1, v2r, v2i);
-            const __m256d t1 = cmulScalar(d1, v3r, v3i);
-            _mm256_storeu_pd(pa + c,
-                             _mm256_mul_pd(_mm256_add_pd(a1, t0), sv));
-            _mm256_storeu_pd(pc + c,
-                             _mm256_mul_pd(_mm256_sub_pd(a1, t0), sv));
-            _mm256_storeu_pd(pb + c,
-                             _mm256_mul_pd(_mm256_add_pd(b1, t1), sv));
-            _mm256_storeu_pd(pd + c,
-                             _mm256_mul_pd(_mm256_sub_pd(b1, t1), sv));
-          }
+        double* pa = g.row(base + j);
+        double* pb = g.row(base + j + h);
+        double* pc = g.row(base + j + 2 * h);
+        double* pd = g.row(base + j + 3 * h);
+        for (std::size_t c = 0; c < g.width; c += 4) {
+          const __m256d a = _mm256_loadu_pd(pa + c);
+          const __m256d bv = _mm256_loadu_pd(pb + c);
+          const __m256d cv = _mm256_loadu_pd(pc + c);
+          const __m256d dv = _mm256_loadu_pd(pd + c);
+          const __m256d tb = cmulScalar(bv, v1r, v1i);
+          const __m256d td = cmulScalar(dv, v1r, v1i);
+          const __m256d a1 = _mm256_add_pd(a, tb);
+          const __m256d b1 = _mm256_sub_pd(a, tb);
+          const __m256d c1 = _mm256_add_pd(cv, td);
+          const __m256d d1 = _mm256_sub_pd(cv, td);
+          const __m256d t0 = cmulScalar(c1, v2r, v2i);
+          const __m256d t1 = cmulScalar(d1, v3r, v3i);
+          _mm256_storeu_pd(pa + c,
+                           _mm256_mul_pd(_mm256_add_pd(a1, t0), sv));
+          _mm256_storeu_pd(pc + c,
+                           _mm256_mul_pd(_mm256_sub_pd(a1, t0), sv));
+          _mm256_storeu_pd(pb + c,
+                           _mm256_mul_pd(_mm256_add_pd(b1, t1), sv));
+          _mm256_storeu_pd(pd + c,
+                           _mm256_mul_pd(_mm256_sub_pd(b1, t1), sv));
         }
       }
     }
@@ -431,6 +427,12 @@ __attribute__((target("avx2,fma"))) void columnsAvx2(const Tables& t,
 /// Reused across calls so the hot loop never allocates at steady state.
 std::vector<Complex>& packedRowScratch() {
   thread_local std::vector<Complex> scratch;
+  return scratch;
+}
+
+/// Per-thread row flags of the band inverse, reused the same way.
+std::vector<std::uint8_t>& liveRowScratch() {
+  thread_local std::vector<std::uint8_t> scratch;
   return scratch;
 }
 
@@ -489,45 +491,41 @@ Fft2d::Fft2d(int rows, int cols, FftBuild build)
   MOSAIC_CHECK(rows > 0 && cols > 0, "FFT grid must be non-empty");
 }
 
-void Fft2d::rowPass(ComplexGrid* const* grids, int count, bool invert,
+void Fft2d::rowPass(ComplexGrid& grid, bool invert,
                     const std::uint8_t* live) const {
   for (int r = 0; r < rows_; ++r) {
     if (live != nullptr && live[r] == 0) continue;
-    for (int i = 0; i < count; ++i) {
-      rowPlan_.transform(grids[i]->rowPtr(r), invert);
-    }
+    rowPlan_.transform(grid.rowPtr(r), invert);
   }
 }
 
-void Fft2d::colPass(ComplexGrid* const* grids, int count, bool invert,
-                    std::uint8_t* live, int colLimit) const {
+void Fft2d::colPass(ComplexGrid& grid, bool invert, std::uint8_t* live,
+                    int colLimit) const {
   const Tables t{colPlan_.n_, colPlan_.bitrev_.data(),
                  colPlan_.twiddle_.data()};
 #if MOSAIC_FFT_AVX2
-  if (build() == FftBuild::kAvx2 && cols_ % 2 == 0) {
+  if (build() == FftBuild::kAvx2 && grid.cols() % 2 == 0) {
     // Whole vectors of two columns: an odd limit (the real paths' cols/2 +
-    // 1) rounds up by one column, which stays inside the even-width row.
-    // Columns are independent, so that extra column changes no other;
-    // forwardRealInto then rewrites it from symmetry, and inverseRealInto
-    // never reads it.
+    // 1, or a band's last column + 1) rounds up by one column, which stays
+    // inside the even-width row. Columns are independent, so that extra
+    // column changes no other; forwardRealInto then rewrites it from
+    // symmetry, and the inverse real paths never read it.
     const auto width = static_cast<std::size_t>((colLimit + 1) & ~1);
-    columnsAvx2(t, Batch{grids, count, 2 * width, live}, invert);
+    columnsAvx2(t, Columns{&grid, 2 * width, live}, invert);
     return;
   }
 #endif
   columnsPortable(
-      t, Batch{grids, count, 2 * static_cast<std::size_t>(colLimit), live},
+      t, Columns{&grid, 2 * static_cast<std::size_t>(colLimit), live},
       invert);
 }
 
-void Fft2d::transformBatch(ComplexGrid* const* grids, int count, bool invert,
-                           std::uint8_t* live) const {
-  for (int i = 0; i < count; ++i) {
-    MOSAIC_CHECK(grids[i]->rows() == rows_ && grids[i]->cols() == cols_,
-                 "grid shape mismatch in batched FFT");
-  }
-  rowPass(grids, count, invert, live);
-  colPass(grids, count, invert, live, cols_);
+void Fft2d::transform(ComplexGrid& grid, bool invert,
+                      std::uint8_t* live) const {
+  MOSAIC_CHECK(grid.rows() == rows_ && grid.cols() == cols_,
+               "grid shape mismatch in pruned FFT");
+  rowPass(grid, invert, live);
+  colPass(grid, invert, live, cols_);
 }
 
 void Fft2d::forward(ComplexGrid& grid) const {
@@ -539,18 +537,16 @@ void Fft2d::forward(ComplexGrid& grid) const {
                         reinterpret_cast<double*>(grid.data()),
                         grid.size() * 2);
   MOSAIC_SPAN("fft.forward");
-  ComplexGrid* g = &grid;
-  rowPass(&g, 1, /*invert=*/false, nullptr);
-  colPass(&g, 1, /*invert=*/false, nullptr, cols_);
+  rowPass(grid, /*invert=*/false, nullptr);
+  colPass(grid, /*invert=*/false, nullptr, cols_);
 }
 
 void Fft2d::inverse(ComplexGrid& grid) const {
   MOSAIC_CHECK(grid.rows() == rows_ && grid.cols() == cols_,
                "grid shape mismatch in inverse FFT");
   MOSAIC_SPAN("fft.inverse");
-  ComplexGrid* g = &grid;
-  rowPass(&g, 1, /*invert=*/true, nullptr);
-  colPass(&g, 1, /*invert=*/true, nullptr, cols_);
+  rowPass(grid, /*invert=*/true, nullptr);
+  colPass(grid, /*invert=*/true, nullptr, cols_);
 }
 
 ComplexGrid Fft2d::forwardReal(const RealGrid& grid) const {
@@ -570,37 +566,12 @@ void Fft2d::forwardRealInto(const RealGrid& grid, ComplexGrid& out) const {
     return;
   }
   MOSAIC_SPAN("fft.forward_real");
-
-  // Row pass: pack two real rows a, b as z = a + i b, transform once, and
-  // split using conj-symmetry: A[k] = (Z[k] + conj(Z[n-k]))/2,
-  // B[k] = (Z[k] - conj(Z[n-k]))/(2i).
   const int half = cols_ / 2;
-  std::vector<Complex>& packed = packedRowScratch();
-  packed.resize(static_cast<std::size_t>(cols_));
-  for (int r = 0; r < rows_; r += 2) {
-    const double* a = grid.rowPtr(r);
-    const double* b = grid.rowPtr(r + 1);
-    for (int c = 0; c < cols_; ++c) {
-      packed[static_cast<std::size_t>(c)] = {a[c], b[c]};
-    }
-    rowPlan_.forward(packed.data());
-    Complex* ra = out.rowPtr(r);
-    Complex* rb = out.rowPtr(r + 1);
-    ra[0] = {packed[0].real(), 0.0};
-    rb[0] = {packed[0].imag(), 0.0};
-    for (int k = 1; k < cols_; ++k) {
-      const Complex z = packed[static_cast<std::size_t>(k)];
-      const Complex zc = std::conj(packed[static_cast<std::size_t>(cols_ - k)]);
-      ra[k] = 0.5 * (z + zc);
-      const Complex d = z - zc;  // = 2i B[k]
-      rb[k] = {0.5 * d.imag(), -0.5 * d.real()};
-    }
-  }
+  realRowPass(grid, out, cols_);
 
   // Column pass only over the non-redundant half [0, cols/2]; the rest
   // follows from Hermitian symmetry X(r, c) = conj(X(-r mod R, -c mod C)).
-  ComplexGrid* g = &out;
-  colPass(&g, 1, /*invert=*/false, nullptr, half + 1);
+  colPass(out, /*invert=*/false, nullptr, half + 1);
   for (int r = 0; r < rows_; ++r) {
     const int mr = (rows_ - r) % rows_;
     const Complex* src = out.rowPtr(mr);
@@ -624,27 +595,133 @@ void Fft2d::inverseRealInto(ComplexGrid& spectrum, RealGrid& out) const {
     return;
   }
   MOSAIC_SPAN("fft.inverse_real");
-
-  // Inverse column pass over the stored half; after it, every row is a
-  // 1-D Hermitian spectrum (Y(r, c) = conj(Y(r, C - c))), which lets the
-  // row pass reconstruct its upper half locally and invert two real-output
-  // rows per complex transform: z = ifft(Y0 + i Y1) has row0 = Re z,
-  // row1 = Im z.
   const int half = cols_ / 2;
-  ComplexGrid* g = &spectrum;
-  colPass(&g, 1, /*invert=*/true, nullptr, half + 1);
+  colPass(spectrum, /*invert=*/true, nullptr, half + 1);
+  realRowPassInverse(spectrum, half, out);
+}
+
+int Fft2d::bandColumns(int band) const {
+  const int last = std::min(band, cols_ / 2);
+  return std::min(cols_, (last + 2) & ~1);
+}
+
+void Fft2d::forwardRealBand(const RealGrid& grid, int band,
+                            ComplexGrid& out) const {
+  const int width = bandColumns(band);
+  MOSAIC_CHECK(band >= 0, "negative band " << band);
+  MOSAIC_CHECK(grid.rows() == rows_ && grid.cols() == cols_,
+               "grid shape mismatch in band forward FFT");
+  MOSAIC_CHECK(out.rows() == rows_ && out.cols() == width,
+               "band spectrum is " << out.rows() << "x" << out.cols()
+                                   << ", expected " << rows_ << "x"
+                                   << width);
+  if (rows_ < 2 || cols_ < 2) {
+    ComplexGrid full = toComplex(grid);
+    rowPass(full, /*invert=*/false, nullptr);
+    colPass(full, /*invert=*/false, nullptr, cols_);
+    for (int r = 0; r < rows_; ++r) {
+      std::copy_n(full.rowPtr(r), width, out.rowPtr(r));
+    }
+    return;
+  }
+  realRowPass(grid, out, width);
+  colPass(out, /*invert=*/false, nullptr, width);
+}
+
+void Fft2d::inverseRealBand(ComplexGrid& spectrum, int band,
+                            RealGrid& out) const {
+  const int width = bandColumns(band);
+  MOSAIC_CHECK(band >= 0, "negative band " << band);
+  MOSAIC_CHECK(spectrum.rows() == rows_ && spectrum.cols() == width,
+               "band spectrum is " << spectrum.rows() << "x"
+                                   << spectrum.cols() << ", expected "
+                                   << rows_ << "x" << width);
+  MOSAIC_CHECK(out.rows() == rows_ && out.cols() == cols_,
+               "output shape mismatch in band inverse FFT");
+  const int last = std::min(band, cols_ / 2);
+  std::vector<std::uint8_t>& live = liveRowScratch();
+  live.resize(static_cast<std::size_t>(rows_));
+  for (int r = 0; r < rows_; ++r) {
+    live[static_cast<std::size_t>(r)] = std::min(r, rows_ - r) <= band;
+  }
+  if (rows_ < 2 || cols_ < 2) {
+    // Every row of the zero-padded spectrum, its upper columns from
+    // Hermitian symmetry, then the complex inverse.
+    ComplexGrid full(rows_, cols_);
+    const int mirror = std::max(last + 1, cols_ - last);
+    for (int r = 0; r < rows_; ++r) {
+      const int mr = (rows_ - r) % rows_;
+      if (live[static_cast<std::size_t>(r)] != 0) {
+        std::copy_n(spectrum.rowPtr(r), last + 1, full.rowPtr(r));
+      }
+      if (live[static_cast<std::size_t>(mr)] == 0) continue;
+      for (int c = mirror; c < cols_; ++c) {
+        full(r, c) = std::conj(spectrum(mr, cols_ - c));
+      }
+    }
+    rowPass(full, /*invert=*/true, nullptr);
+    colPass(full, /*invert=*/true, nullptr, cols_);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out.data()[i] = full.data()[i].real();
+    }
+    return;
+  }
+  // Row 0 is always in the band, and every output of a column transform
+  // depends on every input, so the pass leaves every row live.
+  colPass(spectrum, /*invert=*/true, live.data(), last + 1);
+  realRowPassInverse(spectrum, last, out);
+}
+
+void Fft2d::realRowPass(const RealGrid& grid, ComplexGrid& out,
+                        int width) const {
+  // Pack two real rows a, b as z = a + i b, transform once, and split
+  // using conj-symmetry: A[k] = (Z[k] + conj(Z[n-k]))/2,
+  // B[k] = (Z[k] - conj(Z[n-k]))/(2i).
+  std::vector<Complex>& packed = packedRowScratch();
+  packed.resize(static_cast<std::size_t>(cols_));
+  for (int r = 0; r < rows_; r += 2) {
+    const double* a = grid.rowPtr(r);
+    const double* b = grid.rowPtr(r + 1);
+    for (int c = 0; c < cols_; ++c) {
+      packed[static_cast<std::size_t>(c)] = {a[c], b[c]};
+    }
+    rowPlan_.forward(packed.data());
+    Complex* ra = out.rowPtr(r);
+    Complex* rb = out.rowPtr(r + 1);
+    ra[0] = {packed[0].real(), 0.0};
+    rb[0] = {packed[0].imag(), 0.0};
+    for (int k = 1; k < width; ++k) {
+      const Complex z = packed[static_cast<std::size_t>(k)];
+      const Complex zc = std::conj(packed[static_cast<std::size_t>(cols_ - k)]);
+      ra[k] = 0.5 * (z + zc);
+      const Complex d = z - zc;  // = 2i B[k]
+      rb[k] = {0.5 * d.imag(), -0.5 * d.real()};
+    }
+  }
+}
+
+void Fft2d::realRowPassInverse(const ComplexGrid& spectrum, int last,
+                               RealGrid& out) const {
+  // After the inverse column pass every row is a 1-D Hermitian spectrum
+  // (Y(r, c) = conj(Y(r, C - c))) held in columns [0, last], zero beyond,
+  // which lets the row pass reconstruct its upper half locally and invert
+  // two real-output rows per complex transform: z = ifft(Y0 + i Y1) has
+  // row0 = Re z, row1 = Im z.
+  const int mirror = std::max(last + 1, cols_ - last);
   std::vector<Complex>& packed = packedRowScratch();
   packed.resize(static_cast<std::size_t>(cols_));
   for (int r = 0; r < rows_; r += 2) {
     const Complex* ya = spectrum.rowPtr(r);
     const Complex* yb = spectrum.rowPtr(r + 1);
-    for (int k = 0; k <= half; ++k) {
+    for (int k = 0; k <= last; ++k) {
       const Complex a = ya[k];
       const Complex b = yb[k];
       packed[static_cast<std::size_t>(k)] = {a.real() - b.imag(),
                                              a.imag() + b.real()};
     }
-    for (int k = half + 1; k < cols_; ++k) {
+    std::fill(packed.begin() + last + 1, packed.begin() + mirror,
+              Complex(0.0, 0.0));
+    for (int k = mirror; k < cols_; ++k) {
       const Complex a = std::conj(ya[cols_ - k]);
       const Complex b = std::conj(yb[cols_ - k]);
       packed[static_cast<std::size_t>(k)] = {a.real() - b.imag(),
@@ -668,6 +745,7 @@ namespace {
 struct PlanNode {
   int rows;
   int cols;
+  FftBuild build;
   Fft2d plan;
   PlanNode* next;
 };
@@ -675,24 +753,27 @@ struct PlanNode {
 std::atomic<PlanNode*> gPlanList{nullptr};
 std::mutex gPlanInsertMutex;
 
-const Fft2d* findPlan(PlanNode* head, int rows, int cols) {
+const Fft2d* findPlan(PlanNode* head, int rows, int cols, FftBuild build) {
   for (PlanNode* n = head; n != nullptr; n = n->next) {
-    if (n->rows == rows && n->cols == cols) return &n->plan;
+    if (n->rows == rows && n->cols == cols && n->build == build) {
+      return &n->plan;
+    }
   }
   return nullptr;
 }
 
 }  // namespace
 
-const Fft2d& fft2dFor(int rows, int cols) {
-  if (const Fft2d* plan =
-          findPlan(gPlanList.load(std::memory_order_acquire), rows, cols)) {
+const Fft2d& fft2dFor(int rows, int cols, FftBuild build) {
+  if (const Fft2d* plan = findPlan(gPlanList.load(std::memory_order_acquire),
+                                   rows, cols, build)) {
     return *plan;
   }
   std::lock_guard<std::mutex> lock(gPlanInsertMutex);
   PlanNode* head = gPlanList.load(std::memory_order_relaxed);
-  if (const Fft2d* plan = findPlan(head, rows, cols)) return *plan;
-  auto* node = new PlanNode{rows, cols, Fft2d(rows, cols), head};
+  if (const Fft2d* plan = findPlan(head, rows, cols, build)) return *plan;
+  auto* node =
+      new PlanNode{rows, cols, build, Fft2d(rows, cols, build), head};
   gPlanList.store(node, std::memory_order_release);
   return node->plan;
 }

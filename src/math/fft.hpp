@@ -1,9 +1,9 @@
 #pragma once
 /// \file fft.hpp
 /// The program's one FFT. Every 2-D transform runs the passes of fft.cpp:
-/// the mask spectrum, the resist blur, the gradient inverse, and the SOCS
-/// engine's pruned, batched inverses and forwards (math/backend). This is
-/// the computational core of the lithography simulator: every aerial
+/// the mask spectrum, the resist blur, and the SOCS engine's coarse-grid
+/// transforms and band-pruned pixel-grid transforms (math/backend). This
+/// is the computational core of the lithography simulator: every aerial
 /// image and every gradient term is a handful of these transforms (paper
 /// Sec. 3.5).
 ///
@@ -13,9 +13,8 @@
 ///  - The column pass runs the same algorithm over row indices, where each
 ///    butterfly combines whole rows element-wise ("row-vector
 ///    butterflies"): memory access stays contiguous, and there is no
-///    per-column gather/scatter and no per-call scratch. One pass advances
-///    several same-shape grids together, can skip rows flagged dead, and
-///    can stop at a column limit.
+///    per-column gather/scatter and no per-call scratch. A pass can skip
+///    rows flagged dead and can stop at a column limit.
 ///  - Each pass has a portable build (the baseline target, no FMA) and an
 ///    AVX2+FMA build. hostFftBuild() picks one once from the CPU, and every
 ///    plan in the program runs it.
@@ -23,6 +22,10 @@
 ///    transform and only runs the column pass on the non-redundant half
 ///    of the spectrum; the other half is reconstructed from Hermitian
 ///    symmetry. Same trick in reverse for real output (gaussianBlur).
+///  - The band-pruned real transforms go further: their column pass stops
+///    at the band's last column, and the inverse's also skips the rows
+///    outside the band, so a band-limited image or gradient crosses the
+///    pixel grid for about the cost of its row pass.
 ///
 /// tests/reference.hpp holds the direct DFT this engine is tested against.
 
@@ -124,24 +127,52 @@ class Fft2d {
   /// `spectrum` actually being (half of) a Hermitian spectrum.
   void inverseRealInto(ComplexGrid& spectrum, RealGrid& out) const;
 
-  /// In-place 2-D DFT of grids[0..count), all of this plan's shape, as one
-  /// batch: each stage's bookkeeping is paid once for all of them. The
-  /// SOCS engine's transforms (math/backend); no span or fail point fires.
-  /// `live` is null (every row live) or a rows()-long flag per row, shared
-  /// by the batch: a row flagged 0 must be zero in every grid. The row
-  /// pass skips such rows, and the column pass skips every butterfly
-  /// whose rows are all dead and flags the rows it writes. Zeros
-  /// transform to zeros, so the result is exactly the unpruned one.
-  void transformBatch(ComplexGrid* const* grids, int count, bool invert,
-                      std::uint8_t* live) const;
+  /// In-place 2-D DFT with no span or fail point: the SOCS engine's
+  /// coarse-grid transforms (math/backend). `live` is null (every row
+  /// live) or a rows()-long flag per row. The content of a row flagged 0
+  /// is ignored and taken as zero: the row pass skips it, and the column
+  /// pass skips every butterfly whose rows are all dead, zeroes a dead row
+  /// when a butterfly first combines it with a live one, and flags the
+  /// rows it writes. Zeros transform to zeros, so the result is exactly
+  /// the unpruned one.
+  void transform(ComplexGrid& grid, bool invert, std::uint8_t* live) const;
+
+  /// Columns a band spectrum of this plan holds: band + 1 (at most
+  /// cols/2 + 1) rounded up to whole AVX2 vectors, at most cols().
+  [[nodiscard]] int bandColumns(int band) const;
+
+  /// Columns [0, bandColumns(band)) of every row of a real grid's
+  /// spectrum: forwardRealInto with the column pass stopped at the band,
+  /// bit for bit the same values on columns [0, min(band, cols/2)].
+  /// `out` is rows() x bandColumns(band) (e.g. a pooled lease; it need
+  /// not be cleared).
+  void forwardRealBand(const RealGrid& grid, int band, ComplexGrid& out) const;
+
+  /// The real grid whose spectrum is Hermitian and zero outside the band
+  /// |row|, |col| <= band (signed frequencies; a band of at least half an
+  /// axis is the whole axis). `spectrum` is rows() x bandColumns(band)
+  /// and holds columns [0, min(band, cols/2)] of that spectrum; rows
+  /// outside the band are never read, and the grid is clobbered.
+  /// inverseRealInto with the column pass stopped at the band's columns
+  /// and pruned to its live rows: bit for bit the values inverseRealInto
+  /// gives for the zero-padded spectrum (to roundoff on a grid with a
+  /// side of 1, where both take the complex path).
+  void inverseRealBand(ComplexGrid& spectrum, int band, RealGrid& out) const;
 
  private:
   /// The 1-D pass over every row with live[r] (every row if live is null).
-  void rowPass(ComplexGrid* const* grids, int count, bool invert,
-               const std::uint8_t* live) const;
-  /// The column pass over columns [0, colLimit) of every grid.
-  void colPass(ComplexGrid* const* grids, int count, bool invert,
-               std::uint8_t* live, int colLimit) const;
+  void rowPass(ComplexGrid& grid, bool invert, const std::uint8_t* live) const;
+  /// The column pass over columns [0, colLimit) of `grid`, which has
+  /// rows() rows and at least colLimit columns.
+  void colPass(ComplexGrid& grid, bool invert, std::uint8_t* live,
+               int colLimit) const;
+  /// The real forward paths' row pass: columns [0, width) of the row
+  /// spectra of `grid`, two rows per complex transform.
+  void realRowPass(const RealGrid& grid, ComplexGrid& out, int width) const;
+  /// The real inverse paths' row pass over rows whose Hermitian half is
+  /// held in columns [0, last] (zero beyond), two rows per transform.
+  void realRowPassInverse(const ComplexGrid& spectrum, int last,
+                          RealGrid& out) const;
 
   int rows_;
   int cols_;
@@ -149,11 +180,13 @@ class Fft2d {
   FftPlan colPlan_;
 };
 
-/// Shared plan cache: returns an Fft2d for (rows, cols), constructing it on
-/// first use. Lookups of already-constructed plans are lock-free (an
-/// atomic walk of an append-only list), so concurrent tile workers never
-/// contend here; only first-time construction of a new shape takes a
-/// mutex. The returned reference stays valid for the process lifetime.
-const Fft2d& fft2dFor(int rows, int cols);
+/// Shared plan cache: returns an Fft2d for (rows, cols) on `build`,
+/// constructing it on first use. Lookups of already-constructed plans are
+/// lock-free (an atomic walk of an append-only list), so concurrent tile
+/// workers never contend here; only first-time construction of a new
+/// shape takes a mutex. The returned reference stays valid for the
+/// process lifetime. The program always takes the host's build; tests
+/// ask for the other to run both (kAvx2 needs exec::cpuHasAvx2()).
+const Fft2d& fft2dFor(int rows, int cols, FftBuild build = hostFftBuild());
 
 }  // namespace mosaic

@@ -1,10 +1,10 @@
 #pragma once
 /// \file scratch.hpp
 /// Per-thread reusable grid pool. The inner ILT loop needs a handful of
-/// full-size temporary grids per iteration (the SOCS field in
-/// aerialFromSpectrum, the gradient-chain field and accumulator in
-/// IltObjective::accumulateGradient, the blur spectrum in gaussianBlur);
-/// allocating 16 MB+ per call churns the allocator and the page tables.
+/// temporary grids per iteration (the SOCS engine's coarse fields, sums
+/// and band spectra in math/backend, the band spectrum of maskSpectrum,
+/// the blur spectrum in gaussianBlur); allocating them per call churns
+/// the allocator and, for the full-size ones, the page tables.
 /// A Lease borrows a grid of the requested shape from a thread-local free
 /// list and returns it on destruction, so steady-state iterations run
 /// allocation-free. Pool hits/misses are exported as the telemetry

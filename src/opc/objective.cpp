@@ -6,7 +6,6 @@
 
 #include "math/backend.hpp"
 #include "math/convolution.hpp"
-#include "math/scratch.hpp"
 #include "math/stats.hpp"
 #include "support/failpoint.hpp"
 #include "support/parallel.hpp"
@@ -141,18 +140,11 @@ RealGrid IltObjective::epeGradientField(const RealGrid& zNominal,
   return g;
 }
 
-void IltObjective::accumulateGradient(const ComplexGrid& maskSpectrum,
+RealGrid IltObjective::gradientChains(const ComplexGrid& maskSpectrum,
                                       const KernelSet& kernels,
-                                      const RealGrid& gField,
-                                      RealGrid& grad) const {
+                                      const RealGrid& gField) const {
   MOSAIC_SPAN("objective.gradient");
   const int n = kernels.gridSize;
-  const Fft2d& fft = fft2dFor(n, n);
-
-  // The per-kernel convolution chains of Eq. 17 accumulate into the
-  // spectral accumulator, including the flip — equivalent to
-  // spec.flipped().accumulateProduct() without materializing a flipped
-  // copy per kernel per iteration.
   std::vector<exec::SpectrumView> views;
   std::vector<double> weights;
   if (config_.gradientMode == GradientMode::kCombinedKernel) {
@@ -172,17 +164,11 @@ void IltObjective::accumulateGradient(const ComplexGrid& maskSpectrum,
       weights.push_back(kernels.weights[static_cast<std::size_t>(k)]);
     }
   }
-
-  scratch::ComplexLease accumLease(n, n);
-  ComplexGrid& accum = *accumLease;
-  accum.fill({0.0, 0.0});
-  exec::accumulateGradientChains(
-      fft, maskSpectrum, views.data(), weights.data(),
-      static_cast<int>(views.size()), gField, accum);
-  fft.inverse(accum);
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    grad.data()[i] += 2.0 * accum.data()[i].real();
-  }
+  RealGrid grad(n, n);
+  exec::socsGradient(fft2dFor(n, n), maskSpectrum, views.data(),
+                     weights.data(), static_cast<int>(views.size()), gField,
+                     grad);
+  return grad;
 }
 
 IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
@@ -217,6 +203,7 @@ IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
   sim_.imageConditions(
       maskSpectrum, conditions, config_.inLoopKernels,
       [&](std::size_t i, const RealGrid& aerialRaw) {
+        MOSAIC_SPAN("objective.terms");
         if (i == 0) {
           RealGrid zNominal;
           resistForward(resist, aerialRaw, 1.0, zNominal);
@@ -259,20 +246,23 @@ IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
     // Group the dF/dI fields by focus so each kernel set pays exactly one
     // convolution chain.
     std::map<double, RealGrid> gByFocus;
-    auto addField = [&](double focus, const RealGrid& g, double scale) {
-      auto it = gByFocus.find(focus);
-      if (it == gByFocus.end()) {
-        it = gByFocus.emplace(focus, RealGrid(n, n, 0.0)).first;
+    {
+      MOSAIC_SPAN("objective.merge");
+      auto addField = [&](double focus, const RealGrid& g, double scale) {
+        auto it = gByFocus.find(focus);
+        if (it == gByFocus.end()) {
+          it = gByFocus.emplace(focus, RealGrid(n, n, 0.0)).first;
+        }
+        RealGrid& acc = it->second;
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+          acc.data()[i] += scale * g.data()[i];
+        }
+      };
+      if (config_.alpha > 0.0) addField(0.0, gTarget, config_.alpha);
+      for (std::size_t ci = 0; ci < cornerCount; ++ci) {
+        addField(config_.pvbCorners[ci].focusNm, cornerField[ci],
+                 config_.beta);
       }
-      RealGrid& acc = it->second;
-      for (std::size_t i = 0; i < acc.size(); ++i) {
-        acc.data()[i] += scale * g.data()[i];
-      }
-    };
-    if (config_.alpha > 0.0) addField(0.0, gTarget, config_.alpha);
-    for (std::size_t ci = 0; ci < cornerCount; ++ci) {
-      addField(config_.pvbCorners[ci].focusNm, cornerField[ci],
-               config_.beta);
     }
 
     // The per-focus chains run side by side, each into its own grid; the
@@ -290,14 +280,13 @@ IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
     parallelFor(0, foci.size(), [&](std::size_t f) {
       const auto& [focus, g] = *foci[f];
       const KernelSet& kernels = sim_.kernels(focus);
-      focusGrad[f] = RealGrid(n, n, 0.0);
-      if (diffusionPx > 0.0) {
-        accumulateGradient(maskSpectrum, kernels, gaussianBlur(g, diffusionPx),
-                           focusGrad[f]);
-      } else {
-        accumulateGradient(maskSpectrum, kernels, g, focusGrad[f]);
-      }
+      focusGrad[f] =
+          (diffusionPx > 0.0)
+              ? gradientChains(maskSpectrum, kernels,
+                               gaussianBlur(g, diffusionPx))
+              : gradientChains(maskSpectrum, kernels, g);
     });
+    MOSAIC_SPAN("objective.merge");
     eval.gradMask = RealGrid(n, n, 0.0);
     for (const RealGrid& grad : focusGrad) {
       for (std::size_t i = 0; i < grad.size(); ++i) {

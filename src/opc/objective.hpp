@@ -60,11 +60,11 @@ class IltObjective {
                             const RealGrid& aerialNominal,
                             double* valueOut) const;
 
-  /// Accumulate the convolution chain 2 Re[(G . conj(A)) (*) H_flip] into
-  /// grad, for the kernel set of one focus condition (paper Eq. 15/17).
-  void accumulateGradient(const ComplexGrid& maskSpectrum,
-                          const KernelSet& kernels, const RealGrid& gField,
-                          RealGrid& grad) const;
+  /// The convolution chain 2 Re[(G . conj(A)) (*) H_flip] for the kernel
+  /// set of one focus condition (paper Eq. 15/17).
+  [[nodiscard]] RealGrid gradientChains(const ComplexGrid& maskSpectrum,
+                                        const KernelSet& kernels,
+                                        const RealGrid& gField) const;
 
   const LithoSimulator& sim_;
   BitGrid target_;

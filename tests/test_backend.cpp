@@ -1,10 +1,13 @@
-/// SOCS engine suite: the aerial sum and the gradient chains of
-/// math/backend must match the direct-DFT reference (tests/reference.hpp)
-/// to 1e-10 across square and non-square grids, kernel counts that leave
-/// a partial batch, off-nominal dose, and the full 24-kernel set; tiny
-/// grids down to 1x1 match to 1e-14. Through the simulator, the aerial
-/// image, the binary print and maxKernels truncation match the reference
-/// built from the real SOCS kernels.
+/// SOCS engine suite: the image and the gradient of math/backend, which
+/// run on the intensity's coarse Nyquist grid, must match the direct-DFT,
+/// pixel-grid reference (tests/reference.hpp) to 1e-10 in both FFT
+/// builds (tiny grids to 1e-14): synthetic kernels whose support reaches
+/// the aliasing edge (+-R, +-R) on grids below, at and above the coarse
+/// size (down to 1x1), square and non-square, off-nominal dose and the
+/// full 24-kernel set, and the real clip and window kernel sets at focus 0
+/// and 25 over several pitches. Through the simulator, the aerial image, the binary print and
+/// maxKernels truncation match the reference built from the real SOCS
+/// kernels.
 
 #include <gtest/gtest.h>
 
@@ -13,12 +16,15 @@
 #include <complex>
 #include <mutex>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "eval/evaluator.hpp"
 #include "eval/pvband.hpp"
+#include "geometry/raster.hpp"
 #include "litho/simulator.hpp"
+#include "litho/tcc.hpp"
 #include "math/backend.hpp"
 #include "math/convolution.hpp"
 #include "math/fft.hpp"
@@ -27,6 +33,7 @@
 #include "opc/mosaic.hpp"
 #include "opc/objective.hpp"
 #include "reference.hpp"
+#include "suite/testcases.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry/metrics.hpp"
 
@@ -50,21 +57,25 @@ RealGrid randomReal(int rows, int cols, unsigned seed) {
   return grid;
 }
 
-/// Synthetic band-limited kernel: support restricted to a disc of radius
-/// `radius` around DC (in wrapped frequency coordinates), mimicking the
-/// pupil-disc support of real SOCS kernels.
+/// Synthetic band-limited kernel: support |row|, |col| <= radius around DC
+/// in signed frequencies (a square, so it reaches the corners (+-R, +-R)
+/// where the image's and the gradient product's bands are widest), or the
+/// disc of that radius, mimicking the pupil support of real kernels.
 struct SyntheticKernel {
   std::vector<int> flatIndex;
   std::vector<std::complex<double>> values;
 
-  SyntheticKernel(int rows, int cols, int radius, unsigned seed) {
+  SyntheticKernel(int rows, int cols, int radius, bool square, unsigned seed) {
     std::mt19937 rng(seed);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
     for (int r = 0; r < rows; ++r) {
       const int fr = (r <= rows / 2) ? r : r - rows;
       for (int c = 0; c < cols; ++c) {
         const int fc = (c <= cols / 2) ? c : c - cols;
-        if (fr * fr + fc * fc > radius * radius) continue;
+        const bool inside =
+            square ? std::max(std::abs(fr), std::abs(fc)) <= radius
+                   : fr * fr + fc * fc <= radius * radius;
+        if (!inside) continue;
         flatIndex.push_back(r * cols + c);
         values.push_back({dist(rng), dist(rng)});
       }
@@ -76,6 +87,8 @@ struct SyntheticKernel {
   }
 };
 
+/// Kernel k has radius `radius` and the square support when k is even,
+/// a disc of radius - k % 3 when odd: the set's R is `radius`.
 struct Fixture {
   int rows, cols;
   ComplexGrid spectrum;
@@ -84,12 +97,15 @@ struct Fixture {
   std::vector<exec::SpectrumView> views;
   std::vector<double> weights;
 
-  Fixture(int r, int c, int kernelCount, unsigned seed = 7)
+  Fixture(int r, int c, int kernelCount, int radius, unsigned seed = 7)
       : rows(r), cols(c),
         spectrum(randomSpectrum(r, c, seed)),
         gField(randomReal(r, c, seed + 1)) {
     for (int k = 0; k < kernelCount; ++k) {
-      kernels.emplace_back(rows, cols, 3 + k % 4, seed + 10 + k);
+      const bool square = k % 2 == 0;
+      kernels.emplace_back(rows, cols,
+                           square ? radius : std::max(0, radius - k % 3),
+                           square, seed + 10 + k);
       weights.push_back(1.0 / (1.0 + k));
     }
     for (const auto& kern : kernels) views.push_back(kern.view());
@@ -104,41 +120,60 @@ double maxAbsDiff(const RealGrid& a, const RealGrid& b) {
   return m;
 }
 
-double maxAbsDiff(const ComplexGrid& a, const ComplexGrid& b) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    m = std::max(m, std::abs(a.data()[i] - b.data()[i]));
+/// The reference gradient: 2 Re of the inverse DFT of the spectral
+/// accumulator of the Eq. 17 chains.
+RealGrid referenceGradient(const ComplexGrid& maskSpectrum,
+                           const exec::SpectrumView* kernels,
+                           const double* weights, int count,
+                           const RealGrid& g) {
+  const ComplexGrid field = reference::dft2d(
+      reference::gradientChains(maskSpectrum, kernels, weights, count, g),
+      /*inverse=*/true);
+  RealGrid out(field.rows(), field.cols());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out.data()[i] = 2.0 * field.data()[i].real();
   }
-  return m;
+  return out;
 }
 
-void expectAerialMatchesReference(int rows, int cols, int kernelCount,
-                                  double dose, double tol) {
-  Fixture fx(rows, cols, kernelCount);
-  RealGrid got(rows, cols, 0.0);
-  exec::accumulateCoherentIntensity(fft2dFor(rows, cols), fx.spectrum,
-                                    fx.views.data(), fx.weights.data(),
-                                    kernelCount, dose, got);
-  const RealGrid ref = reference::aerial(fx.spectrum, fx.views.data(),
-                                         fx.weights.data(), kernelCount, dose);
-  EXPECT_LT(maxAbsDiff(ref, got), tol)
-      << "aerial mismatch at " << rows << "x" << cols << " K=" << kernelCount
-      << " dose=" << dose;
+/// Both primitives against the reference on one kernel set, in every FFT
+/// build this host runs, to `tol` absolute. The image sums `count`
+/// kernels, the gradient the first `gradCount`.
+void expectEngineMatchesReference(const ComplexGrid& spectrum,
+                                  const exec::SpectrumView* views,
+                                  const double* weights, int count,
+                                  int gradCount, double dose,
+                                  const RealGrid& gField, double tol,
+                                  const std::string& what) {
+  const int rows = spectrum.rows();
+  const int cols = spectrum.cols();
+  const RealGrid refImage =
+      reference::aerial(spectrum, views, weights, count, dose);
+  const RealGrid refGrad =
+      referenceGradient(spectrum, views, weights, gradCount, gField);
+  for (const FftBuild build : reference::runnableBuilds()) {
+    const Fft2d& fft = fft2dFor(rows, cols, build);
+    RealGrid image(rows, cols, -1.0);
+    exec::socsImage(fft, spectrum, views, weights, count, dose, image);
+    EXPECT_LT(maxAbsDiff(refImage, image), tol)
+        << "image, " << what << ", " << fftBuildName(build) << " build";
+    RealGrid grad(rows, cols, -1.0);
+    exec::socsGradient(fft, spectrum, views, weights, gradCount, gField,
+                       grad);
+    EXPECT_LT(maxAbsDiff(refGrad, grad), tol)
+        << "gradient, " << what << ", " << fftBuildName(build) << " build";
+  }
 }
 
-void expectGradientMatchesReference(int rows, int cols, int kernelCount,
-                                    double tol) {
-  Fixture fx(rows, cols, kernelCount);
-  ComplexGrid got(rows, cols, {0.0, 0.0});
-  exec::accumulateGradientChains(fft2dFor(rows, cols), fx.spectrum,
-                                 fx.views.data(), fx.weights.data(),
-                                 kernelCount, fx.gField, got);
-  const ComplexGrid ref =
-      reference::gradientChains(fx.spectrum, fx.views.data(),
-                                fx.weights.data(), kernelCount, fx.gField);
-  EXPECT_LT(maxAbsDiff(ref, got), tol)
-      << "gradient mismatch at " << rows << "x" << cols
-      << " K=" << kernelCount;
+void expectSyntheticMatches(int rows, int cols, int kernelCount, int radius,
+                            double dose = 1.0, double tol = 1e-10) {
+  const Fixture fx(rows, cols, kernelCount, radius);
+  expectEngineMatchesReference(
+      fx.spectrum, fx.views.data(), fx.weights.data(), kernelCount,
+      kernelCount, dose, fx.gField, tol,
+      std::to_string(rows) + "x" + std::to_string(cols) + " K=" +
+          std::to_string(kernelCount) + " R=" + std::to_string(radius) +
+          " dose=" + std::to_string(dose));
 }
 
 TEST(Engine, KeptNamesResolveToTheOneEngine) {
@@ -150,59 +185,93 @@ TEST(Engine, KeptNamesResolveToTheOneEngine) {
   EXPECT_STREQ(exec::currentBackend().name(), "cpu_simd");
 }
 
-TEST(EngineVsReference, AerialSquare) {
-  expectAerialMatchesReference(64, 64, 8, 1.0, 1e-10);
+TEST(EngineVsReference, GridsAboveTheCoarseSize) {
+  // R = 3 puts the coarse grid at 16 x 16: every grid here is larger on
+  // at least one axis, the non-square ones on one axis only.
+  expectSyntheticMatches(64, 64, 8, 3);
+  expectSyntheticMatches(32, 128, 6, 3);
+  expectSyntheticMatches(128, 32, 6, 3);
+  expectSyntheticMatches(128, 128, 3, 7);  // the clip's R: 32 x 32 coarse
 }
 
-TEST(EngineVsReference, AerialNonSquare) {
-  expectAerialMatchesReference(32, 128, 6, 1.0, 1e-10);
-  expectAerialMatchesReference(128, 32, 6, 1.0, 1e-10);
+TEST(EngineVsReference, GridsAtAndBelowTheCoarseSize) {
+  // R = 3: N = 16. At n = N the coarse grid is the pixel grid; below it
+  // the kernel support wraps on the small grid, the plain cyclic model.
+  expectSyntheticMatches(16, 16, 5, 3);
+  expectSyntheticMatches(8, 8, 5, 3);
+  expectSyntheticMatches(16, 64, 4, 3);
+  expectSyntheticMatches(64, 8, 4, 3);
 }
 
-TEST(EngineVsReference, AerialKernelCounts) {
-  // 5 and 7 kernels exercise the partial final batch (batch width 4); 24
-  // is one focus' full SOCS set.
-  for (const int k : {1, 2, 3, 4, 5, 6, 7, 8, 24}) {
-    expectAerialMatchesReference(64, 64, k, 1.0, 1e-10);
-  }
-}
-
-TEST(EngineVsReference, AerialWithDose) {
-  // The engine folds the dose into the per-kernel weights; the reference
-  // applies it once at the end.
-  expectAerialMatchesReference(64, 64, 8, 1.07, 1e-10);
-  expectAerialMatchesReference(64, 64, 8, 0.93, 1e-10);
-}
-
-TEST(EngineVsReference, AerialTinyGrids) {
-  // Widths below the AVX2 lane and batch sizes, down to a single pixel.
+TEST(EngineVsReference, TinyGrids) {
+  // Widths below the AVX2 lane, down to a single pixel, to 1e-14.
   for (const auto& [rows, cols] : {std::pair{1, 1}, std::pair{2, 2},
                                    std::pair{4, 4}, std::pair{2, 16},
-                                   std::pair{16, 4}}) {
-    expectAerialMatchesReference(rows, cols, 3, 1.1, 1e-14);
+                                   std::pair{16, 4}, std::pair{1, 8},
+                                   std::pair{8, 1}}) {
+    expectSyntheticMatches(rows, cols, 3, 3, 1.1, 1e-14);
+    expectSyntheticMatches(rows, cols, 2, 0, 0.9, 1e-14);
   }
 }
 
-TEST(EngineVsReference, GradientSquare) {
-  expectGradientMatchesReference(64, 64, 8, 1e-10);
-}
-
-TEST(EngineVsReference, GradientNonSquare) {
-  expectGradientMatchesReference(32, 128, 6, 1e-10);
-  expectGradientMatchesReference(128, 32, 6, 1e-10);
-}
-
-TEST(EngineVsReference, GradientKernelCounts) {
-  for (const int k : {1, 2, 3, 4, 5, 6, 7, 8, 24}) {
-    expectGradientMatchesReference(64, 64, k, 1e-10);
+TEST(EngineVsReference, KernelCounts) {
+  for (const int k : {0, 1, 2, 3, 4, 5, 8, 24}) {
+    expectSyntheticMatches(64, 64, k, 4);
   }
 }
 
-TEST(EngineVsReference, GradientTinyGrids) {
-  for (const auto& [rows, cols] : {std::pair{1, 1}, std::pair{2, 2},
-                                   std::pair{4, 4}, std::pair{2, 16},
-                                   std::pair{16, 4}}) {
-    expectGradientMatchesReference(rows, cols, 3, 1e-14);
+TEST(EngineVsReference, Dose) {
+  expectSyntheticMatches(64, 64, 8, 3, 1.07);
+  expectSyntheticMatches(64, 64, 8, 3, 0.93);
+}
+
+OpticsConfig latticeOptics(int clipNm, int pixelNm) {
+  OpticsConfig o;
+  o.clipSizeNm = clipNm;
+  o.pixelNm = pixelNm;
+  return o;
+}
+
+TEST(EngineVsReference, RealClipAndWindowLattices) {
+  // The production lattices at focus 0 and 25: the 1024-nm clip (R = 7,
+  // coarse 32) and the 2048-nm window (R = 14, coarse 64), each above,
+  // at and below its coarse size. At 128 nm the clip's +-7 lattice wraps
+  // on the 8 x 8 grid (samples share sites), which the reference and the
+  // engine both read as the cyclic model. A kernel's values do not depend
+  // on the pitch, so each set is built once and its samples are placed on
+  // every pitch's lattice (same sample order). The image sums every
+  // kernel, the gradient the 9 in-loop ones.
+  const Layout clip = buildTestcaseByName("B4");
+  for (const auto& [clipNm, pitches] :
+       {std::pair{1024, std::vector<int>{8, 32, 64, 128}},
+        std::pair{2048, std::vector<int>{16, 32, 128}}}) {
+    for (const double focus : {0.0, 25.0}) {
+      const KernelSet set =
+          computeKernelSet(latticeOptics(clipNm, pitches.front()), focus);
+      for (const int pixelNm : pitches) {
+        const OpticsConfig optics = latticeOptics(clipNm, pixelNm);
+        const int n = optics.gridSize();
+        const std::vector<PupilSample> lattice = pupilLattice(optics);
+        std::vector<int> flat;
+        for (const PupilSample& site : lattice) {
+          flat.push_back(site.row * n + site.col);
+        }
+        std::vector<exec::SpectrumView> views;
+        for (const SparseSpectrum& k : set.kernels) {
+          ASSERT_EQ(k.sampleCount(), flat.size());
+          views.push_back({flat.data(), k.value.data(), flat.size()});
+        }
+        const RealGrid mask =
+            toReal(rasterize(clip, pixelNm * 1024 / clipNm));
+        ASSERT_EQ(mask.rows(), n);
+        expectEngineMatchesReference(
+            reference::dft2d(toComplex(mask), /*inverse=*/false),
+            views.data(), set.weights.data(), set.kernelCount(), 9, 1.02,
+            randomReal(n, n, 31u + static_cast<unsigned>(n)), 1e-10,
+            std::to_string(clipNm) + " nm at " + std::to_string(pixelNm) +
+                " nm, focus " + std::to_string(focus));
+      }
+    }
   }
 }
 

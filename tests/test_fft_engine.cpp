@@ -2,8 +2,9 @@
 /// Hermitian symmetry of real-input spectra), equivalence against the
 /// direct DFT of tests/reference.hpp for both builds of the passes (the
 /// portable one and AVX2+FMA, each run wherever the CPU can), exact row
-/// pruning, the spectral-vs-spatial blur regression, scratch-pool reuse,
-/// and a thread hammer on the lock-free plan cache.
+/// pruning, the band-pruned real transforms against the full real paths
+/// bit for bit, the spectral-vs-spatial blur regression, scratch-pool
+/// reuse, and a thread hammer on the lock-free plan cache.
 
 #include <gtest/gtest.h>
 
@@ -198,27 +199,26 @@ const std::pair<int, int> kBuildShapes[] = {{1, 1},   {2, 2},   {4, 4},
                                             {2, 16},  {16, 4},  {64, 32},
                                             {128, 128}};
 
-/// A batch of four grids shaped like the SOCS engine's band-limited kernel
-/// products: only the rows within rows/8 of row 0 (cyclically) are live,
-/// every other row is zero in every grid (dead), and live rows r % 4 == 2
-/// are zero in the first two grids only. Also returns the liveness flags.
-std::vector<ComplexGrid> prunableBatch(int rows, int cols,
-                                       std::vector<std::uint8_t>& live) {
-  std::vector<ComplexGrid> grids;
-  for (int i = 0; i < 4; ++i) {
-    grids.push_back(randomComplexGrid(rows, cols, 301u + 17u * i + rows));
-  }
+/// A grid shaped like the SOCS engine's band-limited kernel products:
+/// only the rows within rows/8 of row 0 (cyclically) are live, and live
+/// rows r % 4 == 2 are zero. Dead rows hold `dead`: zero for the dense
+/// transform, NaN to show a pruned one never reads them. Also returns the
+/// liveness flags.
+ComplexGrid prunableGrid(int rows, int cols, std::vector<std::uint8_t>& live,
+                         double dead) {
+  ComplexGrid grid = randomComplexGrid(rows, cols, 301u + rows);
   live.assign(static_cast<std::size_t>(rows), 1);
   for (int r = 0; r < rows; ++r) {
-    const bool dead = std::min(r, rows - r) > rows / 8;
-    for (int i = 0; i < 4; ++i) {
-      if (dead || (r % 4 == 2 && i < 2)) {
-        for (int c = 0; c < cols; ++c) grids[i](r, c) = {0.0, 0.0};
+    const bool isDead = std::min(r, rows - r) > rows / 8;
+    if (isDead || r % 4 == 2) {
+      for (int c = 0; c < cols; ++c) {
+        grid(r, c) = isDead ? std::complex<double>(dead, dead)
+                            : std::complex<double>(0.0, 0.0);
       }
     }
-    if (dead) live[static_cast<std::size_t>(r)] = 0;
+    if (isDead) live[static_cast<std::size_t>(r)] = 0;
   }
-  return grids;
+  return grid;
 }
 
 std::string label(FftBuild build, int rows, int cols) {
@@ -273,22 +273,18 @@ TEST(FftBuilds, RealMatchesReference) {
   }
 }
 
-TEST(FftBuilds, BatchMatchesReference) {
+TEST(FftBuilds, PrunedTransformMatchesReference) {
   for (const FftBuild build : runnableBuilds()) {
     for (const auto& [rows, cols] : kBuildShapes) {
       const Fft2d fft(rows, cols, build);
       for (const bool invert : {false, true}) {
         std::vector<std::uint8_t> live;
-        std::vector<ComplexGrid> grids = prunableBatch(rows, cols, live);
-        const std::vector<ComplexGrid> inputs = grids;
-        ComplexGrid* ptrs[4] = {&grids[0], &grids[1], &grids[2], &grids[3]};
-        fft.transformBatch(ptrs, 4, invert, live.data());
-        for (int i = 0; i < 4; ++i) {
-          EXPECT_LT(maxDiff(grids[i], reference::dft2d(inputs[i], invert)),
-                    invert ? 1e-12 : 1e-10)
-              << label(build, rows, cols) << " grid " << i
-              << (invert ? " inverse" : " forward");
-        }
+        const ComplexGrid input = prunableGrid(rows, cols, live, 0.0);
+        ComplexGrid grid = prunableGrid(rows, cols, live, std::nan(""));
+        fft.transform(grid, invert, live.data());
+        EXPECT_LT(maxDiff(grid, reference::dft2d(input, invert)),
+                  invert ? 1e-12 : 1e-10)
+            << label(build, rows, cols) << (invert ? " inverse" : " forward");
       }
     }
   }
@@ -326,38 +322,90 @@ TEST(FftBuilds, PortableAndAvx2Agree) {
 
     std::vector<std::uint8_t> liveA;
     std::vector<std::uint8_t> liveB;
-    std::vector<ComplexGrid> ga = prunableBatch(rows, cols, liveA);
-    std::vector<ComplexGrid> gb = prunableBatch(rows, cols, liveB);
-    ComplexGrid* pa[4] = {&ga[0], &ga[1], &ga[2], &ga[3]};
-    ComplexGrid* pb[4] = {&gb[0], &gb[1], &gb[2], &gb[3]};
-    portable.transformBatch(pa, 4, /*invert=*/true, liveA.data());
-    avx2.transformBatch(pb, 4, /*invert=*/true, liveB.data());
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_LT(maxDiff(ga[i], gb[i]), 1e-12) << rows << "x" << cols
-                                              << " batch grid " << i;
-    }
+    ComplexGrid ga = prunableGrid(rows, cols, liveA, 0.0);
+    ComplexGrid gb = prunableGrid(rows, cols, liveB, 0.0);
+    portable.transform(ga, /*invert=*/true, liveA.data());
+    avx2.transform(gb, /*invert=*/true, liveB.data());
+    EXPECT_LT(maxDiff(ga, gb), 1e-12) << rows << "x" << cols << " pruned";
   }
 }
 
 TEST(FftBuilds, PruningIsExact) {
-  // Dead rows are zero, and zeros transform to zeros: skipping them must
-  // give exactly the unpruned transform, element for element.
+  // Zeros transform to zeros: skipping dead rows (whatever they hold)
+  // must give exactly the unpruned transform of the zeroed grid, element
+  // for element.
   for (const FftBuild build : runnableBuilds()) {
     for (const auto& [rows, cols] : kBuildShapes) {
       const Fft2d fft(rows, cols, build);
       for (const bool invert : {false, true}) {
         std::vector<std::uint8_t> live;
-        std::vector<ComplexGrid> pruned = prunableBatch(rows, cols, live);
-        std::vector<ComplexGrid> dense = pruned;
+        ComplexGrid pruned = prunableGrid(rows, cols, live, std::nan(""));
         std::vector<std::uint8_t> allLive(static_cast<std::size_t>(rows), 1);
-        ComplexGrid* pp[4] = {&pruned[0], &pruned[1], &pruned[2], &pruned[3]};
-        ComplexGrid* pd[4] = {&dense[0], &dense[1], &dense[2], &dense[3]};
-        fft.transformBatch(pp, 4, invert, live.data());
-        fft.transformBatch(pd, 4, invert, allLive.data());
-        for (int i = 0; i < 4; ++i) {
-          EXPECT_TRUE(pruned[i] == dense[i])
-              << label(build, rows, cols) << " grid " << i
-              << (invert ? " inverse" : " forward");
+        ComplexGrid dense = prunableGrid(rows, cols, allLive, 0.0);
+        allLive.assign(static_cast<std::size_t>(rows), 1);
+        fft.transform(pruned, invert, live.data());
+        fft.transform(dense, invert, allLive.data());
+        EXPECT_TRUE(pruned == dense)
+            << label(build, rows, cols) << (invert ? " inverse" : " forward");
+      }
+    }
+  }
+}
+
+TEST(FftBuilds, BandTransformsMatchTheRealPathsBitForBit) {
+  // The band-pruned real transforms are forwardRealInto and
+  // inverseRealInto with the column pass stopped at the band (and, on the
+  // inverse, pruned to its rows): the same values on the band, bit for
+  // bit, for bands from DC alone to wider than the grid. The inverse takes
+  // a real grid's spectrum zeroed outside the band, and the rows of its
+  // band grid outside the band hold NaN, which must never be read.
+  for (const FftBuild build : runnableBuilds()) {
+    for (const auto& [rows, cols] : kBuildShapes) {
+      const Fft2d fft(rows, cols, build);
+      const bool tiny = rows < 2 || cols < 2;
+      const RealGrid x = randomRealGrid(rows, cols, 257u + rows + cols);
+      ComplexGrid full(rows, cols);
+      fft.forwardRealInto(x, full);
+      for (const int band : {0, 1, 3, 8, 1000}) {
+        const std::string what =
+            label(build, rows, cols) + " band " + std::to_string(band);
+        const int width = fft.bandColumns(band);
+        const int last = std::min(band, cols / 2);
+        ASSERT_GE(width, last + 1) << what;
+        ComplexGrid half(rows, width, {std::nan(""), std::nan("")});
+        fft.forwardRealBand(x, band, half);
+        for (int r = 0; r < rows; ++r) {
+          for (int c = 0; c <= last; ++c) {
+            ASSERT_EQ(half(r, c), full(r, c)) << what << " at " << r << ","
+                                              << c;
+          }
+        }
+
+        auto inBand = [&](int r, int c) {
+          return std::min(r, rows - r) <= band &&
+                 std::min(c, cols - c) <= band;
+        };
+        ComplexGrid padded(rows, cols);
+        ComplexGrid bandGrid(rows, width, {std::nan(""), std::nan("")});
+        for (int r = 0; r < rows; ++r) {
+          for (int c = 0; c < cols; ++c) {
+            if (inBand(r, c)) padded(r, c) = full(r, c);
+          }
+          if (std::min(r, rows - r) > band) continue;
+          for (int c = 0; c <= last; ++c) bandGrid(r, c) = full(r, c);
+        }
+        RealGrid want(rows, cols);
+        fft.inverseRealInto(padded, want);
+        RealGrid got(rows, cols);
+        fft.inverseRealBand(bandGrid, band, got);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          // A grid with a side of 1 takes the complex path on both sides;
+          // there the band's upper columns are rebuilt from symmetry.
+          if (tiny) {
+            ASSERT_NEAR(got.data()[i], want.data()[i], 1e-14) << what;
+          } else {
+            ASSERT_EQ(got.data()[i], want.data()[i]) << what << " at " << i;
+          }
         }
       }
     }

@@ -721,9 +721,11 @@ TEST(Simulator, KernelBuildRunsNoPoolTasks) {
 }
 
 TEST(Simulator, FftEngineMatchesReferencePath) {
-  // The imaging pipeline (real-input mask spectrum + pruned inverse per
-  // kernel) must reproduce the direct-DFT reference to 1e-10 on the
-  // continuous images and bit-exactly on the binary print.
+  // The imaging pipeline (band-pruned mask spectrum, SOCS sum on the
+  // coarse grid, band-pruned inverse) must reproduce the direct-DFT
+  // reference to 1e-10 on the continuous images and bit-exactly on the
+  // binary print. The mask spectrum is computed only on the kernels'
+  // lattice band |row|, |col| <= R and is zero beyond it.
   LithoSimulator& sim = sharedSim();
   const int n = sim.gridSize();
   const BitGrid target = rasterize(lineLayout(64), 8);
@@ -734,11 +736,23 @@ TEST(Simulator, FftEngineMatchesReferencePath) {
 
   const ComplexGrid refSpectrum =
       reference::dft2d(toComplex(mask), /*inverse=*/false);
+  const int band = pupilRadius(sim.optics());
+  ASSERT_LT(2 * band + 1, n);
   double specDiff = 0.0;
-  for (std::size_t i = 0; i < spectrum.size(); ++i) {
-    specDiff = std::max(
-        specDiff, std::abs(spectrum.data()[i] - refSpectrum.data()[i]));
+  int bandSamples = 0;
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) {
+      const bool inBand =
+          std::min(r, n - r) <= band && std::min(c, n - c) <= band;
+      if (!inBand) {
+        ASSERT_EQ(spectrum(r, c), std::complex<double>(0.0, 0.0));
+        continue;
+      }
+      ++bandSamples;
+      specDiff = std::max(specDiff, std::abs(spectrum(r, c) - refSpectrum(r, c)));
+    }
   }
+  EXPECT_EQ(bandSamples, (2 * band + 1) * (2 * band + 1));
   EXPECT_LT(specDiff, 1e-10);
 
   const KernelSet& set = sim.kernels(0.0);

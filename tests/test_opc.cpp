@@ -21,6 +21,7 @@
 #include "suite/testcases.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry/metrics.hpp"
 
 namespace mosaic {
 namespace {
@@ -369,6 +370,29 @@ TEST(Objective, WorkerCountInvariantBitForBit) {
       setParallelism(0);
     }
   }
+}
+
+TEST(Objective, GradientEvaluationRecordsTermAndMergeSpans) {
+  // The pixel loops of an evaluation sit in spans: objective.terms around
+  // each imaging condition's resist and term sweep (the nominal term and
+  // one per PV corner), objective.merge around the per-focus merge of the
+  // dF/dI fields and around the sum of the per-focus gradients.
+  LithoSimulator& sim = coarseSim();
+  const BitGrid target = coarseTarget();
+  const IltConfig cfg = defaultIltConfig(OpcMethod::kMosaicFast, 16);
+  const IltObjective obj(sim, target, cfg);
+  telemetry::Histogram& terms =
+      telemetry::metrics().histogram("objective.terms");
+  telemetry::Histogram& merge =
+      telemetry::metrics().histogram("objective.merge");
+  const std::uint64_t termsBefore = terms.count();
+  const std::uint64_t mergeBefore = merge.count();
+  (void)obj.evaluate(smoothMask(target), true);
+  EXPECT_EQ(terms.count() - termsBefore, 1 + cfg.pvbCorners.size());
+  EXPECT_EQ(merge.count() - mergeBefore, 2u);
+  (void)obj.evaluate(smoothMask(target), false);
+  EXPECT_EQ(terms.count() - termsBefore, 2 * (1 + cfg.pvbCorners.size()));
+  EXPECT_EQ(merge.count() - mergeBefore, 2u) << "no gradient, no merge";
 }
 
 TEST(Objective, TargetShapeMismatchThrows) {
