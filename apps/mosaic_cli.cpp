@@ -77,41 +77,6 @@ namespace {
 
 using namespace mosaic;
 
-/// --log, --threads and --failpoints, and the code that applies them. The
-/// subcommands that run no optimizer take --log only.
-struct RuntimeFlags {
-  std::string logLevel;
-  int threads = 0;
-  std::string failpoints;
-
-  explicit RuntimeFlags(std::string defaultLogLevel)
-      : logLevel(std::move(defaultLogLevel)) {}
-
-  void addLogOption(CliParser& cli) {
-    cli.addString("log", &logLevel, "log level");
-  }
-
-  void addOptions(CliParser& cli) {
-    addLogOption(cli);
-    cli.addInt("threads", &threads,
-               "total executor workers shared by tile and nested pixel loops "
-               "(0 = hardware default)");
-    cli.addString("failpoints", &failpoints,
-                  "arm fail points (docs/robustness.md), e.g. "
-                  "objective.gradient:nan@iter=7");
-  }
-
-  /// --threads sizes the process-wide work-stealing executor
-  /// (docs/performance.md): one pool shared by the tile fan-out and every
-  /// nested pixel/corner loop; 0 keeps the hardware default.
-  void apply() const {
-    setLogLevel(parseLogLevel(logLevel));
-    MOSAIC_CHECK(threads >= 0, "--threads must be >= 0");
-    if (threads > 0) setParallelism(threads);
-    if (!failpoints.empty()) failpoint::configure(failpoints);
-  }
-};
-
 /// --method, --pixel, --iters and --deadline: which optimizer, on which
 /// raster, for how long.
 struct SolveFlags {

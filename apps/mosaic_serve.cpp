@@ -21,7 +21,6 @@
 #include "serve/server.hpp"
 #include "support/cli.hpp"
 #include "support/failpoint.hpp"
-#include "support/log.hpp"
 #include "support/parallel.hpp"
 #include "support/signal.hpp"
 #include "support/telemetry/flightrec.hpp"
@@ -37,14 +36,12 @@ int serveMain(int argc, char** argv) {
   int port = 0;
   int httpPort = -1;
   int workers = 2;
-  int poolThreads = 0;
   int queueCapacity = 8;
   int backoffMs = 25;
   bool cold = false;
   std::string patternCache;
   int cacheMaxMb = 512;
-  std::string logLevel = "info";
-  std::string failpoints;
+  RuntimeFlags runtime("info");
   std::string metricsOut;
   std::string runLogPath;
 
@@ -58,9 +55,6 @@ int serveMain(int argc, char** argv) {
              "(0 = ephemeral, written to <work-dir>/serve.http.port; "
              "-1 = disabled)");
   cli.addInt("workers", &workers, "worker threads sharing warm simulators");
-  cli.addInt("pool-threads", &poolThreads,
-             "work-stealing executor size shared by every job's nested "
-             "loops (0 = hardware default)");
   cli.addInt("queue", &queueCapacity,
              "bounded queue capacity (admission control)");
   cli.addInt("backoff-ms", &backoffMs, "retry backoff per failed attempt");
@@ -71,18 +65,14 @@ int serveMain(int argc, char** argv) {
                 "cached mask (docs/caching.md)");
   cli.addInt("cache-max-mb", &cacheMaxMb,
              "pattern-cache size cap in MB (LRU-evicted; 0 = unlimited)");
-  cli.addString("log", &logLevel, "log level");
-  cli.addString("failpoints", &failpoints,
-                "arm fail points, e.g. serve.worker:throw@iter=1");
+  runtime.addOptions(cli);
   cli.addString("metrics-out", &metricsOut,
                 "write the metrics snapshot (JSON) here at exit");
   cli.addString("run-log", &runLogPath,
                 "append per-iteration/job JSONL telemetry here");
   if (!cli.parse(argc, argv)) return 0;
-  setLogLevel(parseLogLevel(logLevel));
+  runtime.apply();
   MOSAIC_CHECK(!workDir.empty(), "--work-dir is required");
-  if (!failpoints.empty()) failpoint::configure(failpoints);
-  if (poolThreads > 0) setParallelism(poolThreads);
 
   // Flight recorder: always on. A fatal signal (SIGSEGV/SIGABRT/SIGBUS)
   // dumps the event ring to <work-dir>/flightrec.jsonl from the handler;

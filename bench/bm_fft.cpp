@@ -89,9 +89,8 @@ struct Row {
 // ---------------------------------------------------------------------------
 
 struct SyntheticKernels {
-  std::vector<std::vector<int>> flat;
-  std::vector<std::vector<std::complex<double>>> values;
-  std::vector<exec::SpectrumView> views;
+  std::vector<exec::LatticePoint> lattice;
+  std::vector<exec::LatticeValues> values;
   std::vector<double> weights;
 
   SyntheticKernels(int n, int count) {
@@ -99,28 +98,32 @@ struct SyntheticKernels {
     // sets (~5-6% of rows at 1024^2; see litho/kernels): R = 14 at 512^2
     // and 28 at 1024^2, coarse grids of 64^2 and 128^2.
     const int radius = std::max(3, n / 36);
+    for (int r = 0; r < n; ++r) {
+      const int fr = (r <= n / 2) ? r : r - n;
+      for (int c = 0; c < n; ++c) {
+        const int fc = (c <= n / 2) ? c : c - n;
+        if (fr * fr + fc * fc <= radius * radius) lattice.push_back({fr, fc});
+      }
+    }
     Rng rng(42);
     for (int k = 0; k < count; ++k) {
-      std::vector<int> f;
-      std::vector<std::complex<double>> v;
-      for (int r = 0; r < n; ++r) {
-        const int fr = (r <= n / 2) ? r : r - n;
-        for (int c = 0; c < n; ++c) {
-          const int fc = (c <= n / 2) ? c : c - n;
-          if (fr * fr + fc * fc > radius * radius) continue;
-          f.push_back(r * n + c);
-          v.push_back({rng.uniform(-1, 1), rng.uniform(-1, 1)});
-        }
+      exec::LatticeValues v;
+      for (std::size_t s = 0; s < lattice.size(); ++s) {
+        v.push_back({rng.uniform(-1, 1), rng.uniform(-1, 1)});
       }
-      flat.push_back(std::move(f));
       values.push_back(std::move(v));
       weights.push_back(1.0 / (1.0 + k));
     }
-    for (int k = 0; k < count; ++k) {
-      views.push_back({flat[static_cast<std::size_t>(k)].data(),
-                       values[static_cast<std::size_t>(k)].data(),
-                       flat[static_cast<std::size_t>(k)].size()});
+  }
+
+  /// A spectrum grid read at the lattice's sites.
+  [[nodiscard]] exec::LatticeValues sample(const ComplexGrid& grid) const {
+    const int n = grid.rows();
+    exec::LatticeValues out;
+    for (const exec::LatticePoint& p : lattice) {
+      out.push_back(grid((p.row + n) % n, (p.col + n) % n));
     }
+    return out;
   }
 };
 
@@ -214,18 +217,18 @@ int main(int argc, char** argv) {
     for (const int n : {512, 1024}) {
       const Fft2d& fft = fft2dFor(n, n);
       const SyntheticKernels kern(n, kKernels);
-      const ComplexGrid spectrum = randomGrid(n, 7);
+      const exec::LatticeValues spectrum = kern.sample(randomGrid(n, 7));
       const RealGrid gField = randomRealGrid(n, 8);
       RealGrid intensity(n, n);
       RealGrid grad(n, n);
       BackendRow row;
       row.size = n;
       row.aerialMs = 1000.0 * timeBatch(1, 1, reps, [&](int) {
-        exec::socsImage(fft, spectrum, kern.views.data(), kern.weights.data(),
-                        kKernels, 1.05, intensity);
+        exec::socsImage(fft, kern.lattice, spectrum, kern.values.data(),
+                        kern.weights.data(), kKernels, 1.05, intensity);
       });
       row.gradMs = 1000.0 * timeBatch(1, 1, reps, [&](int) {
-        exec::socsGradient(fft, spectrum, kern.views.data(),
+        exec::socsGradient(fft, kern.lattice, spectrum, kern.values.data(),
                            kern.weights.data(), kKernels, gField, grad);
       });
       backendRows.push_back(row);

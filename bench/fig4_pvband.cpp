@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     TextTable table;
     table.setHeader({"corner", "focus(nm)", "dose", "printed px",
                      "vs nominal +", "vs nominal -"});
-    const ComplexGrid spectrum = sim.maskSpectrum(mask);
+    const exec::LatticeValues spectrum = sim.maskSpectrum(mask);
     const BitGrid nominal =
         sim.printBinary(sim.aerialFromSpectrum(spectrum, nominalCorner()));
     const int n = sim.gridSize();

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <numeric>
 #include <string>
 
 #include "litho/simulator.hpp"
@@ -41,7 +42,8 @@ int main(int argc, char** argv) {
       const KernelSet& set = sim.kernels(focus);
       std::printf("focus %.0f nm: %d kernels, weights:\n", focus,
                   set.kernelCount());
-      double total = set.weightSum();
+      const double total =
+          std::accumulate(set.weights.begin(), set.weights.end(), 0.0);
       double running = 0.0;
       for (int k = 0; k < set.kernelCount(); ++k) {
         running += set.weights[static_cast<std::size_t>(k)];
@@ -51,10 +53,16 @@ int main(int argc, char** argv) {
       }
 
       // Dump |h_k|^2 in the spatial domain (fftshifted for viewing).
-      const int n = set.gridSize;
+      const int n = sim.gridSize();
       const Fft2d& fft = fft2dFor(n, n);
       for (int k = 0; k < std::min(dumpKernels, set.kernelCount()); ++k) {
-        ComplexGrid spatial = set.kernels[static_cast<std::size_t>(k)].dense();
+        // The kernel's lattice samples at their sites on the pixel grid.
+        ComplexGrid spatial(n, n);
+        for (std::size_t s = 0; s < set.lattice.size(); ++s) {
+          spatial((set.lattice[s].row % n + n) % n,
+                  (set.lattice[s].col % n + n) % n) =
+              set.kernels[static_cast<std::size_t>(k)][s];
+        }
         fft.inverse(spatial);
         RealGrid mag(n, n);
         double peak = 0.0;

@@ -19,7 +19,7 @@ ProcessWindowResult measureProcessWindow(const LithoSimulator& sim,
   const int pixelNm = sim.optics().pixelNm;
   const auto samples =
       extractSamples(target, config.sampleSpacingNm / pixelNm);
-  const ComplexGrid spectrum = sim.maskSpectrum(mask);
+  const exec::LatticeValues spectrum = sim.maskSpectrum(mask);
 
   ProcessWindowResult result;
   result.focusSteps = config.focusSteps;

@@ -11,7 +11,7 @@ PvBandResult computePvBand(const LithoSimulator& sim, const RealGrid& mask,
 }
 
 PvBandResult computePvBand(const LithoSimulator& sim,
-                           const ComplexGrid& spectrum,
+                           const exec::LatticeValues& spectrum,
                            const std::vector<ProcessCorner>& corners) {
   MOSAIC_SPAN("eval.pvband");
   return combinePvBand(printConditions(sim, spectrum, corners),
@@ -19,7 +19,7 @@ PvBandResult computePvBand(const LithoSimulator& sim,
 }
 
 std::vector<BitGrid> printConditions(
-    const LithoSimulator& sim, const ComplexGrid& spectrum,
+    const LithoSimulator& sim, const exec::LatticeValues& spectrum,
     const std::vector<ProcessCorner>& conditions) {
   std::vector<BitGrid> prints(conditions.size());
   sim.imageConditions(spectrum, conditions, 0,

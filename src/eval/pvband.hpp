@@ -28,7 +28,7 @@ PvBandResult computePvBand(const LithoSimulator& sim, const RealGrid& mask,
 /// Same, starting from a precomputed mask spectrum — callers that already
 /// paid the forward FFT must not pay it again per corner set.
 PvBandResult computePvBand(const LithoSimulator& sim,
-                           const ComplexGrid& spectrum,
+                           const exec::LatticeValues& spectrum,
                            const std::vector<ProcessCorner>& corners);
 
 /// Binary print (Eq. 3, full kernel set) of a mask spectrum at every
@@ -36,7 +36,7 @@ PvBandResult computePvBand(const LithoSimulator& sim,
 /// each distinct condition's aerial image becomes its print inside the
 /// task that summed it. prints[i] belongs to conditions[i].
 std::vector<BitGrid> printConditions(
-    const LithoSimulator& sim, const ComplexGrid& spectrum,
+    const LithoSimulator& sim, const exec::LatticeValues& spectrum,
     const std::vector<ProcessCorner>& conditions);
 
 /// The PV band of corner prints, combined in order. Throws

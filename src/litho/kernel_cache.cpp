@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 
 #include "support/atomic_file.hpp"
 #include "support/binary_io.hpp"
@@ -13,83 +16,94 @@ namespace mosaic {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4d4f534bu;  // "MOSK"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
-void writeSparse(BinaryWriter& out, const SparseSpectrum& s) {
-  out.put(static_cast<std::uint32_t>(s.sampleCount()));
-  for (std::size_t i = 0; i < s.sampleCount(); ++i) {
-    out.put(static_cast<std::uint32_t>(s.flatIndex[i]));
-    out.put(s.value[i].real());
-    out.put(s.value[i].imag());
-  }
+void writeValues(BinaryWriter& out, const exec::LatticeValues& values) {
+  out.putDoubles(reinterpret_cast<const double*>(values.data()),
+                 2 * values.size());
 }
 
-SparseSpectrum readSparse(BinaryReader& in, int gridSize) {
-  SparseSpectrum s;
-  s.gridSize = gridSize;
-  const auto count = in.get<std::uint32_t>();
-  MOSAIC_CHECK(count <= static_cast<std::uint32_t>(gridSize) * gridSize,
-               "kernel cache: sample count exceeds grid");
-  s.flatIndex.reserve(count);
-  s.value.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto flat = in.get<std::uint32_t>();
-    MOSAIC_CHECK(flat < static_cast<std::uint32_t>(gridSize) * gridSize,
-                 "kernel cache: sample index out of range");
-    s.flatIndex.push_back(static_cast<int>(flat));
+/// `samples` values, the vector growing only as they are read: a count
+/// that outruns the file ends in a truncation error, not an allocation.
+exec::LatticeValues readValues(BinaryReader& in, std::uint32_t samples) {
+  exec::LatticeValues values;
+  for (std::uint32_t i = 0; i < samples; ++i) {
     const auto re = in.get<double>();
     const auto im = in.get<double>();
-    s.value.emplace_back(re, im);
+    values.emplace_back(re, im);
   }
-  return s;
+  return values;
 }
 
 }  // namespace
 
 void saveKernelSet(const std::string& path, const KernelSet& set) {
-  MOSAIC_CHECK(set.gridSize > 0 && !set.kernels.empty(),
+  MOSAIC_CHECK(!set.lattice.empty() && !set.kernels.empty(),
                "cannot save an empty kernel set");
+  std::ostringstream payload;
+  BinaryWriter out(payload);
+  out.put(set.focusNm);
+  out.put(static_cast<std::uint32_t>(set.lattice.size()));
+  for (const PupilSample& p : set.lattice) {
+    out.put<std::int32_t>(p.row);
+    out.put<std::int32_t>(p.col);
+  }
+  out.put(static_cast<std::uint32_t>(set.kernels.size()));
+  for (std::size_t k = 0; k < set.kernels.size(); ++k) {
+    out.put(set.weights[k]);
+    writeValues(out, set.kernels[k]);
+  }
+  writeValues(out, set.combined);
+  const std::string bytes = payload.str();
   // Atomic publication: a concurrent reader (another process sharing the
   // cache directory) sees the old file or the whole new one, and a writer
   // killed mid-file leaves no torn cache entry.
   writeFileAtomically(path, [&](std::ostream& stream) {
-    BinaryWriter out(stream);
-    out.put(kMagic);
-    out.put(kVersion);
-    out.put(static_cast<std::uint32_t>(set.gridSize));
-    out.put(set.focusNm);
-    out.put(static_cast<std::uint32_t>(set.kernels.size()));
-    for (std::size_t k = 0; k < set.kernels.size(); ++k) {
-      out.put(set.weights[k]);
-      writeSparse(out, set.kernels[k]);
-    }
-    writeSparse(out, set.combined);
+    BinaryWriter file(stream);
+    file.put(kMagic);
+    file.put(kVersion);
+    stream.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    file.put(fnv1a(bytes.data(), bytes.size()));
   });
 }
 
 KernelSet loadKernelSet(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   MOSAIC_CHECK(file.good(), "cannot open kernel cache: " << path);
-  BinaryReader in(file, "kernel cache");
-  MOSAIC_CHECK(in.get<std::uint32_t>() == kMagic,
-               "kernel cache: bad magic in " << path);
-  MOSAIC_CHECK(in.get<std::uint32_t>() == kVersion,
-               "kernel cache: unsupported version in " << path);
+  BinaryReader header(file, "kernel cache");
+  if (header.get<std::uint32_t>() != kMagic) header.fail("bad magic");
+  if (header.get<std::uint32_t>() != kVersion) {
+    header.fail("unsupported version");
+  }
+  // The payload as long as the file really is, checked against its
+  // trailing digest before any count in it is believed.
+  std::string bytes(std::istreambuf_iterator<char>(file), {});
+  std::uint64_t digest = 0;
+  if (bytes.size() < sizeof digest) header.fail("truncated file");
+  std::memcpy(&digest, bytes.data() + bytes.size() - sizeof digest,
+              sizeof digest);
+  bytes.resize(bytes.size() - sizeof digest);
+  if (fnv1a(bytes.data(), bytes.size()) != digest) {
+    header.fail("payload digest mismatch");
+  }
+  std::istringstream payload(std::move(bytes));
+  BinaryReader in(payload, "kernel cache");
   KernelSet set;
-  set.gridSize = static_cast<int>(in.get<std::uint32_t>());
-  MOSAIC_CHECK(set.gridSize > 0 && set.gridSize <= 1 << 15,
-               "kernel cache: implausible grid size");
   set.focusNm = in.get<double>();
+  const auto samples = in.get<std::uint32_t>();
+  if (samples == 0) in.fail("empty lattice");
+  for (std::uint32_t i = 0; i < samples; ++i) {
+    const auto row = in.get<std::int32_t>();
+    const auto col = in.get<std::int32_t>();
+    set.lattice.push_back({row, col});
+  }
   const auto count = in.get<std::uint32_t>();
-  MOSAIC_CHECK(count >= 1 && count <= 4096,
-               "kernel cache: implausible kernel count");
-  set.weights.reserve(count);
-  set.kernels.reserve(count);
+  if (count < 1 || count > 4096) in.fail("implausible kernel count");
   for (std::uint32_t k = 0; k < count; ++k) {
     set.weights.push_back(in.get<double>());
-    set.kernels.push_back(readSparse(in, set.gridSize));
+    set.kernels.push_back(readValues(in, samples));
   }
-  set.combined = readSparse(in, set.gridSize);
+  set.combined = readValues(in, samples);
   in.expectEnd();
   return set;
 }
@@ -117,7 +131,7 @@ std::string opticsParameterHash(const OpticsConfig& optics) {
 }
 
 std::string kernelCacheName(const OpticsConfig& optics, double focusNm) {
-  return "kernels_g" + std::to_string(optics.gridSize()) + "_f" +
+  return "kernels_f" +
          std::to_string(static_cast<long long>(std::llround(focusNm * 10))) +
          "_o" + opticsParameterHash(optics) + ".bin";
 }

@@ -16,30 +16,9 @@
 #include "support/timer.hpp"
 
 namespace mosaic {
-namespace {
-
-using Complex = std::complex<double>;
-
-/// Whether a set read from the disk cache is the one computeKernelSet
-/// would build for this request: the file name rounds the focus, so the
-/// header's exact focus, grid and lattice size decide.
-bool servesRequest(const KernelSet& set, const OpticsConfig& optics,
-                   double focusNm) {
-  if (set.focusNm != focusNm || set.gridSize != optics.gridSize()) {
-    return false;
-  }
-  const std::size_t samples = pupilLattice(optics).size();
-  for (const SparseSpectrum& kernel : set.kernels) {
-    if (kernel.sampleCount() != samples) return false;
-  }
-  return set.combined.sampleCount() == samples;
-}
-
-}  // namespace
 
 LithoSimulator::LithoSimulator(OpticsConfig optics, ResistModel resist)
-    : optics_(optics), resist_(resist) {
-  optics_.validate();
+    : optics_(optics), resist_(resist), lattice_(pupilLattice(optics_)) {
   MOSAIC_CHECK(resist_.threshold > 0.0 && resist_.threshold < 1.0,
                "resist threshold must be inside (0, 1)");
 }
@@ -62,7 +41,10 @@ void LithoSimulator::computeInto(KernelEntry& entry, double focusNm) const {
   if (!cachePath.empty()) {
     try {
       KernelSet loaded = loadKernelSet(cachePath);
-      if (servesRequest(loaded, optics_, focusNm)) {
+      // The file name rounds the focus, so the file's exact focus and its
+      // lattice, coordinate for coordinate, decide whether it holds the
+      // set computeKernelSet would build for this request.
+      if (loaded.focusNm == focusNm && loaded.lattice == lattice_) {
         set = std::make_unique<KernelSet>(std::move(loaded));
         LOG_INFO("loaded kernel cache " << cachePath);
       } else {
@@ -122,7 +104,7 @@ void LithoSimulator::warmKernels(
               [&](std::size_t i) { (void)kernels(focuses[i]); });
 }
 
-ComplexGrid LithoSimulator::maskSpectrum(const RealGrid& mask) const {
+exec::LatticeValues LithoSimulator::maskSpectrum(const RealGrid& mask) const {
   const int n = gridSize();
   MOSAIC_CHECK(mask.rows() == n && mask.cols() == n,
                "mask is " << mask.rows() << "x" << mask.cols()
@@ -133,24 +115,22 @@ ComplexGrid LithoSimulator::maskSpectrum(const RealGrid& mask) const {
   static telemetry::Counter& spectra =
       telemetry::metrics().counter("litho.mask_spectrum");
   spectra.add(1);
-  // Only the kernels' lattice band is ever read: its non-negative columns
-  // come from one band-pruned forward, the negative ones from Hermitian
-  // symmetry X(r, -c) = conj(X(-r, c)).
+  // The lattice's band holds every sample: its non-negative columns come
+  // from one band-pruned forward, the negative ones from Hermitian
+  // symmetry X(r, -c) = conj(X(-r, c)), each read at the sample's site on
+  // this grid.
   const int band = pupilRadius(optics_);
   const Fft2d& fft = fft2dFor(n, n);
   scratch::ComplexLease half(n, fft.bandColumns(band));
   fft.forwardRealBand(mask, band, *half);
   const int last = std::min(band, n / 2);
-  ComplexGrid spectrum(n, n);
-  for (int r = 0; r < n; ++r) {
-    if (std::min(r, n - r) > band) continue;
-    const Complex* src = half->rowPtr(r);
-    const Complex* mirror = half->rowPtr((n - r) % n);
-    Complex* dst = spectrum.rowPtr(r);
-    std::copy_n(src, last + 1, dst);
-    for (int c = std::max(last + 1, n - last); c < n; ++c) {
-      dst[c] = std::conj(mirror[n - c]);
-    }
+  exec::LatticeValues spectrum;
+  spectrum.reserve(lattice_.size());
+  for (const PupilSample& p : lattice_) {
+    const int r = (p.row % n + n) % n;
+    const int c = (p.col % n + n) % n;
+    spectrum.push_back(c <= last ? (*half)(r, c)
+                                 : std::conj((*half)((n - r) % n, n - c)));
   }
   return spectrum;
 }
@@ -161,12 +141,12 @@ RealGrid LithoSimulator::aerial(const RealGrid& mask,
   return aerialFromSpectrum(maskSpectrum(mask), corner, maxKernels);
 }
 
-RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
-                                            const ProcessCorner& corner,
-                                            int maxKernels) const {
-  const int n = gridSize();
-  MOSAIC_CHECK(spectrum.rows() == n && spectrum.cols() == n,
-               "spectrum grid mismatch");
+RealGrid LithoSimulator::aerialFromSpectrum(
+    const exec::LatticeValues& spectrum, const ProcessCorner& corner,
+    int maxKernels) const {
+  MOSAIC_CHECK(spectrum.size() == lattice_.size(),
+               "spectrum has " << spectrum.size() << " samples, expected "
+                               << lattice_.size());
   MOSAIC_SPAN("litho.aerial");
   // Counts SOCS sums so tests can pin "one sum per distinct condition"
   // (imageConditions, used by the objective and the evaluator).
@@ -177,20 +157,14 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
   const int count = (maxKernels <= 0)
                         ? set.kernelCount()
                         : std::min(maxKernels, set.kernelCount());
+  const int n = gridSize();
   RealGrid intensity(n, n);
   // The dose factor is applied exactly once, inside the SOCS sum; the
   // resist blur below stays outside so it also applies exactly once
   // (regression-tested in tests/test_backend.cpp for dose != 1 combined
   // with blur > 0).
-  std::vector<exec::SpectrumView> views(static_cast<std::size_t>(count));
-  for (int k = 0; k < count; ++k) {
-    const SparseSpectrum& spec = set.kernels[static_cast<std::size_t>(k)];
-    views[static_cast<std::size_t>(k)] = {spec.flatIndex.data(),
-                                          spec.value.data(),
-                                          spec.flatIndex.size()};
-  }
-  exec::socsImage(fft2dFor(n, n), spectrum, views.data(), set.weights.data(),
-                  count, corner.dose, intensity);
+  exec::socsImage(fft2dFor(n, n), set.lattice, spectrum, set.kernels.data(),
+                  set.weights.data(), count, corner.dose, intensity);
   if (resist_.diffusionSigmaNm > 0.0) {
     intensity = gaussianBlur(
         intensity, resist_.diffusionSigmaNm / optics_.pixelNm);
@@ -199,8 +173,9 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
 }
 
 void LithoSimulator::imageConditions(
-    const ComplexGrid& spectrum, const std::vector<ProcessCorner>& conditions,
-    int maxKernels, const ImageSink& sink) const {
+    const exec::LatticeValues& spectrum,
+    const std::vector<ProcessCorner>& conditions, int maxKernels,
+    const ImageSink& sink) const {
   // Distinct conditions in first-appearance order, each with the indices
   // that ask for it. Lists are short (corner sets, a focus-exposure
   // matrix), so a linear scan.

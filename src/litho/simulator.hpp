@@ -50,9 +50,10 @@ class LithoSimulator {
   /// Directory for on-disk kernel caching (io/kernel_cache format). When
   /// set, kernels(focus) first tries to load the cached decomposition and
   /// persists freshly computed ones. Empty (default) disables it. The
-  /// cache filename covers grid size, focus and a hash of every optics
-  /// parameter (source, NA, aberrations, ...), so settings changes can
-  /// never resurrect a stale file.
+  /// cache filename covers the focus and a hash of every optics parameter
+  /// but the pitch (source, NA, clip size, aberrations, ...), so settings
+  /// changes can never resurrect a stale file, and simulators of one clip
+  /// size share a file at every pitch.
   void setKernelCacheDir(std::string dir) { cacheDir_ = std::move(dir); }
 
   /// Kernel set for a focus offset (computed on first use, then cached).
@@ -67,11 +68,11 @@ class LithoSimulator {
   /// this before fan-out). Rethrows the first failed computation.
   void warmKernels(const std::vector<double>& focusValuesNm) const;
 
-  /// Spectrum of a real mask on the pixel grid's FFT lattice, computed
-  /// only where the SOCS kernels read it: the band |row|, |col| <=
-  /// pupilRadius() (litho/tcc.hpp), from one band-pruned forward FFT.
-  /// Every other sample is zero.
-  [[nodiscard]] ComplexGrid maskSpectrum(const RealGrid& mask) const;
+  /// Spectrum of a real mask at the samples of pupilLattice(optics()),
+  /// where the SOCS kernels read it: value s is the pixel-grid DFT at
+  /// sample s's site, from one band-pruned forward FFT over |row|, |col|
+  /// <= pupilRadius() (litho/tcc.hpp).
+  [[nodiscard]] exec::LatticeValues maskSpectrum(const RealGrid& mask) const;
 
   /// Aerial image I = dose * sum_k w_k |M (x) h_k|^2 (Eq. 2).
   /// \param maxKernels 0 = use all kernels; otherwise truncate the SOCS sum
@@ -82,9 +83,9 @@ class LithoSimulator {
 
   /// Same, starting from a precomputed mask spectrum. This is the one SOCS
   /// sum; the `litho.aerial` counter counts its calls.
-  [[nodiscard]] RealGrid aerialFromSpectrum(const ComplexGrid& spectrum,
-                                            const ProcessCorner& corner,
-                                            int maxKernels = 0) const;
+  [[nodiscard]] RealGrid aerialFromSpectrum(
+      const exec::LatticeValues& spectrum, const ProcessCorner& corner,
+      int maxKernels = 0) const;
 
   /// Receives one image of imageConditions: (condition index, image).
   using ImageSink = std::function<void(std::size_t, const RealGrid&)>;
@@ -99,7 +100,7 @@ class LithoSimulator {
   /// task is live. Sinks run concurrently, so each must write only state
   /// of its own index. Each image is the same function of the same inputs
   /// at every worker count. Rethrows the first failed sum or sink.
-  void imageConditions(const ComplexGrid& spectrum,
+  void imageConditions(const exec::LatticeValues& spectrum,
                        const std::vector<ProcessCorner>& conditions,
                        int maxKernels, const ImageSink& sink) const;
 
@@ -127,6 +128,7 @@ class LithoSimulator {
 
   OpticsConfig optics_;
   ResistModel resist_;
+  std::vector<PupilSample> lattice_;  ///< pupilLattice(optics_)
   std::string cacheDir_;
   /// Guards only the map itself (entry lookup/insert), never kernel
   /// computation. Entries are shared_ptrs so references stay stable after

@@ -18,23 +18,16 @@ int pupilRadius(const OpticsConfig& optics) {
 
 std::vector<PupilSample> pupilLattice(const OpticsConfig& optics) {
   optics.validate();
-  const int n = optics.gridSize();
   const double df = optics.freqStep();
   const double cutoff = optics.cutoffFreq();
   std::vector<PupilSample> lattice;
-  // Signed index range covering the cutoff circle.
   const int maxIdx = pupilRadius(optics);
   for (int si = -maxIdx; si <= maxIdx; ++si) {
     for (int sj = -maxIdx; sj <= maxIdx; ++sj) {
       const double fy = si * df;
       const double fx = sj * df;
       if (fx * fx + fy * fy > cutoff * cutoff) continue;
-      PupilSample sample;
-      sample.row = (si % n + n) % n;
-      sample.col = (sj % n + n) % n;
-      sample.fx = fx;
-      sample.fy = fy;
-      lattice.push_back(sample);
+      lattice.push_back({si, sj});
     }
   }
   MOSAIC_CHECK(!lattice.empty(), "pupil lattice is empty -- clip too small?");
@@ -77,8 +70,10 @@ struct SourceChunk {
 };
 
 /// Evaluates the shifted pupils of `count` source points into the chunk
-/// and records each one's nonzero support as maximal runs.
-void fillChunk(const Pupil& pupil, const std::vector<PupilSample>& lattice,
+/// and records each one's nonzero support as maximal runs. `freqs` holds
+/// each lattice site's (fx, fy).
+void fillChunk(const Pupil& pupil,
+               const std::vector<std::pair<double, double>>& freqs,
                const std::pair<double, double>* sources, int count,
                SourceChunk& chunk) {
   const int n = chunk.n;
@@ -91,8 +86,8 @@ void fillChunk(const Pupil& pupil, const std::vector<PupilSample>& lattice,
     Complex* shifted = &chunk.shifted[static_cast<std::size_t>(s) * n];
     bool inRun = false;
     for (int p = 0; p < n; ++p) {
-      const PupilSample& f = lattice[static_cast<std::size_t>(p)];
-      const Complex value = pupil.value(sx + f.fx, sy + f.fy);
+      const auto [fx, fy] = freqs[static_cast<std::size_t>(p)];
+      const Complex value = pupil.value(sx + fx, sy + fy);
       shifted[p] = value;
       const bool nonzero = value != Complex{0.0, 0.0};
       if (nonzero && !inRun) chunk.runs.push_back({p, p});
@@ -239,6 +234,14 @@ std::vector<std::complex<double>> buildTcc(
   }
   MOSAIC_CHECK(!source.empty(), "source sampling produced no points");
 
+  // Each lattice site's spatial frequency (fx, fy), as pupilLattice
+  // computes it.
+  std::vector<std::pair<double, double>> freqs;
+  freqs.reserve(lattice.size());
+  for (const PupilSample& f : lattice) {
+    freqs.emplace_back(f.col * df, f.row * df);
+  }
+
   const int n = static_cast<int>(lattice.size());
   std::vector<Complex> tcc(static_cast<std::size_t>(n) * n, {0.0, 0.0});
   // Stream the source a chunk at a time and accumulate only over each
@@ -255,7 +258,7 @@ std::vector<std::complex<double>> buildTcc(
   for (std::size_t first = 0; first < source.size(); first += kSourceChunk) {
     const auto count = static_cast<int>(
         std::min(kSourceChunk, source.size() - first));
-    fillChunk(pupil, lattice, &source[first], count, chunk);
+    fillChunk(pupil, freqs, &source[first], count, chunk);
     accumulate(tcc.data(), chunk);
   }
   // Fill the lower triangle by Hermitian symmetry and apply normalization.
@@ -271,7 +274,7 @@ std::vector<std::complex<double>> buildTcc(
 }
 
 KernelSet computeKernelSet(const OpticsConfig& optics, double focusNm) {
-  const auto lattice = pupilLattice(optics);
+  auto lattice = pupilLattice(optics);
   const int n = static_cast<int>(lattice.size());
   LOG_DEBUG("TCC lattice has " << n << " pupil samples (focus " << focusNm
                                << " nm)");
@@ -296,33 +299,24 @@ KernelSet computeKernelSet(const OpticsConfig& optics, double focusNm) {
   }
 
   KernelSet set;
-  set.gridSize = optics.gridSize();
   set.focusNm = focusNm;
   for (int k = 0; k < keep; ++k) {
     const double w = eig.eigenvalues[static_cast<std::size_t>(k)];
     if (w <= 0.0) break;  // TCC is PSD; numerical negatives mark the tail
-    SparseSpectrum spec;
-    spec.gridSize = set.gridSize;
-    spec.flatIndex.reserve(static_cast<std::size_t>(n));
-    spec.value.reserve(static_cast<std::size_t>(n));
-    for (int p = 0; p < n; ++p) {
-      spec.flatIndex.push_back(lattice[static_cast<std::size_t>(p)].row *
-                                   set.gridSize +
-                               lattice[static_cast<std::size_t>(p)].col);
-      spec.value.push_back(
-          eig.eigenvectors[static_cast<std::size_t>(k)]
-                          [static_cast<std::size_t>(p)]);
-    }
     set.weights.push_back(w);
-    set.kernels.push_back(std::move(spec));
+    set.kernels.push_back(
+        std::move(eig.eigenvectors[static_cast<std::size_t>(k)]));
   }
   MOSAIC_CHECK(!set.kernels.empty(), "TCC decomposition yielded no kernels");
 
   // Normalize weights so the open-frame intensity is 1: with M == 1 the
   // field of kernel k is its DC sample, so I_open = sum_k w_k |h_k(0)|^2.
+  const auto dc = static_cast<std::size_t>(
+      std::find(lattice.begin(), lattice.end(), PupilSample{0, 0}) -
+      lattice.begin());
   double openFrame = 0.0;
   for (std::size_t k = 0; k < set.kernels.size(); ++k) {
-    openFrame += set.weights[k] * std::norm(set.kernels[k].dcValue());
+    openFrame += set.weights[k] * std::norm(set.kernels[k][dc]);
   }
   MOSAIC_CHECK(openFrame > 1e-12,
                "open-frame intensity vanished -- degenerate kernel set");
@@ -331,19 +325,16 @@ KernelSet computeKernelSet(const OpticsConfig& optics, double focusNm) {
   // Combined kernel (Eq. 21): sum_k w_k h_k, then rescale so its own
   // open-frame field has unit magnitude, keeping gradient magnitudes on
   // the same scale as the true intensity.
-  SparseSpectrum combined;
-  combined.gridSize = set.gridSize;
-  combined.flatIndex = set.kernels.front().flatIndex;
-  combined.value.assign(combined.flatIndex.size(), {0.0, 0.0});
+  set.combined.assign(lattice.size(), {0.0, 0.0});
   for (std::size_t k = 0; k < set.kernels.size(); ++k) {
-    for (std::size_t i = 0; i < combined.value.size(); ++i) {
-      combined.value[i] += set.weights[k] * set.kernels[k].value[i];
+    for (std::size_t i = 0; i < set.combined.size(); ++i) {
+      set.combined[i] += set.weights[k] * set.kernels[k][i];
     }
   }
-  const double dcMag = std::abs(combined.dcValue());
+  const double dcMag = std::abs(set.combined[dc]);
   MOSAIC_CHECK(dcMag > 1e-12, "combined kernel has no DC response");
-  for (auto& v : combined.value) v /= dcMag;
-  set.combined = std::move(combined);
+  for (auto& v : set.combined) v /= dcMag;
+  set.lattice = std::move(lattice);
 
   LOG_DEBUG("kernel set ready: " << set.kernels.size() << " kernels, top "
                                  << "weight " << set.weights.front());

@@ -14,21 +14,14 @@
 
 namespace mosaic {
 
-/// A frequency lattice site inside the pupil support.
-struct PupilSample {
-  int row = 0;   ///< FFT row index (wrapped)
-  int col = 0;   ///< FFT col index (wrapped)
-  double fx = 0; ///< signed spatial frequency, cycles/nm
-  double fy = 0;
-};
-
 /// Largest |row| or |col| lattice index of the pupil lattice,
 /// floor(cutoff / freqStep): 7 for a 1024-nm clip, 14 for a 2048-nm
 /// window, at every pitch. Every SOCS kernel lives within it.
 int pupilRadius(const OpticsConfig& optics);
 
-/// Enumerate the FFT lattice sites whose spatial frequency lies within the
-/// pupil cutoff NA/lambda.
+/// Enumerate the lattice sites whose spatial frequency lies within the
+/// pupil cutoff NA/lambda, rows then columns in ascending signed order.
+/// The clip size fixes them; the pitch does not.
 std::vector<PupilSample> pupilLattice(const OpticsConfig& optics);
 
 /// Build the TCC matrix restricted to the pupil lattice:

@@ -1,9 +1,11 @@
 /// \file backend.cpp
 /// The SOCS engine behind math/backend.hpp: the image and the gradient on
-/// the coarse grid. Its transforms are the one FFT's (math/fft): per
-/// kernel, a row-pruned inverse of the kernel product on the coarse grid
-/// (rows outside the kernel's support are skipped, exactly), and at the
-/// pixel boundary the band-pruned real transforms.
+/// the coarse grid. A kernel product is the element-wise product of two
+/// lattice vectors, the kernel's and the mask spectrum's, placed at each
+/// sample's coarse site. Its transforms are the one FFT's (math/fft): per
+/// kernel, a row-pruned inverse of that product on the coarse grid (rows
+/// without a lattice sample are skipped, exactly), and at the pixel
+/// boundary the band-pruned real transforms.
 ///
 /// Sampling. A kernel product c(f) = S(f) h(f), |f| <= R, has the pixel
 /// field a(x) = n^-2 sum_f c(f) e^{2 pi i f.x/n} and the coarse field
@@ -26,7 +28,6 @@
 #include "math/backend.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
@@ -47,48 +48,38 @@ int signedIndex(int i, int n) { return i <= n / 2 ? i : i - n; }
 /// Index of signed frequency s on an axis of n samples.
 int wrapIndex(int s, int n) { return ((s % n) + n) % n; }
 
-/// One call's coarse grid: the kernels' lattice radius R, an axis of
-/// min(n, N) samples per pixel axis (N the smallest power of two above
-/// 4R), and the coarse flat index of every kernel sample, kernels back to
-/// back. Pixel-grid dimensions are powers of two, so flat indices split
-/// with shifts.
+/// One call's coarse grid: the lattice radius R, an axis of min(n, N)
+/// samples per pixel axis (N the smallest power of two above 4R), and
+/// every lattice sample's flat index on it, plain and flipped.
 struct CoarseGrid {
   int pixelRows;
   int pixelCols;
   int radius = 0;
   int rows = 1;
   int cols = 1;
-  int colShift = 0;  ///< log2(cols)
-  std::vector<int> index;
-  std::vector<std::size_t> first;  ///< kernel k owns [first[k], first[k+1])
+  std::vector<int> index;    ///< site of lattice sample s
+  std::vector<int> flipped;  ///< site of its flip (-row, -col)
+  std::vector<std::uint8_t> latticeRows;  ///< rows holding a sample
 
-  CoarseGrid(const Fft2d& fft, const SpectrumView* kernels, int count)
+  CoarseGrid(const Fft2d& fft, const std::vector<LatticePoint>& lattice)
       : pixelRows(fft.rows()), pixelCols(fft.cols()) {
-    const int shift = std::countr_zero(static_cast<unsigned>(pixelCols));
-    const int mask = pixelCols - 1;
-    first.push_back(0);
-    for (int k = 0; k < count; ++k) {
-      for (std::size_t s = 0; s < kernels[k].count; ++s) {
-        const int flat = kernels[k].flatIndex[s];
-        radius = std::max({radius,
-                           std::abs(signedIndex(flat >> shift, pixelRows)),
-                           std::abs(signedIndex(flat & mask, pixelCols))});
-      }
-      first.push_back(first.back() + kernels[k].count);
+    for (const LatticePoint& p : lattice) {
+      radius = std::max({radius, std::abs(p.row), std::abs(p.col)});
     }
     int n = 1;
     while (n <= 4 * radius) n <<= 1;
     rows = std::min(pixelRows, n);
     cols = std::min(pixelCols, n);
-    colShift = std::countr_zero(static_cast<unsigned>(cols));
-    index.reserve(first.back());
-    for (int k = 0; k < count; ++k) {
-      for (std::size_t s = 0; s < kernels[k].count; ++s) {
-        const int flat = kernels[k].flatIndex[s];
-        index.push_back(
-            wrapIndex(signedIndex(flat >> shift, pixelRows), rows) * cols +
-            wrapIndex(signedIndex(flat & mask, pixelCols), cols));
-      }
+    index.reserve(lattice.size());
+    flipped.reserve(lattice.size());
+    for (const LatticePoint& p : lattice) {
+      index.push_back(wrapIndex(p.row, rows) * cols + wrapIndex(p.col, cols));
+      flipped.push_back(wrapIndex(-p.row, rows) * cols +
+                        wrapIndex(-p.col, cols));
+    }
+    latticeRows.assign(static_cast<std::size_t>(rows), 0);
+    for (const LatticePoint& p : lattice) {
+      latticeRows[static_cast<std::size_t>(wrapIndex(p.row, rows))] = 1;
     }
   }
 
@@ -109,22 +100,19 @@ struct CoarseGrid {
     }
   }
 
-  /// field = ifft(kernels[k] .* spectrum) on this grid, rows outside the
-  /// kernel's support pruned (`live` is scratch of `rows` flags).
-  void kernelField(const Fft2d& coarseFft, const ComplexGrid& spectrum,
-                   const SpectrumView& kernel, int k, ComplexGrid& field,
+  /// field = ifft(kernel .* spectrum) on this grid, rows outside the
+  /// lattice pruned (`live` is scratch of `rows` flags).
+  void kernelField(const Fft2d& coarseFft, const LatticeValues& spectrum,
+                   const LatticeValues& kernel, ComplexGrid& field,
                    std::vector<std::uint8_t>& live) const {
-    const int* idx = index.data() + first[static_cast<std::size_t>(k)];
-    std::fill(live.begin(), live.end(), std::uint8_t{0});
-    for (std::size_t s = 0; s < kernel.count; ++s) {
-      const int r = idx[s] >> colShift;
-      if (live[static_cast<std::size_t>(r)] != 0) continue;
-      live[static_cast<std::size_t>(r)] = 1;
-      std::fill_n(field.rowPtr(r), cols, Complex(0.0, 0.0));
+    live = latticeRows;
+    for (int r = 0; r < rows; ++r) {
+      if (live[static_cast<std::size_t>(r)] != 0) {
+        std::fill_n(field.rowPtr(r), cols, Complex(0.0, 0.0));
+      }
     }
-    for (std::size_t s = 0; s < kernel.count; ++s) {
-      const auto flat = static_cast<std::size_t>(kernel.flatIndex[s]);
-      field.data()[idx[s]] = spectrum.data()[flat] * kernel.value[s];
+    for (std::size_t s = 0; s < index.size(); ++s) {
+      field.data()[index[s]] = spectrum[s] * kernel[s];
     }
     coarseFft.transform(field, /*invert=*/true, live.data());
   }
@@ -132,17 +120,18 @@ struct CoarseGrid {
 
 }  // namespace
 
-void socsImage(const Fft2d& fft, const ComplexGrid& spectrum,
-               const SpectrumView* kernels, const double* weights, int count,
-               double dose, RealGrid& intensity) {
-  const CoarseGrid grid(fft, kernels, count);
+void socsImage(const Fft2d& fft, const std::vector<LatticePoint>& lattice,
+               const LatticeValues& spectrum, const LatticeValues* kernels,
+               const double* weights, int count, double dose,
+               RealGrid& intensity) {
+  const CoarseGrid grid(fft, lattice);
   const Fft2d& coarseFft = fft2dFor(grid.rows, grid.cols, fft.build());
   scratch::ComplexLease field(grid.rows, grid.cols);
   scratch::RealLease sum(grid.rows, grid.cols);
   sum->fill(0.0);
   std::vector<std::uint8_t> live(static_cast<std::size_t>(grid.rows));
   for (int k = 0; k < count; ++k) {
-    grid.kernelField(coarseFft, spectrum, kernels[k], k, *field, live);
+    grid.kernelField(coarseFft, spectrum, kernels[k], *field, live);
     const double w = weights[k] * dose;
     const Complex* f = field->data();
     double* out = sum->data();
@@ -165,10 +154,11 @@ void socsImage(const Fft2d& fft, const ComplexGrid& spectrum,
   fft.inverseRealBand(*pixelBand, band, intensity);
 }
 
-void socsGradient(const Fft2d& fft, const ComplexGrid& maskSpectrum,
-                  const SpectrumView* kernels, const double* weights,
+void socsGradient(const Fft2d& fft, const std::vector<LatticePoint>& lattice,
+                  const LatticeValues& maskSpectrum,
+                  const LatticeValues* kernels, const double* weights,
                   int count, const RealGrid& gField, RealGrid& grad) {
-  const CoarseGrid grid(fft, kernels, count);
+  const CoarseGrid grid(fft, lattice);
   const Fft2d& coarseFft = fft2dFor(grid.rows, grid.cols, fft.build());
 
   // g_c: the +-2R band of dF/dI, resampled onto the coarse grid.
@@ -195,7 +185,7 @@ void socsGradient(const Fft2d& fft, const ComplexGrid& maskSpectrum,
   accum->fill({0.0, 0.0});
   std::vector<std::uint8_t> live(static_cast<std::size_t>(grid.rows));
   for (int k = 0; k < count; ++k) {
-    grid.kernelField(coarseFft, maskSpectrum, kernels[k], k, *field, live);
+    grid.kernelField(coarseFft, maskSpectrum, kernels[k], *field, live);
     double* f = reinterpret_cast<double*>(field->data());
     const double* g = gCoarse->data();
     for (std::size_t i = 0; i < gCoarse->size(); ++i) {
@@ -205,16 +195,11 @@ void socsGradient(const Fft2d& fft, const ComplexGrid& maskSpectrum,
     // The same fault-injection site as Fft2d::forward.
     MOSAIC_FAILPOINT_DATA("fft.forward", f, field->size() * 2);
     coarseFft.transform(*field, /*invert=*/false, nullptr);
-    const int* idx = grid.index.data() + grid.first[static_cast<std::size_t>(k)];
+    const LatticeValues& kernel = kernels[k];
     const Complex w(weights[k], 0.0);
-    for (std::size_t s = 0; s < kernels[k].count; ++s) {
-      const int r = idx[s] >> grid.colShift;
-      const int c = idx[s] & (grid.cols - 1);
-      const auto flipped = static_cast<std::size_t>(
-          ((grid.rows - r) % grid.rows) * grid.cols +
-          (grid.cols - c) % grid.cols);
-      accum->data()[flipped] +=
-          field->data()[flipped] * kernels[k].value[s] * w;
+    for (std::size_t s = 0; s < kernel.size(); ++s) {
+      const auto site = static_cast<std::size_t>(grid.flipped[s]);
+      accum->data()[site] += field->data()[site] * kernel[s] * w;
     }
   }
 

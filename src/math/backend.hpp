@@ -23,6 +23,7 @@
 
 #include <complex>
 #include <string_view>
+#include <vector>
 
 #include "math/fft.hpp"
 #include "math/grid.hpp"
@@ -30,31 +31,41 @@
 namespace mosaic {
 namespace exec {
 
-/// Non-owning view of a sparse spectrum: `count` nonzero lattice samples
-/// of a rows x cols frequency grid, addressed by flat index r * cols + c.
-/// litho's SparseSpectrum converts to this without copying.
-struct SpectrumView {
-  const int* flatIndex = nullptr;
-  const std::complex<double>* value = nullptr;
-  std::size_t count = 0;
+/// A sample site of the kernels' frequency lattice, in signed indices:
+/// frequency (col, row) / clip size. The clip size fixes the lattice and
+/// the pitch does not, so one lattice serves every pixel grid; on a grid
+/// of n samples per axis the site sits at (row mod n, col mod n).
+struct LatticePoint {
+  int row = 0;
+  int col = 0;
+
+  bool operator==(const LatticePoint&) const = default;
 };
 
+/// One complex value per lattice sample, in lattice order: a kernel's
+/// spectrum, or a mask's spectrum read at the kernels' lattice.
+using LatticeValues = std::vector<std::complex<double>>;
+
 /// intensity = dose * sum_k weights[k] * |ifft(kernels[k] .* spectrum)|^2
-/// on the pixel grid of `fft` (Eq. 2). `spectrum` is read only at the
-/// kernels' samples; `intensity` (fft's shape) is overwritten.
-void socsImage(const Fft2d& fft, const ComplexGrid& spectrum,
-               const SpectrumView* kernels, const double* weights, int count,
-               double dose, RealGrid& intensity);
+/// on the pixel grid of `fft` (Eq. 2). `spectrum` and each kernels[k]
+/// hold one value per `lattice` sample; a product at a site that several
+/// samples share (a lattice that wraps on a small grid) is the last one's.
+/// `intensity` (fft's shape) is overwritten.
+void socsImage(const Fft2d& fft, const std::vector<LatticePoint>& lattice,
+               const LatticeValues& spectrum, const LatticeValues* kernels,
+               const double* weights, int count, double dose,
+               RealGrid& intensity);
 
 /// grad = 2 Re ifft(sum_k weights[k] flip(kernels[k]) .*
 ///                  fft(gField .* conj(ifft(kernels[k] .* maskSpectrum))))
 ///
 /// The mask gradient of Eq. 17 for a kernel set: the convolution chains
 /// summed in the spectrum, then one real inverse. flip(s) moves the sample
-/// at (r, c) to ((R-r)%R, (C-c)%C) with the value unchanged. `grad`
-/// (fft's shape) is overwritten.
-void socsGradient(const Fft2d& fft, const ComplexGrid& maskSpectrum,
-                  const SpectrumView* kernels, const double* weights,
+/// at (row, col) to (-row, -col) with the value unchanged. The lattice
+/// vectors are as for socsImage; `grad` (fft's shape) is overwritten.
+void socsGradient(const Fft2d& fft, const std::vector<LatticePoint>& lattice,
+                  const LatticeValues& maskSpectrum,
+                  const LatticeValues* kernels, const double* weights,
                   int count, const RealGrid& gField, RealGrid& grad);
 
 /// Name handle on the engine for callers that report it (bench/e2e prints

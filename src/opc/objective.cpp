@@ -140,34 +140,26 @@ RealGrid IltObjective::epeGradientField(const RealGrid& zNominal,
   return g;
 }
 
-RealGrid IltObjective::gradientChains(const ComplexGrid& maskSpectrum,
+RealGrid IltObjective::gradientChains(const exec::LatticeValues& maskSpectrum,
                                       const KernelSet& kernels,
                                       const RealGrid& gField) const {
   MOSAIC_SPAN("objective.gradient");
-  const int n = kernels.gridSize;
-  std::vector<exec::SpectrumView> views;
-  std::vector<double> weights;
+  const int n = sim_.gridSize();
+  const Fft2d& fft = fft2dFor(n, n);
+  RealGrid grad(n, n);
   if (config_.gradientMode == GradientMode::kCombinedKernel) {
-    const SparseSpectrum& spec = kernels.combined;
-    views.push_back({spec.flatIndex.data(), spec.value.data(),
-                     spec.flatIndex.size()});
-    weights.push_back(1.0);
+    const double unit = 1.0;
+    exec::socsGradient(fft, kernels.lattice, maskSpectrum, &kernels.combined,
+                       &unit, 1, gField, grad);
   } else {
     const int count = (config_.inLoopKernels <= 0)
                           ? kernels.kernelCount()
                           : std::min(config_.inLoopKernels,
                                      kernels.kernelCount());
-    for (int k = 0; k < count; ++k) {
-      const SparseSpectrum& spec = kernels.kernels[static_cast<std::size_t>(k)];
-      views.push_back({spec.flatIndex.data(), spec.value.data(),
-                       spec.flatIndex.size()});
-      weights.push_back(kernels.weights[static_cast<std::size_t>(k)]);
-    }
+    exec::socsGradient(fft, kernels.lattice, maskSpectrum,
+                       kernels.kernels.data(), kernels.weights.data(), count,
+                       gField, grad);
   }
-  RealGrid grad(n, n);
-  exec::socsGradient(fft2dFor(n, n), maskSpectrum, views.data(),
-                     weights.data(), static_cast<int>(views.size()), gField,
-                     grad);
   return grad;
 }
 
@@ -178,7 +170,7 @@ IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
   MOSAIC_SPAN("objective.evaluate");
 
   Evaluation eval;
-  const ComplexGrid maskSpectrum = sim_.maskSpectrum(mask);
+  const exec::LatticeValues maskSpectrum = sim_.maskSpectrum(mask);
 
   // One imaging step for the whole evaluation: condition 0 drives the
   // design-target term, condition 1 + c is process corner c of F_pvb

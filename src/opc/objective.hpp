@@ -62,9 +62,9 @@ class IltObjective {
 
   /// The convolution chain 2 Re[(G . conj(A)) (*) H_flip] for the kernel
   /// set of one focus condition (paper Eq. 15/17).
-  [[nodiscard]] RealGrid gradientChains(const ComplexGrid& maskSpectrum,
-                                        const KernelSet& kernels,
-                                        const RealGrid& gField) const;
+  [[nodiscard]] RealGrid gradientChains(
+      const exec::LatticeValues& maskSpectrum, const KernelSet& kernels,
+      const RealGrid& gField) const;
 
   const LithoSimulator& sim_;
   BitGrid target_;

@@ -5,6 +5,9 @@
 #include <stdexcept>
 
 #include "support/error.hpp"
+#include "support/failpoint.hpp"
+#include "support/log.hpp"
+#include "support/parallel.hpp"
 
 namespace mosaic {
 
@@ -150,6 +153,27 @@ std::string CliParser::usage() const {
     os << "  " << opt.help << " (default: " << opt.defaultValue << ")\n";
   }
   return os.str();
+}
+
+void RuntimeFlags::addLogOption(CliParser& cli) {
+  cli.addString("log", &logLevel, "log level");
+}
+
+void RuntimeFlags::addOptions(CliParser& cli) {
+  addLogOption(cli);
+  cli.addInt("threads", &threads,
+             "total executor workers shared by tiles, jobs and nested pixel "
+             "loops (0 = hardware default)");
+  cli.addString("failpoints", &failpoints,
+                "arm fail points (docs/robustness.md), e.g. "
+                "objective.gradient:nan@iter=7");
+}
+
+void RuntimeFlags::apply() const {
+  setLogLevel(parseLogLevel(logLevel));
+  MOSAIC_CHECK(threads >= 0, "--threads must be >= 0");
+  if (threads > 0) setParallelism(threads);
+  if (!failpoints.empty()) failpoint::configure(failpoints);
 }
 
 }  // namespace mosaic

@@ -1,13 +1,15 @@
 #pragma once
 /// \file cli.hpp
-/// A tiny declarative command-line parser used by the bench harnesses and
-/// examples. Supports `--name value`, `--name=value`, boolean flags, and
-/// generates a usage screen.
+/// A tiny declarative command-line parser used by the apps, the bench
+/// harnesses and the examples. Supports `--name value`, `--name=value`,
+/// boolean flags, and generates a usage screen. RuntimeFlags is the option
+/// group the two apps share.
 
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mosaic {
@@ -70,6 +72,29 @@ class CliParser {
   std::string description_;
   std::map<std::string, Option> options_;
   std::vector<std::string> order_;
+};
+
+/// --log, --threads and --failpoints, the runtime options every program
+/// that runs the optimizer shares (mosaic_cli's subcommands, mosaic_serve),
+/// and the code that applies them. Programs that run no optimizer take
+/// --log only.
+struct RuntimeFlags {
+  std::string logLevel;
+  int threads = 0;
+  std::string failpoints;
+
+  explicit RuntimeFlags(std::string defaultLogLevel)
+      : logLevel(std::move(defaultLogLevel)) {}
+
+  void addLogOption(CliParser& cli);
+  void addOptions(CliParser& cli);
+
+  /// Sets the log level, sizes the process-wide work-stealing executor
+  /// (docs/performance.md: one pool shared by tiles, jobs and every
+  /// nested pixel/corner loop; --threads 0 keeps the hardware default)
+  /// and arms the fail points. Throws InvalidArgument on a negative
+  /// --threads.
+  void apply() const;
 };
 
 }  // namespace mosaic

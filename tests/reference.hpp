@@ -109,24 +109,35 @@ inline ComplexGrid directCyclicConvolve(const ComplexGrid& a,
   return out;
 }
 
-/// ifft(kernel .* spectrum) for a sparse kernel.
+/// Index of signed frequency s on an axis of n samples.
+inline int wrapIndex(int s, int n) { return ((s % n) + n) % n; }
+
+/// ifft(kernel .* spectrum) for a kernel sampled on `lattice`: each
+/// sample's product at its site on the spectrum's grid, a site that
+/// several samples share (a lattice that wraps) holding the last one's.
 inline ComplexGrid kernelField(const ComplexGrid& spectrum,
-                               const exec::SpectrumView& kernel) {
-  ComplexGrid field(spectrum.rows(), spectrum.cols(), Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < kernel.count; ++i) {
-    const auto flat = static_cast<std::size_t>(kernel.flatIndex[i]);
-    field.data()[flat] = spectrum.data()[flat] * kernel.value[i];
+                               const std::vector<exec::LatticePoint>& lattice,
+                               const exec::LatticeValues& kernel) {
+  const int rows = spectrum.rows();
+  const int cols = spectrum.cols();
+  ComplexGrid field(rows, cols, Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < lattice.size(); ++i) {
+    const int r = wrapIndex(lattice[i].row, rows);
+    const int c = wrapIndex(lattice[i].col, cols);
+    field(r, c) = spectrum(r, c) * kernel[i];
   }
   return dft2d(field, /*inverse=*/true);
 }
 
-/// SOCS aerial image: dose * sum_k weights[k] |ifft(kernels[k] .* S)|^2.
+/// SOCS aerial image: dose * sum_k weights[k] |ifft(kernels[k] .* S)|^2,
+/// S the full pixel-grid spectrum.
 inline RealGrid aerial(const ComplexGrid& spectrum,
-                       const exec::SpectrumView* kernels,
+                       const std::vector<exec::LatticePoint>& lattice,
+                       const exec::LatticeValues* kernels,
                        const double* weights, int count, double dose) {
   RealGrid out(spectrum.rows(), spectrum.cols(), 0.0);
   for (int k = 0; k < count; ++k) {
-    const ComplexGrid field = kernelField(spectrum, kernels[k]);
+    const ComplexGrid field = kernelField(spectrum, lattice, kernels[k]);
     for (std::size_t i = 0; i < out.size(); ++i) {
       out.data()[i] += weights[k] * std::norm(field.data()[i]);
     }
@@ -137,26 +148,25 @@ inline RealGrid aerial(const ComplexGrid& spectrum,
 
 /// Spectral gradient accumulator of Eq. 17:
 /// sum_k weights[k] flip(kernels[k]) .* fft(g .* conj(ifft(kernels[k] .* S)))
-/// where flip moves the sample at (r, c) to ((R-r)%R, (C-c)%C).
-inline ComplexGrid gradientChains(const ComplexGrid& maskSpectrum,
-                                  const exec::SpectrumView* kernels,
-                                  const double* weights, int count,
-                                  const RealGrid& g) {
+/// where flip moves the sample at (row, col) to (-row, -col).
+inline ComplexGrid gradientChains(
+    const ComplexGrid& maskSpectrum,
+    const std::vector<exec::LatticePoint>& lattice,
+    const exec::LatticeValues* kernels, const double* weights, int count,
+    const RealGrid& g) {
   const int rows = maskSpectrum.rows();
   const int cols = maskSpectrum.cols();
   ComplexGrid accum(rows, cols, Complex(0.0, 0.0));
   for (int k = 0; k < count; ++k) {
-    ComplexGrid field = kernelField(maskSpectrum, kernels[k]);
+    ComplexGrid field = kernelField(maskSpectrum, lattice, kernels[k]);
     for (std::size_t i = 0; i < field.size(); ++i) {
       field.data()[i] = g.data()[i] * std::conj(field.data()[i]);
     }
     field = dft2d(field, /*inverse=*/false);
-    for (std::size_t i = 0; i < kernels[k].count; ++i) {
-      const int r = kernels[k].flatIndex[i] / cols;
-      const int c = kernels[k].flatIndex[i] % cols;
-      const int fr = (rows - r) % rows;
-      const int fc = (cols - c) % cols;
-      accum(fr, fc) += weights[k] * kernels[k].value[i] * field(fr, fc);
+    for (std::size_t i = 0; i < lattice.size(); ++i) {
+      const int fr = wrapIndex(-lattice[i].row, rows);
+      const int fc = wrapIndex(-lattice[i].col, cols);
+      accum(fr, fc) += weights[k] * kernels[k][i] * field(fr, fc);
     }
   }
   return accum;
@@ -271,7 +281,7 @@ inline std::vector<Complex> tccPerSource(
     support.clear();
     for (int p = 0; p < n; ++p) {
       const PupilSample& f = lattice[static_cast<std::size_t>(p)];
-      const Complex value = pupil.value(sx + f.fx, sy + f.fy);
+      const Complex value = pupil.value(sx + f.col * df, sy + f.row * df);
       shifted[static_cast<std::size_t>(p)] = value;
       if (value != Complex{0.0, 0.0}) support.push_back(p);
     }

@@ -12,7 +12,8 @@
 #      bit-identical to the uninterrupted run.
 #
 # Also covered: the port file handshake, `mosaic_cli submit --wait` /
-# `--watch`, and graceful SIGTERM drain exiting with code 3 (interrupted).
+# `--watch`, graceful SIGTERM drain exiting with code 3 (interrupted), and
+# the rejection of a negative --threads.
 #
 # Usage: serve_smoke_test.sh <mosaic_serve> <mosaic_cli> <scratch dir>
 
@@ -57,7 +58,19 @@ mask_hash_of() {
 }
 
 rm -rf "$SCRATCH"
-mkdir -p "$SCRATCH/clean" "$SCRATCH/kill"
+mkdir -p "$SCRATCH/clean" "$SCRATCH/kill" "$SCRATCH/flags"
+
+# --- 0. runtime flags -------------------------------------------------------
+# The daemon takes --log/--threads/--failpoints from the option group
+# mosaic_cli uses, so a negative --threads is an error (exit 1) before the
+# daemon listens, not a silent hardware-default run. The timeout only
+# bounds a daemon that wrongly started: it exits 124, which also fails.
+timeout 30 "$SERVE" --work-dir "$SCRATCH/flags" --port 0 --threads -1 \
+  >"$SCRATCH/flags.log" 2>&1
+CODE=$?
+[ "$CODE" -eq 1 ] || fail "--threads -1 exited $CODE, want 1: $(cat "$SCRATCH/flags.log")"
+grep -q -- "--threads must be >= 0" "$SCRATCH/flags.log" \
+  || fail "--threads -1 gave no --threads error: $(cat "$SCRATCH/flags.log")"
 
 # --- 1. clean reference run -------------------------------------------------
 start_daemon "$SCRATCH/clean" "$SCRATCH/clean.log"

@@ -1,13 +1,13 @@
 /// SOCS engine suite: the image and the gradient of math/backend, which
 /// run on the intensity's coarse Nyquist grid, must match the direct-DFT,
 /// pixel-grid reference (tests/reference.hpp) to 1e-10 in both FFT
-/// builds (tiny grids to 1e-14): synthetic kernels whose support reaches
-/// the aliasing edge (+-R, +-R) on grids below, at and above the coarse
-/// size (down to 1x1), square and non-square, off-nominal dose and the
-/// full 24-kernel set, and the real clip and window kernel sets at focus 0
-/// and 25 over several pitches. Through the simulator, the aerial image, the binary print and
-/// maxKernels truncation match the reference built from the real SOCS
-/// kernels.
+/// builds (tiny grids to 1e-14): synthetic kernel lattices that reach the
+/// aliasing edge (+-R, +-R) on grids below, at and above the coarse size
+/// (down to 1x1, where they wrap), square and non-square, off-nominal dose
+/// and the full 24-kernel set, and the real clip and window kernel sets
+/// at focus 0 and 25, each used as is at several pitches. Through the
+/// simulator, the aerial image, the binary print and maxKernels
+/// truncation match the reference built from the real SOCS kernels.
 
 #include <gtest/gtest.h>
 
@@ -57,58 +57,52 @@ RealGrid randomReal(int rows, int cols, unsigned seed) {
   return grid;
 }
 
-/// Synthetic band-limited kernel: support |row|, |col| <= radius around DC
-/// in signed frequencies (a square, so it reaches the corners (+-R, +-R)
-/// where the image's and the gradient product's bands are widest), or the
-/// disc of that radius, mimicking the pupil support of real kernels.
-struct SyntheticKernel {
-  std::vector<int> flatIndex;
-  std::vector<std::complex<double>> values;
-
-  SyntheticKernel(int rows, int cols, int radius, bool square, unsigned seed) {
-    std::mt19937 rng(seed);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    for (int r = 0; r < rows; ++r) {
-      const int fr = (r <= rows / 2) ? r : r - rows;
-      for (int c = 0; c < cols; ++c) {
-        const int fc = (c <= cols / 2) ? c : c - cols;
-        const bool inside =
-            square ? std::max(std::abs(fr), std::abs(fc)) <= radius
-                   : fr * fr + fc * fc <= radius * radius;
-        if (!inside) continue;
-        flatIndex.push_back(r * cols + c);
-        values.push_back({dist(rng), dist(rng)});
-      }
-    }
+/// A full pixel-grid spectrum read at each lattice sample's site.
+exec::LatticeValues sampleLattice(
+    const ComplexGrid& spectrum,
+    const std::vector<exec::LatticePoint>& lattice) {
+  exec::LatticeValues out;
+  for (const exec::LatticePoint& p : lattice) {
+    out.push_back(spectrum(reference::wrapIndex(p.row, spectrum.rows()),
+                           reference::wrapIndex(p.col, spectrum.cols())));
   }
+  return out;
+}
 
-  [[nodiscard]] exec::SpectrumView view() const {
-    return {flatIndex.data(), values.data(), flatIndex.size()};
-  }
-};
-
-/// Kernel k has radius `radius` and the square support when k is even,
-/// a disc of radius - k % 3 when odd: the set's R is `radius`.
+/// Synthetic band-limited kernel set on one lattice: every signed site
+/// with |row|, |col| <= radius (a square, so it reaches the corners
+/// (+-R, +-R) where the image's and the gradient product's bands are
+/// widest; on a grid of at most 2R samples per axis it wraps, several
+/// samples sharing a site). Kernel k takes random values on the whole
+/// square when k is even, and on the disc of radius - k % 3 when odd, zero
+/// elsewhere, mimicking the pupil support of real kernels.
 struct Fixture {
-  int rows, cols;
   ComplexGrid spectrum;
   RealGrid gField;
-  std::vector<SyntheticKernel> kernels;
-  std::vector<exec::SpectrumView> views;
+  std::vector<exec::LatticePoint> lattice;
+  std::vector<exec::LatticeValues> kernels;
   std::vector<double> weights;
 
-  Fixture(int r, int c, int kernelCount, int radius, unsigned seed = 7)
-      : rows(r), cols(c),
-        spectrum(randomSpectrum(r, c, seed)),
-        gField(randomReal(r, c, seed + 1)) {
+  Fixture(int rows, int cols, int kernelCount, int radius, unsigned seed = 7)
+      : spectrum(randomSpectrum(rows, cols, seed)),
+        gField(randomReal(rows, cols, seed + 1)) {
+    for (int fr = -radius; fr <= radius; ++fr) {
+      for (int fc = -radius; fc <= radius; ++fc) lattice.push_back({fr, fc});
+    }
     for (int k = 0; k < kernelCount; ++k) {
-      const bool square = k % 2 == 0;
-      kernels.emplace_back(rows, cols,
-                           square ? radius : std::max(0, radius - k % 3),
-                           square, seed + 10 + k);
+      const int reach = k % 2 == 0 ? radius : std::max(0, radius - k % 3);
+      const int disc = k % 2 == 0 ? 2 * reach * reach : reach * reach;
+      std::mt19937 rng(seed + 10 + static_cast<unsigned>(k));
+      std::uniform_real_distribution<double> dist(-1.0, 1.0);
+      exec::LatticeValues values;
+      for (const exec::LatticePoint& p : lattice) {
+        const bool inside = p.row * p.row + p.col * p.col <= disc;
+        values.push_back(inside ? std::complex<double>{dist(rng), dist(rng)}
+                                : std::complex<double>{0.0, 0.0});
+      }
+      kernels.push_back(std::move(values));
       weights.push_back(1.0 / (1.0 + k));
     }
-    for (const auto& kern : kernels) views.push_back(kern.view());
   }
 };
 
@@ -123,11 +117,13 @@ double maxAbsDiff(const RealGrid& a, const RealGrid& b) {
 /// The reference gradient: 2 Re of the inverse DFT of the spectral
 /// accumulator of the Eq. 17 chains.
 RealGrid referenceGradient(const ComplexGrid& maskSpectrum,
-                           const exec::SpectrumView* kernels,
+                           const std::vector<exec::LatticePoint>& lattice,
+                           const exec::LatticeValues* kernels,
                            const double* weights, int count,
                            const RealGrid& g) {
   const ComplexGrid field = reference::dft2d(
-      reference::gradientChains(maskSpectrum, kernels, weights, count, g),
+      reference::gradientChains(maskSpectrum, lattice, kernels, weights,
+                                count, g),
       /*inverse=*/true);
   RealGrid out(field.rows(), field.cols());
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -137,29 +133,32 @@ RealGrid referenceGradient(const ComplexGrid& maskSpectrum,
 }
 
 /// Both primitives against the reference on one kernel set, in every FFT
-/// build this host runs, to `tol` absolute. The image sums `count`
-/// kernels, the gradient the first `gradCount`.
-void expectEngineMatchesReference(const ComplexGrid& spectrum,
-                                  const exec::SpectrumView* views,
-                                  const double* weights, int count,
-                                  int gradCount, double dose,
-                                  const RealGrid& gField, double tol,
-                                  const std::string& what) {
+/// build this host runs, to `tol` absolute. The reference reads the full
+/// pixel-grid `spectrum`, the engine its lattice samples. The image sums
+/// `count` kernels, the gradient the first `gradCount`.
+void expectEngineMatchesReference(
+    const ComplexGrid& spectrum,
+    const std::vector<exec::LatticePoint>& lattice,
+    const exec::LatticeValues* kernels, const double* weights, int count,
+    int gradCount, double dose, const RealGrid& gField, double tol,
+    const std::string& what) {
   const int rows = spectrum.rows();
   const int cols = spectrum.cols();
   const RealGrid refImage =
-      reference::aerial(spectrum, views, weights, count, dose);
-  const RealGrid refGrad =
-      referenceGradient(spectrum, views, weights, gradCount, gField);
+      reference::aerial(spectrum, lattice, kernels, weights, count, dose);
+  const RealGrid refGrad = referenceGradient(spectrum, lattice, kernels,
+                                             weights, gradCount, gField);
+  const exec::LatticeValues samples = sampleLattice(spectrum, lattice);
   for (const FftBuild build : reference::runnableBuilds()) {
     const Fft2d& fft = fft2dFor(rows, cols, build);
     RealGrid image(rows, cols, -1.0);
-    exec::socsImage(fft, spectrum, views, weights, count, dose, image);
+    exec::socsImage(fft, lattice, samples, kernels, weights, count, dose,
+                    image);
     EXPECT_LT(maxAbsDiff(refImage, image), tol)
         << "image, " << what << ", " << fftBuildName(build) << " build";
     RealGrid grad(rows, cols, -1.0);
-    exec::socsGradient(fft, spectrum, views, weights, gradCount, gField,
-                       grad);
+    exec::socsGradient(fft, lattice, samples, kernels, weights, gradCount,
+                       gField, grad);
     EXPECT_LT(maxAbsDiff(refGrad, grad), tol)
         << "gradient, " << what << ", " << fftBuildName(build) << " build";
   }
@@ -169,8 +168,8 @@ void expectSyntheticMatches(int rows, int cols, int kernelCount, int radius,
                             double dose = 1.0, double tol = 1e-10) {
   const Fixture fx(rows, cols, kernelCount, radius);
   expectEngineMatchesReference(
-      fx.spectrum, fx.views.data(), fx.weights.data(), kernelCount,
-      kernelCount, dose, fx.gField, tol,
+      fx.spectrum, fx.lattice, fx.kernels.data(), fx.weights.data(),
+      kernelCount, kernelCount, dose, fx.gField, tol,
       std::to_string(rows) + "x" + std::to_string(cols) + " K=" +
           std::to_string(kernelCount) + " R=" + std::to_string(radius) +
           " dose=" + std::to_string(dose));
@@ -237,10 +236,10 @@ TEST(EngineVsReference, RealClipAndWindowLattices) {
   // coarse 32) and the 2048-nm window (R = 14, coarse 64), each above,
   // at and below its coarse size. At 128 nm the clip's +-7 lattice wraps
   // on the 8 x 8 grid (samples share sites), which the reference and the
-  // engine both read as the cyclic model. A kernel's values do not depend
-  // on the pitch, so each set is built once and its samples are placed on
-  // every pitch's lattice (same sample order). The image sums every
-  // kernel, the gradient the 9 in-loop ones.
+  // engine both read as the cyclic model. A kernel set holds no pitch, so
+  // each set is built once per clip size and focus and used as is at
+  // every pitch. The image sums every kernel, the gradient the 9 in-loop
+  // ones.
   const Layout clip = buildTestcaseByName("B4");
   for (const auto& [clipNm, pitches] :
        {std::pair{1024, std::vector<int>{8, 32, 64, 128}},
@@ -251,22 +250,14 @@ TEST(EngineVsReference, RealClipAndWindowLattices) {
       for (const int pixelNm : pitches) {
         const OpticsConfig optics = latticeOptics(clipNm, pixelNm);
         const int n = optics.gridSize();
-        const std::vector<PupilSample> lattice = pupilLattice(optics);
-        std::vector<int> flat;
-        for (const PupilSample& site : lattice) {
-          flat.push_back(site.row * n + site.col);
-        }
-        std::vector<exec::SpectrumView> views;
-        for (const SparseSpectrum& k : set.kernels) {
-          ASSERT_EQ(k.sampleCount(), flat.size());
-          views.push_back({flat.data(), k.value.data(), flat.size()});
-        }
+        ASSERT_EQ(set.lattice, pupilLattice(optics));
         const RealGrid mask =
             toReal(rasterize(clip, pixelNm * 1024 / clipNm));
         ASSERT_EQ(mask.rows(), n);
         expectEngineMatchesReference(
             reference::dft2d(toComplex(mask), /*inverse=*/false),
-            views.data(), set.weights.data(), set.kernelCount(), 9, 1.02,
+            set.lattice, set.kernels.data(), set.weights.data(),
+            set.kernelCount(), 9, 1.02,
             randomReal(n, n, 31u + static_cast<unsigned>(n)), 1e-10,
             std::to_string(clipNm) + " nm at " + std::to_string(pixelNm) +
                 " nm, focus " + std::to_string(focus));
@@ -303,26 +294,14 @@ RealGrid testMask(int n) {
   return mask;
 }
 
-/// Engine views of the first `count` kernels of a real SOCS set.
-std::vector<exec::SpectrumView> kernelViews(const KernelSet& set, int count) {
-  std::vector<exec::SpectrumView> views;
-  for (int k = 0; k < count; ++k) {
-    const SparseSpectrum& spec = set.kernels[static_cast<std::size_t>(k)];
-    views.push_back(
-        {spec.flatIndex.data(), spec.value.data(), spec.flatIndex.size()});
-  }
-  return views;
-}
-
 /// The reference aerial image of `mask` at `corner` over the first
 /// `count` kernels, from the reference forward DFT of the mask.
 RealGrid referenceAerial(const LithoSimulator& sim, const RealGrid& mask,
                          const ProcessCorner& corner, int count) {
   const KernelSet& set = sim.kernels(corner.focusNm);
-  const std::vector<exec::SpectrumView> views = kernelViews(set, count);
   return reference::aerial(reference::dft2d(toComplex(mask), false),
-                           views.data(), set.weights.data(), count,
-                           corner.dose);
+                           set.lattice, set.kernels.data(),
+                           set.weights.data(), count, corner.dose);
 }
 
 TEST(LithoEngine, AerialAndBinaryPrintMatchReference) {
@@ -342,7 +321,7 @@ TEST(LithoEngine, AerialAndBinaryPrintMatchReference) {
 TEST(LithoEngine, MaxKernelsTruncation) {
   LithoSimulator sim(smallOptics());
   const RealGrid mask = testMask(sim.gridSize());
-  const ComplexGrid spectrum = sim.maskSpectrum(mask);
+  const exec::LatticeValues spectrum = sim.maskSpectrum(mask);
   const ProcessCorner corner{0.0, 0.98};
   const int setSize = sim.kernels(corner.focusNm).kernelCount();
   for (const int maxK : {1, 3, 24, 999}) {
@@ -369,7 +348,7 @@ TEST(LithoEngine, DoseAndBlurApplyExactlyOnce) {
   const int n = plainSim.gridSize();
   const RealGrid mask = testMask(n);
   const ProcessCorner corner{25.0, 1.05};
-  const ComplexGrid spectrum = plainSim.maskSpectrum(mask);
+  const exec::LatticeValues spectrum = plainSim.maskSpectrum(mask);
 
   // Dose linearity: I(dose) == dose * I(1) elementwise (blur is linear,
   // so this holds with the blur epilogue active too).
@@ -406,7 +385,8 @@ TEST(LithoEngine, OneMaskSpectrumPerEvaluation) {
 // for its condition, bit for bit, summing a repeated condition once.
 TEST(LithoEngine, ImageConditionsSumsEachDistinctConditionOnce) {
   LithoSimulator sim(smallOptics());
-  const ComplexGrid spectrum = sim.maskSpectrum(testMask(sim.gridSize()));
+  const exec::LatticeValues spectrum =
+      sim.maskSpectrum(testMask(sim.gridSize()));
   const std::vector<ProcessCorner> conditions = {
       {0.0, 1.0}, {25.0, 0.98}, {0.0, 1.0}, {0.0, 1.02}, {25.0, 0.98}};
   for (const int maxK : {0, 5}) {

@@ -20,6 +20,8 @@
 #include "math/stats.hpp"
 #include "opc/optimizer.hpp"
 #include "suite/testcases.hpp"
+#include "support/binary_io.hpp"
+#include "support/error.hpp"
 #include "support/failpoint.hpp"
 #include "support/hash.hpp"
 
@@ -258,6 +260,35 @@ TEST(Glp, MissingFileThrows) {
 
 // ----------------------------------------------------------- kernel cache
 
+/// True when two kernel sets agree in every byte the cache stores.
+bool sameKernelBytes(const KernelSet& a, const KernelSet& b) {
+  auto sameBytes = [](const auto& x, const auto& y) {
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(),
+                                     x.size() * sizeof(x[0])) == 0);
+  };
+  if (std::memcmp(&a.focusNm, &b.focusNm, sizeof a.focusNm) != 0 ||
+      a.lattice != b.lattice || !sameBytes(a.weights, b.weights) ||
+      a.kernels.size() != b.kernels.size()) {
+    return false;
+  }
+  for (std::size_t k = 0; k < a.kernels.size(); ++k) {
+    if (!sameBytes(a.kernels[k], b.kernels[k])) return false;
+  }
+  return sameBytes(a.combined, b.combined);
+}
+
+std::string readFileBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void writeFileBytes(const std::filesystem::path& path,
+                    const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
 TEST(KernelCache, RoundTripPreservesEverything) {
   OpticsConfig optics;
   optics.pixelNm = 16;  // small grid keeps the TCC build fast
@@ -268,18 +299,8 @@ TEST(KernelCache, RoundTripPreservesEverything) {
                     kernelCacheName(optics, original.focusNm);
   saveKernelSet(path.string(), original);
   const KernelSet loaded = loadKernelSet(path.string());
-
-  EXPECT_EQ(loaded.gridSize, original.gridSize);
-  EXPECT_DOUBLE_EQ(loaded.focusNm, original.focusNm);
-  ASSERT_EQ(loaded.kernels.size(), original.kernels.size());
-  for (std::size_t k = 0; k < loaded.kernels.size(); ++k) {
-    EXPECT_DOUBLE_EQ(loaded.weights[k], original.weights[k]);
-    ASSERT_EQ(loaded.kernels[k].flatIndex, original.kernels[k].flatIndex);
-    for (std::size_t i = 0; i < loaded.kernels[k].value.size(); ++i) {
-      EXPECT_EQ(loaded.kernels[k].value[i], original.kernels[k].value[i]);
-    }
-  }
-  EXPECT_EQ(loaded.combined.flatIndex, original.combined.flatIndex);
+  EXPECT_EQ(loaded.lattice, pupilLattice(optics));
+  EXPECT_TRUE(sameKernelBytes(loaded, original));
   std::filesystem::remove(path);
 }
 
@@ -307,10 +328,6 @@ TEST(KernelCache, TornOrPaddedFileIsRecomputedAndRewritten) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const auto file = dir / kernelCacheName(optics, 0.0);
-  auto readBytes = [](const std::filesystem::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
   auto listDir = [&dir] {
     std::vector<std::string> names;
     for (const auto& e : std::filesystem::directory_iterator(dir)) {
@@ -323,23 +340,114 @@ TEST(KernelCache, TornOrPaddedFileIsRecomputedAndRewritten) {
     sim.setKernelCacheDir(dir.string());
     (void)sim.kernels(0.0);
   }
-  const std::string good = readBytes(file);
+  const std::string good = readFileBytes(file);
   ASSERT_GT(good.size(), 1000u);
   EXPECT_EQ(listDir(), std::vector<std::string>{file.filename().string()});
 
   const std::string damaged[] = {good.substr(0, good.size() / 2),
                                  good + "trailing garbage"};
   for (const std::string& bytes : damaged) {
-    {
-      std::ofstream out(file, std::ios::binary | std::ios::trunc);
-      out << bytes;
-    }
+    writeFileBytes(file, bytes);
     EXPECT_THROW(loadKernelSet(file.string()), InvalidArgument);
     LithoSimulator sim(optics);
     sim.setKernelCacheDir(dir.string());
     (void)sim.kernels(0.0);
-    EXPECT_EQ(readBytes(file), good) << bytes.size() << "-byte file";
+    EXPECT_EQ(readFileBytes(file), good) << bytes.size() << "-byte file";
     EXPECT_EQ(listDir(), std::vector<std::string>{file.filename().string()});
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(KernelCache, ForeignLatticeOrFlippedValueByteIsRecomputedAndRewritten) {
+  // Two files of the right size that must not be served: one whose
+  // lattice names other sites for the same number of samples (well formed,
+  // with a valid digest), and one with a single value byte flipped. Each
+  // must load as a miss, be recomputed and be republished byte-identical.
+  OpticsConfig optics;
+  optics.pixelNm = 16;
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mosaic_kcache_foreign";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto file = dir / kernelCacheName(optics, 0.0);
+  {
+    LithoSimulator sim(optics);
+    sim.setKernelCacheDir(dir.string());
+    (void)sim.kernels(0.0);
+  }
+  const std::string good = readFileBytes(file);
+
+  KernelSet foreign = loadKernelSet(file.string());
+  foreign.lattice.front().row = -foreign.lattice.front().row;
+  saveKernelSet(file.string(), foreign);
+  ASSERT_EQ(loadKernelSet(file.string()).lattice, foreign.lattice);
+  const std::string foreignBytes = readFileBytes(file);
+  std::string flipped = good;
+  flipped[flipped.size() / 2] ^= 0x10;  // inside the kernel values
+  writeFileBytes(file, flipped);
+  EXPECT_THROW(loadKernelSet(file.string()), FormatError);
+
+  for (const std::string& bytes : {foreignBytes, flipped}) {
+    writeFileBytes(file, bytes);
+    LithoSimulator sim(optics);
+    sim.setKernelCacheDir(dir.string());
+    EXPECT_EQ(sim.kernels(0.0).lattice, pupilLattice(optics));
+    EXPECT_EQ(readFileBytes(file), good) << bytes.size() << "-byte file";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(KernelCache, DeclaredLatticeBeyondTheFileIsAFormatError) {
+  // A lattice of 2^30 samples declared in a 60-byte file, under a valid
+  // payload digest: the loader grows its vectors only as bytes arrive, so
+  // this is a truncation, not a 20-GiB allocation.
+  std::ostringstream payload;
+  BinaryWriter out(payload);
+  out.put(0.0);
+  out.put(std::uint32_t{1} << 30);
+  for (int i = 0; i < 4; ++i) {
+    out.put<std::int32_t>(i);
+    out.put<std::int32_t>(-i);
+  }
+  const std::string bytes = payload.str();
+  std::ostringstream file;
+  BinaryWriter header(file);
+  header.put(std::uint32_t{0x4d4f534bu});
+  header.put(std::uint32_t{2});
+  file << bytes;
+  header.put(fnv1a(bytes.data(), bytes.size()));
+  const auto path =
+      std::filesystem::temp_directory_path() / "mosaic_kcache_oversized.bin";
+  writeFileBytes(path, file.str());
+  EXPECT_THROW(loadKernelSet(path.string()), FormatError);
+  std::filesystem::remove(path);
+}
+
+TEST(KernelCache, OneFilePerOpticsAndFocusAtEveryPitch) {
+  // A kernel set holds no pitch: a 4-nm and an 8-nm simulator of one
+  // clip share a cache directory through the same two files, and hold
+  // the same sets bit for bit.
+  OpticsConfig fine;
+  fine.pixelNm = 4;
+  OpticsConfig coarse = fine;
+  coarse.pixelNm = 8;
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mosaic_kcache_pitch";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  LithoSimulator fineSim(fine);
+  fineSim.setKernelCacheDir(dir.string());
+  fineSim.warmKernels({0.0, 25.0});
+  LithoSimulator coarseSim(coarse);
+  coarseSim.setKernelCacheDir(dir.string());
+  coarseSim.warmKernels({0.0, 25.0});
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            2);
+  for (const double focus : {0.0, 25.0}) {
+    EXPECT_TRUE(sameKernelBytes(fineSim.kernels(focus),
+                                coarseSim.kernels(focus)))
+        << "focus " << focus;
   }
   std::filesystem::remove_all(dir);
 }
@@ -348,8 +456,12 @@ TEST(KernelCache, OpticsAwareNameSeparatesPupilAndSourceSettings) {
   OpticsConfig base;
   base.pixelNm = 16;
   const std::string name = kernelCacheName(base, 25.0);
-  EXPECT_EQ(name.find("kernels_g64_f250_o"), 0u) << name;
+  EXPECT_EQ(name.find("kernels_f250_o"), 0u) << name;
   EXPECT_EQ(name, kernelCacheName(base, 25.0)) << "name must be deterministic";
+  // No kernel depends on the pitch, so the name does not either.
+  OpticsConfig finer = base;
+  finer.pixelNm = 4;
+  EXPECT_EQ(kernelCacheName(finer, 25.0), name);
 
   // Every optical knob must change the name, so a cache directory can
   // never serve kernels computed under different settings.
@@ -368,7 +480,7 @@ TEST(KernelCache, OpticsAwareNameSeparatesPupilAndSourceSettings) {
 
   // ...while grid-equivalent but differently-expressed geometry matches.
   EXPECT_EQ(opticsParameterHash(base), opticsParameterHash(base));
-  EXPECT_EQ(kernelCacheName(base, -25.0), "kernels_g64_f-250_o" +
+  EXPECT_EQ(kernelCacheName(base, -25.0), "kernels_f-250_o" +
                                               opticsParameterHash(base) +
                                               ".bin");
 }
@@ -407,28 +519,6 @@ TEST(KernelCache, SimulatorUsesTheDiskCache) {
     EXPECT_DOUBLE_EQ(a.data()[i], b.data()[i]);
   }
   std::filesystem::remove_all(dir);
-}
-
-/// True when two kernel sets agree in every byte the cache stores.
-bool sameKernelBytes(const KernelSet& a, const KernelSet& b) {
-  auto sameBytes = [](const auto& x, const auto& y) {
-    return x.size() == y.size() &&
-           (x.empty() || std::memcmp(x.data(), y.data(),
-                                     x.size() * sizeof(x[0])) == 0);
-  };
-  auto sameSpectrum = [&](const SparseSpectrum& x, const SparseSpectrum& y) {
-    return x.gridSize == y.gridSize && sameBytes(x.flatIndex, y.flatIndex) &&
-           sameBytes(x.value, y.value);
-  };
-  if (a.gridSize != b.gridSize || a.focusNm != b.focusNm ||
-      !sameBytes(a.weights, b.weights) ||
-      a.kernels.size() != b.kernels.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < a.kernels.size(); ++k) {
-    if (!sameSpectrum(a.kernels[k], b.kernels[k])) return false;
-  }
-  return sameSpectrum(a.combined, b.combined);
 }
 
 TEST(KernelCache, ClipAndChipWindowSharingADirectoryKeepTheirOwnSets) {
@@ -536,19 +626,15 @@ TEST(BinaryFormats, FileBytesArePinned) {
   EXPECT_EQ(digestOf(dir / "state.ckpt"), "bf3bff7444bf9a91");
 
   KernelSet set;
-  set.gridSize = 4;
   set.focusNm = 25.0;
+  set.lattice = {{0, 0}, {0, 1}, {-1, -1}};
   set.weights = {0.75, 0.25};
   for (int k = 0; k < 2; ++k) {
-    SparseSpectrum s;
-    s.gridSize = 4;
-    s.flatIndex = {0, 1 + k, 15};
-    s.value = {{1.0, 0.5 * k}, {-0.25, 0.125}, {0.0, -1.0 - k}};
-    set.kernels.push_back(s);
+    set.kernels.push_back({{1.0, 0.5 * k}, {-0.25, 0.125}, {0.0, -1.0 - k}});
   }
   set.combined = set.kernels[1];
   saveKernelSet((dir / "kernels.bin").string(), set);
-  EXPECT_EQ(digestOf(dir / "kernels.bin"), "58aaed0607d17a94");
+  EXPECT_EQ(digestOf(dir / "kernels.bin"), "11a186c0de2e58d2");
 
   const auto storeDir = dir / "store";
   {

@@ -238,12 +238,20 @@ TEST(Tcc, LatticeCoversPupil) {
   EXPECT_GT(lattice.size(), 140u);
   EXPECT_LT(lattice.size(), 180u);
   bool hasDc = false;
+  const double df = o.freqStep();
+  const int radius = pupilRadius(o);
   for (const auto& s : lattice) {
-    EXPECT_LE(s.fx * s.fx + s.fy * s.fy,
-              o.cutoffFreq() * o.cutoffFreq() + 1e-15);
+    const double fx = s.col * df;
+    const double fy = s.row * df;
+    EXPECT_LE(fx * fx + fy * fy, o.cutoffFreq() * o.cutoffFreq() + 1e-15);
+    EXPECT_LE(std::max(std::abs(s.row), std::abs(s.col)), radius);
     if (s.row == 0 && s.col == 0) hasDc = true;
   }
   EXPECT_TRUE(hasDc);
+  // Signed sites, not wrapped to a grid: the lattice is the same at every
+  // pitch of the clip.
+  EXPECT_EQ(pupilLattice(testOptics(1)), lattice);
+  EXPECT_EQ(pupilLattice(testOptics(128)), lattice);
 }
 
 TEST(Tcc, MatrixIsHermitianPsdDiagonal) {
@@ -286,37 +294,47 @@ TEST(Tcc, OpenFrameIntensityIsUnity) {
   }
 }
 
-TEST(Tcc, CombinedKernelDcIsUnitMagnitude) {
-  const KernelSet& set = sharedSim().kernels(0.0);
-  EXPECT_NEAR(std::abs(set.combined.dcValue()), 1.0, 1e-9);
-  EXPECT_EQ(set.combined.gridSize, set.gridSize);
+/// The value of a lattice vector at DC, signed site (0, 0).
+std::complex<double> dcValue(const std::vector<PupilSample>& lattice,
+                             const exec::LatticeValues& values) {
+  const auto dc = std::find(lattice.begin(), lattice.end(), PupilSample{0, 0});
+  return values[static_cast<std::size_t>(dc - lattice.begin())];
 }
 
-/// FNV-1a over every byte of a kernel set: weights, each kernel's
-/// flatIndex and values, and the combined kernel (counts mixed in, so a
-/// dropped sample cannot alias).
+TEST(Tcc, CombinedKernelDcIsUnitMagnitude) {
+  const KernelSet& set = sharedSim().kernels(0.0);
+  EXPECT_NEAR(std::abs(dcValue(set.lattice, set.combined)), 1.0, 1e-9);
+  EXPECT_EQ(set.combined.size(), set.lattice.size());
+}
+
+/// FNV-1a over the pitch-free content of a kernel set: focus, weights,
+/// the lattice's signed (row, col) in order, each kernel's values and the
+/// combined values (counts mixed in, so a dropped sample cannot alias).
 std::string kernelSetDigest(const KernelSet& set) {
   Fnv1a h;
-  h.mix(set.gridSize).mix(set.focusNm);
+  h.mix(set.focusNm);
   h.mix(static_cast<long long>(set.weights.size()));
   h.mixBytes(set.weights.data(), set.weights.size() * sizeof(double));
-  auto mixSpectrum = [&h](const SparseSpectrum& s) {
-    h.mix(s.gridSize).mix(static_cast<long long>(s.flatIndex.size()));
-    h.mixBytes(s.flatIndex.data(), s.flatIndex.size() * sizeof(int));
-    h.mixBytes(s.value.data(), s.value.size() * sizeof(s.value[0]));
+  h.mix(static_cast<long long>(set.lattice.size()));
+  for (const PupilSample& p : set.lattice) h.mix(p.row).mix(p.col);
+  auto mixValues = [&h](const exec::LatticeValues& v) {
+    h.mix(static_cast<long long>(v.size()));
+    h.mixBytes(v.data(), v.size() * sizeof(v[0]));
   };
-  for (const SparseSpectrum& k : set.kernels) mixSpectrum(k);
-  mixSpectrum(set.combined);
+  for (const exec::LatticeValues& k : set.kernels) mixValues(k);
+  mixValues(set.combined);
   return h.hex();
 }
 
 TEST(Tcc, KernelSetBytesAreLocked) {
-  // Goldens generated before the row-stored Jacobi, the streamed and then
-  // source-chunked TCC and the lane-blocked subspace products: each keeps
-  // every floating-point operation and its order, so the kernel sets (and
-  // with them the cache files and every mask) must not move by one bit.
-  // The clip takes the dense Jacobi path (161 pupil samples), the 2048 nm
-  // chip window the truncated subspace solve (657).
+  // Goldens taken over the pixel-grid-indexed sets, each sample's signed
+  // site decoded from its flat index, before kernels were stored on the
+  // pupil lattice; the row-stored Jacobi, the source-chunked TCC and the
+  // lane-blocked subspace products before that each kept every
+  // floating-point operation and its order, so the kernel sets (and with
+  // them every mask) must not move by one bit. The clip takes the dense
+  // Jacobi path (161 pupil samples), the 2048 nm chip window the truncated
+  // subspace solve (657).
   struct Case {
     int clipNm;
     int pixelNm;
@@ -324,10 +342,10 @@ TEST(Tcc, KernelSetBytesAreLocked) {
     const char* digest;
   };
   const Case cases[] = {
-      {1024, 4, 0.0, "80284df01d867f0d"},
-      {1024, 4, 25.0, "2a798ce5f206f0bd"},
-      {2048, 16, 0.0, "def350d83da99b46"},
-      {2048, 16, 25.0, "91c140055658b5a8"},
+      {1024, 4, 0.0, "4dc80fbd51377810"},
+      {1024, 4, 25.0, "89d99b550bba86f4"},
+      {2048, 16, 0.0, "6b962fa472fae06e"},
+      {2048, 16, 25.0, "471ef184e4019150"},
   };
   for (const Case& c : cases) {
     OpticsConfig o;
@@ -446,39 +464,27 @@ TEST(Tcc, SocsImageDoesNotDependOnTheEigenbasis) {
   const OpticsConfig optics = testOptics(16);
   const auto lattice = pupilLattice(optics);
   const int n = static_cast<int>(lattice.size());
-  const int grid = optics.gridSize();
   const ComplexGrid spectrum = reference::dft2d(
       toComplex(toReal(rasterize(buildTestcaseByName("B4"), optics.pixelNm))),
       /*inverse=*/false);
-  auto image = [&spectrum](const std::vector<SparseSpectrum>& kernels,
-                           const std::vector<double>& weights) {
-    std::vector<exec::SpectrumView> views;
-    for (const SparseSpectrum& k : kernels) {
-      views.push_back({k.flatIndex.data(), k.value.data(), k.sampleCount()});
-    }
-    return reference::aerial(spectrum, views.data(), weights.data(),
-                             static_cast<int>(views.size()), 1.0);
+  auto image = [&](const std::vector<exec::LatticeValues>& kernels,
+                   const std::vector<double>& weights) {
+    return reference::aerial(spectrum, lattice, kernels.data(),
+                             weights.data(),
+                             static_cast<int>(kernels.size()), 1.0);
   };
   for (const double focus : {0.0, 25.0}) {
     const KernelSet production = computeKernelSet(optics, focus);
     ASSERT_EQ(production.kernelCount(), optics.kernelCount);
     const HermitianEigenResult eig = topEigenpairsHermitian(
         buildTcc(optics, focus, lattice), n, optics.kernelCount + 8);
-    std::vector<SparseSpectrum> kernels;
+    std::vector<exec::LatticeValues> kernels;
     std::vector<double> weights;
     double openFrame = 0.0;
     for (int k = 0; k < optics.kernelCount; ++k) {
-      SparseSpectrum spec;
-      spec.gridSize = grid;
-      for (int p = 0; p < n; ++p) {
-        const PupilSample& site = lattice[static_cast<std::size_t>(p)];
-        spec.flatIndex.push_back(site.row * grid + site.col);
-        spec.value.push_back(eig.eigenvectors[static_cast<std::size_t>(k)]
-                                             [static_cast<std::size_t>(p)]);
-      }
+      kernels.push_back(eig.eigenvectors[static_cast<std::size_t>(k)]);
       weights.push_back(eig.eigenvalues[static_cast<std::size_t>(k)]);
-      openFrame += weights.back() * std::norm(spec.dcValue());
-      kernels.push_back(std::move(spec));
+      openFrame += weights.back() * std::norm(dcValue(lattice, kernels.back()));
     }
     for (double& w : weights) w /= openFrame;
 
@@ -493,27 +499,6 @@ TEST(Tcc, SocsImageDoesNotDependOnTheEigenbasis) {
     ASSERT_GT(peak, 0.1);
     EXPECT_LT(diff / peak, 1e-9) << "focus " << focus;
   }
-}
-
-TEST(Tcc, SparseSpectrumHelpers) {
-  SparseSpectrum s;
-  s.gridSize = 4;
-  s.flatIndex = {0, 1, 7};  // (0,0), (0,1), (1,3)
-  s.value = {{1, 0}, {0, 1}, {2, -1}};
-  EXPECT_EQ(s.dcValue(), std::complex<double>(1, 0));
-
-  const SparseSpectrum f = s.flipped();
-  // (0,1) -> (0,3) = 3 ; (1,3) -> (3,1) = 13 ; DC stays.
-  EXPECT_EQ(f.flatIndex[0], 0);
-  EXPECT_EQ(f.flatIndex[1], 3);
-  EXPECT_EQ(f.flatIndex[2], 13);
-
-  const SparseSpectrum c = s.conjugated();
-  EXPECT_EQ(c.value[1], std::complex<double>(0, -1));
-
-  const ComplexGrid dense = s.dense();
-  EXPECT_EQ(dense(1, 3), std::complex<double>(2, -1));
-  EXPECT_EQ(dense(2, 2), std::complex<double>(0, 0));
 }
 
 // ------------------------------------------------------------ simulator
@@ -724,46 +709,33 @@ TEST(Simulator, FftEngineMatchesReferencePath) {
   // The imaging pipeline (band-pruned mask spectrum, SOCS sum on the
   // coarse grid, band-pruned inverse) must reproduce the direct-DFT
   // reference to 1e-10 on the continuous images and bit-exactly on the
-  // binary print. The mask spectrum is computed only on the kernels'
-  // lattice band |row|, |col| <= R and is zero beyond it.
+  // binary print. The mask spectrum is one value per lattice sample, the
+  // pixel-grid spectrum at that sample's site.
   LithoSimulator& sim = sharedSim();
   const int n = sim.gridSize();
   const BitGrid target = rasterize(lineLayout(64), 8);
   const RealGrid mask = toReal(target);
 
-  const ComplexGrid spectrum = sim.maskSpectrum(mask);
+  const exec::LatticeValues spectrum = sim.maskSpectrum(mask);
   const RealGrid aerial = sim.aerialFromSpectrum(spectrum, nominalCorner());
 
   const ComplexGrid refSpectrum =
       reference::dft2d(toComplex(mask), /*inverse=*/false);
-  const int band = pupilRadius(sim.optics());
-  ASSERT_LT(2 * band + 1, n);
+  const std::vector<PupilSample> lattice = pupilLattice(sim.optics());
+  ASSERT_EQ(spectrum.size(), lattice.size());
   double specDiff = 0.0;
-  int bandSamples = 0;
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      const bool inBand =
-          std::min(r, n - r) <= band && std::min(c, n - c) <= band;
-      if (!inBand) {
-        ASSERT_EQ(spectrum(r, c), std::complex<double>(0.0, 0.0));
-        continue;
-      }
-      ++bandSamples;
-      specDiff = std::max(specDiff, std::abs(spectrum(r, c) - refSpectrum(r, c)));
-    }
+  for (std::size_t s = 0; s < lattice.size(); ++s) {
+    const std::complex<double> want =
+        refSpectrum((lattice[s].row + n) % n, (lattice[s].col + n) % n);
+    specDiff = std::max(specDiff, std::abs(spectrum[s] - want));
   }
-  EXPECT_EQ(bandSamples, (2 * band + 1) * (2 * band + 1));
   EXPECT_LT(specDiff, 1e-10);
 
   const KernelSet& set = sim.kernels(0.0);
-  std::vector<exec::SpectrumView> views;
-  for (const SparseSpectrum& spec : set.kernels) {
-    views.push_back(
-        {spec.flatIndex.data(), spec.value.data(), spec.flatIndex.size()});
-  }
-  const RealGrid refAerial =
-      reference::aerial(refSpectrum, views.data(), set.weights.data(),
-                        set.kernelCount(), nominalCorner().dose);
+  EXPECT_EQ(set.lattice, lattice);
+  const RealGrid refAerial = reference::aerial(
+      refSpectrum, set.lattice, set.kernels.data(), set.weights.data(),
+      set.kernelCount(), nominalCorner().dose);
   ASSERT_EQ(refAerial.rows(), n);
 
   double aerialDiff = 0.0;
