@@ -485,7 +485,8 @@ int cmdBatch(int argc, char** argv) {
       break;  // not-yet-started clips are simply left for the resumed run
     }
     ClipOutcome outcome;
-    outcome.name = "B" + std::to_string(index);
+    outcome.name = "B";
+    outcome.name += std::to_string(index);
     policy.label = outcome.name;
     policy.checkpointPath =
         attempt.checkpointDir.empty()
@@ -632,7 +633,6 @@ int cmdChip(int argc, char** argv) {
   SolveFlags solve;
   int tileSize = 1024;
   int halo = -1;
-  bool noCacheOrder = false;
   AttemptFlags attempt;
   std::string kernelCache;
   std::string patternCache;
@@ -655,8 +655,6 @@ int cmdChip(int argc, char** argv) {
   cli.addInt("tile-size", &tileSize, "core tile edge in nm");
   cli.addInt("halo", &halo,
              "halo margin in nm (-1 = 2x optical interaction radius)");
-  cli.addFlag("no-cache-order", &noCacheOrder,
-              "disable cache-aware tile ordering (representatives first)");
   attempt.addOptions(cli, "tile");
   cli.addString("kernel-cache", &kernelCache,
                 "directory for on-disk kernel caching");
@@ -692,7 +690,6 @@ int cmdChip(int argc, char** argv) {
   cfg.kernelCacheDir = kernelCache;
   cfg.patternCacheDir = patternCache;
   cfg.patternCacheMaxBytes = static_cast<long long>(cacheMaxMb) << 20;
-  cfg.cacheAwareOrder = !noCacheOrder;
   cfg.ecoBaseDir = ecoBase;
   cfg.runLog = runLog.get();
   CancelToken interruptToken;
@@ -739,8 +736,10 @@ int cmdChip(int argc, char** argv) {
   for (const TileOutcome& o : res.outcomes) {
     std::string detail = o.error;
     if (detail.size() > 48) detail = detail.substr(0, 45) + "...";
-    const std::string name =
-        "r" + std::to_string(o.row) + "c" + std::to_string(o.col);
+    std::string name = "r";
+    name += std::to_string(o.row);
+    name += 'c';
+    name += std::to_string(o.col);
     std::string status;
     if (o.skippedEmpty) {
       status = "empty";

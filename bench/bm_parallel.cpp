@@ -1,7 +1,7 @@
 /// \file bm_parallel.cpp
 /// Executor benchmarks (docs/performance.md, "Threading model"): the
 /// persistent work-stealing pool's dispatch cost and nested scaling, and
-/// cache-aware chip scheduling against unordered dispatch.
+/// the paste rate of cache-aware chip scheduling.
 ///
 /// Three phases, all recorded in BENCH_parallel.json:
 ///   dispatch  per-call overhead of parallelFor on a small range, where
@@ -10,9 +10,9 @@
 ///             workers (outer tile loop + inner PV-corner loops share the
 ///             worker set), with the 1- and 4-worker stitched masks
 ///             checked bit for bit.
-///   cache     a repetitive 10x10 cell chip, cold, with cache-aware
-///             ordering (representatives first, then exact-hit pastes)
-///             versus the same cold run unordered.
+///   cache     a repetitive 10x10 cell chip, cold, through the
+///             scheduler's cache-aware ordering (representatives first,
+///             then exact-hit pastes).
 
 #include <algorithm>
 #include <cstdio>
@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
                 "fail unless 2-worker chip time <= ratio * 1-worker time "
                 "(0 = report)");
   cli.addDouble("min-hit-rate", &minHitRate,
-                "fail unless the ordered cold run pastes this fraction of "
-                "tiles from cache, and beats the unordered run (0 = report)");
+                "fail unless the cold run pastes this fraction of tiles "
+                "from cache (0 = report)");
   cli.addString("json", &jsonPath, "output JSON path");
   cli.addString("log", &logLevel, "log level");
 
@@ -176,10 +176,9 @@ int main(int argc, char** argv) {
                 nestedRatio2, hwThreads,
                 bitIdentical ? "bit-identical" : "DIFFERS");
     const PoolStats stats = poolStats();
-    std::printf("pool: %llu tasks, %llu stolen, %llu idle trims\n",
+    std::printf("pool: %llu tasks, %llu stolen\n",
                 static_cast<unsigned long long>(stats.tasksExecuted),
-                static_cast<unsigned long long>(stats.tasksStolen),
-                static_cast<unsigned long long>(stats.idleTrims));
+                static_cast<unsigned long long>(stats.tasksStolen));
     if (!bitIdentical) {
       std::fprintf(stderr,
                    "FAIL: 4-worker mask differs from the 1-worker mask\n");
@@ -198,24 +197,16 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Phase 3: cache-aware ordering, cold ordered vs cold unordered.
+    // Phase 3: cache-aware ordering on a cold store.
     setParallelism(4);
-    const Layout chip = repetitiveChip(replicate);
-    const auto coldRun = [&](bool ordered) {
-      const std::string store = ordered ? "bm_parallel_cache_ordered"
-                                        : "bm_parallel_cache_unordered";
-      std::filesystem::remove_all(store);  // cold means cold
-      ChipConfig c = chipConfig(kernelCache);
-      c.patternCacheDir = store;
-      c.cacheAwareOrder = ordered;
-      const ChipResult res = optimizeChip(chip, c);
-      MOSAIC_CHECK(res.allOk(), "cache phase chip run failed");
-      return res;
-    };
-    const ChipResult ordered = coldRun(true);
-    const ChipResult unordered = coldRun(false);
+    const std::string store = "bm_parallel_cache";
+    std::filesystem::remove_all(store);  // cold means cold
+    ChipConfig cacheCfg = chipConfig(kernelCache);
+    cacheCfg.patternCacheDir = store;
+    const ChipResult ordered = optimizeChip(repetitiveChip(replicate),
+                                            cacheCfg);
+    MOSAIC_CHECK(ordered.allOk(), "cache phase chip run failed");
     const double orderedSeconds = ordered.wallSeconds;
-    const double unorderedSeconds = unordered.wallSeconds;
     const int representatives = ordered.representatives;
     int pasted = 0;
     int tiles = 0;
@@ -228,26 +219,13 @@ int main(int argc, char** argv) {
         tiles > 0 ? static_cast<double>(pasted) / tiles : 0.0;
     std::printf("== cache-aware ordering: %d tiles, %d classes ==\n",
                 tiles, representatives);
-    std::printf("ordered cold:   %.2f s (%d optimized, %d pasted, %.1f%% "
+    std::printf("ordered cold: %.2f s (%d optimized, %d pasted, %.1f%% "
                 "paste rate)\n",
                 orderedSeconds, representatives, pasted, 100.0 * hitRate);
-    std::printf("unordered cold: %.2f s (%.2fx slower)\n", unorderedSeconds,
-                orderedSeconds > 0.0 ? unorderedSeconds / orderedSeconds
-                                     : 0.0);
-    if (minHitRate > 0.0) {
-      if (hitRate < minHitRate) {
-        std::fprintf(stderr,
-                     "FAIL: paste rate %.3f below the %.3f floor\n",
-                     hitRate, minHitRate);
-        ok = false;
-      }
-      if (orderedSeconds >= unorderedSeconds) {
-        std::fprintf(stderr,
-                     "FAIL: ordered cold run (%.2f s) did not beat the "
-                     "unordered run (%.2f s)\n",
-                     orderedSeconds, unorderedSeconds);
-        ok = false;
-      }
+    if (minHitRate > 0.0 && hitRate < minHitRate) {
+      std::fprintf(stderr, "FAIL: paste rate %.3f below the %.3f floor\n",
+                   hitRate, minHitRate);
+      ok = false;
     }
     setParallelism(0);
 
@@ -269,10 +247,8 @@ int main(int argc, char** argv) {
                  nestedRatio2, hwThreads, bitIdentical ? "true" : "false");
     std::fprintf(json,
                  ",\n  \"cache_aware\": {\"tiles\": %d, \"classes\": %d, "
-                 "\"paste_rate\": %.4f, \"ordered_seconds\": %.4f, "
-                 "\"unordered_seconds\": %.4f}",
-                 tiles, representatives, hitRate, orderedSeconds,
-                 unorderedSeconds);
+                 "\"paste_rate\": %.4f, \"ordered_seconds\": %.4f}",
+                 tiles, representatives, hitRate, orderedSeconds);
     std::fprintf(json, "\n}\n");
     std::fclose(json);
     std::printf("wrote %s\n", jsonPath.c_str());

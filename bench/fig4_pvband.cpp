@@ -53,7 +53,10 @@ int main(int argc, char** argv) {
     for (const auto& corner : corners) {
       const BitGrid print =
           sim.printBinary(sim.aerialFromSpectrum(spectrum, corner));
-      table.addRow({"(" + std::string(1, static_cast<char>('a' + idx)) + ")",
+      std::string label = "(";
+      label += static_cast<char>('a' + idx);
+      label += ')';
+      table.addRow({label,
                     TextTable::num(corner.focusNm, 0),
                     TextTable::num(corner.dose, 2),
                     TextTable::integer(countSet(print)),

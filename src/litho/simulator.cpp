@@ -7,7 +7,6 @@
 #include "litho/tcc.hpp"
 #include "math/backend.hpp"
 #include "math/convolution.hpp"
-#include "math/scratch.hpp"
 #include "support/failpoint.hpp"
 #include "support/telemetry/metrics.hpp"
 #include "support/log.hpp"
@@ -81,14 +80,14 @@ const KernelSet& LithoSimulator::kernels(double focusNm) const {
   // (a plain mutex rather than std::call_once, whose retry-after-throw
   // hangs under ThreadSanitizer's pthread_once).
   //
-  // Nothing under this entry mutex may use the executor (parallelFor,
-  // TaskGroup): a pool wait helps by running any task from the worker's
-  // own deque, and a sibling task that needs this same focus would then
-  // re-lock the entry on the same thread and deadlock. So computeInto,
-  // buildTcc and the eigensolvers stay serial; concurrency comes from
-  // building distinct focus values side by side (warmKernels). Pool tasks
-  // may call kernels() (imageConditions and the objective's gradient
-  // fan-out do) and block here while a sibling builds the same focus.
+  // Nothing under this entry mutex may use the executor (parallelFor): a
+  // pool wait helps by running any task from the worker's own deque, and
+  // a sibling task that needs this same focus would then re-lock the
+  // entry on the same thread and deadlock. So computeInto, buildTcc and
+  // the eigensolvers stay serial; concurrency comes from building distinct
+  // focus values side by side (warmKernels). Pool tasks may call kernels()
+  // (imageConditions and the objective's gradient fan-out do) and block
+  // here while a sibling builds the same focus.
   KernelEntry& entry = kernelEntry(focusNm);
   std::lock_guard<std::mutex> lock(entry.mutex);
   if (!entry.set) computeInto(entry, focusNm);
@@ -121,16 +120,16 @@ exec::LatticeValues LithoSimulator::maskSpectrum(const RealGrid& mask) const {
   // this grid.
   const int band = pupilRadius(optics_);
   const Fft2d& fft = fft2dFor(n, n);
-  scratch::ComplexLease half(n, fft.bandColumns(band));
-  fft.forwardRealBand(mask, band, *half);
+  ComplexGrid half(n, fft.bandColumns(band));
+  fft.forwardRealBand(mask, band, half);
   const int last = std::min(band, n / 2);
   exec::LatticeValues spectrum;
   spectrum.reserve(lattice_.size());
   for (const PupilSample& p : lattice_) {
     const int r = (p.row % n + n) % n;
     const int c = (p.col % n + n) % n;
-    spectrum.push_back(c <= last ? (*half)(r, c)
-                                 : std::conj((*half)((n - r) % n, n - c)));
+    spectrum.push_back(c <= last ? half(r, c)
+                                 : std::conj(half((n - r) % n, n - c)));
   }
   return spectrum;
 }

@@ -32,7 +32,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "math/scratch.hpp"
 #include "support/failpoint.hpp"
 
 namespace mosaic {
@@ -126,32 +125,31 @@ void socsImage(const Fft2d& fft, const std::vector<LatticePoint>& lattice,
                RealGrid& intensity) {
   const CoarseGrid grid(fft, lattice);
   const Fft2d& coarseFft = fft2dFor(grid.rows, grid.cols, fft.build());
-  scratch::ComplexLease field(grid.rows, grid.cols);
-  scratch::RealLease sum(grid.rows, grid.cols);
-  sum->fill(0.0);
+  ComplexGrid field(grid.rows, grid.cols);
+  RealGrid sum(grid.rows, grid.cols);
   std::vector<std::uint8_t> live(static_cast<std::size_t>(grid.rows));
   for (int k = 0; k < count; ++k) {
-    grid.kernelField(coarseFft, spectrum, kernels[k], *field, live);
+    grid.kernelField(coarseFft, spectrum, kernels[k], field, live);
     const double w = weights[k] * dose;
-    const Complex* f = field->data();
-    double* out = sum->data();
-    for (std::size_t i = 0; i < sum->size(); ++i) out[i] += w * std::norm(f[i]);
+    const Complex* f = field.data();
+    double* out = sum.data();
+    for (std::size_t i = 0; i < sum.size(); ++i) out[i] += w * std::norm(f[i]);
   }
 
   // The sum's +-2R band, scaled to the pixel spectrum, then one
   // band-pruned inverse onto the pixel grid.
   const int band = 2 * grid.radius;
-  scratch::ComplexLease coarseBand(grid.rows, coarseFft.bandColumns(band));
-  coarseFft.forwardRealBand(*sum, band, *coarseBand);
-  scratch::ComplexLease pixelBand(fft.rows(), fft.bandColumns(band));
+  ComplexGrid coarseBand(grid.rows, coarseFft.bandColumns(band));
+  coarseFft.forwardRealBand(sum, band, coarseBand);
+  ComplexGrid pixelBand(fft.rows(), fft.bandColumns(band));
   const int lastCol = std::min(band, grid.cols / 2);
   const double scale = grid.spectrumScale();
   grid.forBandRows(band, [&](int cr, int pr) {
-    const Complex* src = coarseBand->rowPtr(cr);
-    Complex* dst = pixelBand->rowPtr(pr);
+    const Complex* src = coarseBand.rowPtr(cr);
+    Complex* dst = pixelBand.rowPtr(pr);
     for (int c = 0; c <= lastCol; ++c) dst[c] = src[c] * scale;
   });
-  fft.inverseRealBand(*pixelBand, band, intensity);
+  fft.inverseRealBand(pixelBand, band, intensity);
 }
 
 void socsGradient(const Fft2d& fft, const std::vector<LatticePoint>& lattice,
@@ -163,64 +161,62 @@ void socsGradient(const Fft2d& fft, const std::vector<LatticePoint>& lattice,
 
   // g_c: the +-2R band of dF/dI, resampled onto the coarse grid.
   const int gBand = 2 * grid.radius;
-  scratch::RealLease gCoarse(grid.rows, grid.cols);
+  RealGrid gCoarse(grid.rows, grid.cols);
   {
-    scratch::ComplexLease pixelBand(fft.rows(), fft.bandColumns(gBand));
-    fft.forwardRealBand(gField, gBand, *pixelBand);
-    scratch::ComplexLease coarseBand(grid.rows, coarseFft.bandColumns(gBand));
+    ComplexGrid pixelBand(fft.rows(), fft.bandColumns(gBand));
+    fft.forwardRealBand(gField, gBand, pixelBand);
+    ComplexGrid coarseBand(grid.rows, coarseFft.bandColumns(gBand));
     const int lastCol = std::min(gBand, grid.cols / 2);
     const double scale = grid.spectrumScale();
     grid.forBandRows(gBand, [&](int cr, int pr) {
-      const Complex* src = pixelBand->rowPtr(pr);
-      Complex* dst = coarseBand->rowPtr(cr);
+      const Complex* src = pixelBand.rowPtr(pr);
+      Complex* dst = coarseBand.rowPtr(cr);
       for (int c = 0; c <= lastCol; ++c) dst[c] = src[c] * scale;
     });
-    coarseFft.inverseRealBand(*coarseBand, gBand, *gCoarse);
+    coarseFft.inverseRealBand(coarseBand, gBand, gCoarse);
   }
 
   // X = sum_k w_k flip(h_k) .* fft(g_c .* conj(b_k)), read only at the
   // flipped kernel samples.
-  scratch::ComplexLease field(grid.rows, grid.cols);
-  scratch::ComplexLease accum(grid.rows, grid.cols);
-  accum->fill({0.0, 0.0});
+  ComplexGrid field(grid.rows, grid.cols);
+  ComplexGrid accum(grid.rows, grid.cols);
   std::vector<std::uint8_t> live(static_cast<std::size_t>(grid.rows));
   for (int k = 0; k < count; ++k) {
-    grid.kernelField(coarseFft, maskSpectrum, kernels[k], *field, live);
-    double* f = reinterpret_cast<double*>(field->data());
-    const double* g = gCoarse->data();
-    for (std::size_t i = 0; i < gCoarse->size(); ++i) {
+    grid.kernelField(coarseFft, maskSpectrum, kernels[k], field, live);
+    double* f = reinterpret_cast<double*>(field.data());
+    const double* g = gCoarse.data();
+    for (std::size_t i = 0; i < gCoarse.size(); ++i) {
       f[2 * i] *= g[i];
       f[2 * i + 1] *= -g[i];
     }
     // The same fault-injection site as Fft2d::forward.
-    MOSAIC_FAILPOINT_DATA("fft.forward", f, field->size() * 2);
-    coarseFft.transform(*field, /*invert=*/false, nullptr);
+    MOSAIC_FAILPOINT_DATA("fft.forward", f, field.size() * 2);
+    coarseFft.transform(field, /*invert=*/false, nullptr);
     const LatticeValues& kernel = kernels[k];
     const Complex w(weights[k], 0.0);
     for (std::size_t s = 0; s < kernel.size(); ++s) {
       const auto site = static_cast<std::size_t>(grid.flipped[s]);
-      accum->data()[site] += field->data()[site] * kernel[s] * w;
+      accum.data()[site] += field.data()[site] * kernel[s] * w;
     }
   }
 
   // 2 Re ifft(X) = ifft(H) with the Hermitian H(f) = X(f) + conj(X(-f)):
   // its +-R half band onto the pixel grid through one real inverse.
   const int band = grid.radius;
-  scratch::ComplexLease pixelBand(fft.rows(), fft.bandColumns(band));
+  ComplexGrid pixelBand(fft.rows(), fft.bandColumns(band));
   const int lastCol = std::min(band, fft.cols() / 2);
-  const ComplexGrid& x = *accum;
   for (int pr = 0; pr < fft.rows(); ++pr) {
     const int sr = signedIndex(pr, fft.rows());
     if (std::abs(sr) > band) continue;
     const int r = wrapIndex(sr, grid.rows);
     const int mr = wrapIndex(-sr, grid.rows);
-    Complex* dst = pixelBand->rowPtr(pr);
+    Complex* dst = pixelBand.rowPtr(pr);
     for (int c = 0; c <= lastCol; ++c) {
-      dst[c] = x(r, wrapIndex(c, grid.cols)) +
-               std::conj(x(mr, wrapIndex(-c, grid.cols)));
+      dst[c] = accum(r, wrapIndex(c, grid.cols)) +
+               std::conj(accum(mr, wrapIndex(-c, grid.cols)));
     }
   }
-  fft.inverseRealBand(*pixelBand, band, grad);
+  fft.inverseRealBand(pixelBand, band, grad);
 }
 
 }  // namespace exec

@@ -18,8 +18,8 @@
 /// holds the direct-DFT, pixel-grid oracle both primitives are tested
 /// against.
 ///
-/// Thread-safety: both primitives use only per-thread scratch, so any
-/// number of threads may call them concurrently.
+/// Thread-safety: both primitives keep their temporaries in per-call
+/// grids, so any number of threads may call them concurrently.
 
 #include <complex>
 #include <string_view>

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "math/fft.hpp"
-#include "math/scratch.hpp"
 #include "support/telemetry/trace.hpp"
 
 namespace mosaic {
@@ -15,9 +14,7 @@ RealGrid gaussianBlur(const RealGrid& grid, double sigmaPx) {
   const int rows = grid.rows();
   const int cols = grid.cols();
   const Fft2d& fft = fft2dFor(rows, cols);
-  scratch::ComplexLease lease(rows, cols);
-  ComplexGrid& spectrum = *lease;
-  fft.forwardRealInto(grid, spectrum);
+  ComplexGrid spectrum = fft.forwardReal(grid);
 
   // exp(-2 pi^2 sigma^2 |f|^2) separates into per-axis factors. Signed
   // frequency convention: index k maps to k/n for k < ceil(n/2) and to

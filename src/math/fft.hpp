@@ -116,7 +116,7 @@ class Fft2d {
   /// rows x cols spectrum.
   [[nodiscard]] ComplexGrid forwardReal(const RealGrid& grid) const;
 
-  /// Same, writing into a caller-provided (e.g. pooled) grid.
+  /// Same, writing into a caller-provided grid.
   void forwardRealInto(const RealGrid& grid, ComplexGrid& out) const;
 
   /// Inverse transform of a Hermitian spectrum straight to its real
@@ -144,8 +144,7 @@ class Fft2d {
   /// Columns [0, bandColumns(band)) of every row of a real grid's
   /// spectrum: forwardRealInto with the column pass stopped at the band,
   /// bit for bit the same values on columns [0, min(band, cols/2)].
-  /// `out` is rows() x bandColumns(band) (e.g. a pooled lease; it need
-  /// not be cleared).
+  /// `out` is rows() x bandColumns(band); it need not be cleared.
   void forwardRealBand(const RealGrid& grid, int band, ComplexGrid& out) const;
 
   /// The real grid whose spectrum is Hermitian and zero outside the band

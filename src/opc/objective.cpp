@@ -53,7 +53,6 @@ IltObjective::IltObjective(const LithoSimulator& sim, BitGrid target,
 }
 
 RealGrid IltObjective::imageDiffGradientField(const RealGrid& zNominal,
-                                              const RealGrid& aerialNominal,
                                               double* valueOut) const {
   // F_id = sum |Z - Zt|^gamma  (Eq. 16; |.| so odd gamma stays a metric).
   // dF/dI = gamma |Z - Zt|^(gamma-1) sign(Z - Zt) * thetaZ Z (1 - Z).
@@ -69,14 +68,12 @@ RealGrid IltObjective::imageDiffGradientField(const RealGrid& zNominal,
     const double dZdI = resist.thetaZ * z * (1.0 - z);
     const double sign = (d >= 0.0) ? 1.0 : -1.0;
     g.data()[i] = gamma * std::pow(ad, gamma - 1.0) * sign * dZdI;
-    (void)aerialNominal;
   }
   *valueOut = value;
   return g;
 }
 
 RealGrid IltObjective::epeGradientField(const RealGrid& zNominal,
-                                        const RealGrid& aerialNominal,
                                         double* valueOut) const {
   // Eq. 9-14. For each sample point, Dsum is the squared image difference
   // summed over the EPE window perpendicular to the edge; the sigmoid of
@@ -134,7 +131,6 @@ RealGrid IltObjective::epeGradientField(const RealGrid& zNominal,
     const double dZdI = resist.thetaZ * z * (1.0 - z);
     g.data()[i] = weight.data()[i] * 2.0 *
                   (z - targetReal_.data()[i]) * dZdI;
-    (void)aerialNominal;
   }
   *valueOut = value;
   return g;
@@ -200,9 +196,8 @@ IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
           RealGrid zNominal;
           resistForward(resist, aerialRaw, 1.0, zNominal);
           gTarget = (config_.targetTerm == TargetTerm::kEpe)
-                        ? epeGradientField(zNominal, aerialRaw, &targetValue)
-                        : imageDiffGradientField(zNominal, aerialRaw,
-                                                 &targetValue);
+                        ? epeGradientField(zNominal, &targetValue)
+                        : imageDiffGradientField(zNominal, &targetValue);
           eval.zNominal = std::move(zNominal);
           return;
         }

@@ -53,12 +53,9 @@ class IltObjective {
  private:
   /// dF/dI field for the F_id term at the nominal corner.
   RealGrid imageDiffGradientField(const RealGrid& zNominal,
-                                  const RealGrid& aerialNominal,
                                   double* valueOut) const;
   /// dF/dI field for the F_epe term at the nominal corner.
-  RealGrid epeGradientField(const RealGrid& zNominal,
-                            const RealGrid& aerialNominal,
-                            double* valueOut) const;
+  RealGrid epeGradientField(const RealGrid& zNominal, double* valueOut) const;
 
   /// The convolution chain 2 Re[(G . conj(A)) (*) H_flip] for the kernel
   /// set of one focus condition (paper Eq. 15/17).

@@ -8,7 +8,6 @@
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
 #include "support/log.hpp"
-#include "support/parallel.hpp"
 #include "support/telemetry/flightrec.hpp"
 #include "support/telemetry/metrics.hpp"
 #include "support/telemetry/trace.hpp"
@@ -420,11 +419,6 @@ void JobService::workerLoop() {
         static_cast<double>(queue_.size()));
     runJob(*job);
   }
-  // Worker is exiting (shutdown/drain): run the registered worker
-  // teardown hooks — dropping its thread-local scratch grids, which would
-  // otherwise pin up to 6 full-size grids per dead worker thread (visible
-  // on the scratch.resident_bytes gauge).
-  runWorkerTeardowns();
 }
 
 void JobService::runJob(Job& job) {

@@ -194,7 +194,9 @@ Layout buildRandomClip(std::uint64_t seed, const RandomClipConfig& cfg) {
                    cfg.maxLengthNm >= cfg.minLengthNm,
                "length range invalid");
   Rng rng(seed);
-  Layout layout = makeLayout("R" + std::to_string(seed));
+  std::string name = "R";
+  name += std::to_string(seed);
+  Layout layout = makeLayout(name);
 
   auto snap = [&](int v) { return (v / cfg.gridNm) * cfg.gridNm; };
   auto randomIn = [&](int lo, int hi) {

@@ -18,7 +18,6 @@ namespace mosaic {
 namespace {
 
 std::atomic<int> g_workers{0};  // 0 == hardware default
-std::atomic<int> g_idleTrimMs{2000};
 
 /// Depth of parallelFor bodies executing on this thread. Non-zero inside a
 /// task (pool worker or helping caller) and inside serial runs.
@@ -29,16 +28,6 @@ struct DepthGuard {
   ~DepthGuard() { --t_parallelDepth; }
 };
 
-std::mutex& teardownMutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::vector<void (*)()>& teardownHooks() {
-  static std::vector<void (*)()> hooks;
-  return hooks;
-}
-
 int resolveWorkers() {
   const int requested = g_workers.load();
   if (requested > 0) return requested;
@@ -48,8 +37,9 @@ int resolveWorkers() {
 
 // ---------------------------------------------------------------- group
 
-/// Shared completion state of one task group. Tasks hold a shared_ptr so
-/// the state outlives a TaskGroup abandoned mid-flight.
+/// Shared completion state of one parallelFor's chunks. Tasks hold a
+/// shared_ptr so the state outlives the waiter, which may return as soon
+/// as `pending` reaches zero, before the last task's notify.
 struct GroupState {
   std::atomic<std::size_t> pending{0};
   std::atomic<bool> abort{false};
@@ -89,7 +79,6 @@ class Pool {
     telemetry::MetricsRegistry& reg = telemetry::metrics();
     tasksCounter_ = &reg.counter("pool.tasks");
     stealsCounter_ = &reg.counter("pool.steals");
-    trimsCounter_ = &reg.counter("pool.idle_trims");
     idleHistogram_ = &reg.histogram("pool.idle_ms");
     activeGauge_ = &reg.gauge("pool.active_workers");
     workersGauge_ = &reg.gauge("pool.workers");
@@ -121,7 +110,7 @@ class Pool {
     started_.store(true, std::memory_order_release);
   }
 
-  /// Join every worker (each runs the teardown hooks on its way out).
+  /// Join every worker.
   void shutdown() {
     std::lock_guard<std::mutex> lock(startMu_);
     if (!started_.load(std::memory_order_acquire)) return;
@@ -199,7 +188,6 @@ class Pool {
     s.liveThreads = liveThreads();
     s.tasksExecuted = tasksCounter_->value();
     s.tasksStolen = stealsCounter_->value();
-    s.idleTrims = trimsCounter_->value();
     return s;
   }
 
@@ -216,8 +204,8 @@ class Pool {
     activeGauge_->set(static_cast<double>(active));
     {
       DepthGuard depth;
-      // Cooperative abort: once a sibling threw (or the group was
-      // canceled), remaining chunks are skipped instead of drained.
+      // Cooperative abort: once a sibling threw, remaining chunks are
+      // skipped instead of drained.
       if (!task.group->abort.load(std::memory_order_relaxed)) {
         try {
           task.fn();
@@ -279,7 +267,6 @@ class Pool {
 
   void workerMain(int index) {
     t_workerIndex = index;
-    bool trimmed = false;
     bool idleTimed = false;
     WallTimer idleTimer;
     for (;;) {
@@ -289,7 +276,6 @@ class Pool {
           idleHistogram_->record(idleTimer.milliseconds());
           idleTimed = false;
         }
-        trimmed = false;
         execute(task);
         continue;
       }
@@ -308,7 +294,6 @@ class Pool {
       if (found) {
         idleHistogram_->record(idleTimer.milliseconds());
         idleTimed = false;
-        trimmed = false;
         execute(task);
         continue;
       }
@@ -323,30 +308,17 @@ class Pool {
       if (popOwn(&task) || stealFor(nullptr, &task)) {
         idleHistogram_->record(idleTimer.milliseconds());
         idleTimed = false;
-        trimmed = false;
         execute(task);
         continue;
       }
       std::unique_lock<std::mutex> lock(sleepMu_);
       if (stop_.load(std::memory_order_acquire)) break;
-      const int trimMs = g_idleTrimMs.load(std::memory_order_relaxed);
-      const int napMs =
-          (trimMs > 0 && !trimmed) ? std::min(trimMs, 100) : 100;
-      sleepCv_.wait_for(lock, std::chrono::milliseconds(napMs), [&] {
+      sleepCv_.wait_for(lock, std::chrono::milliseconds(100), [&] {
         return stop_.load(std::memory_order_acquire) || signal_ != seen;
       });
       if (stop_.load(std::memory_order_acquire)) break;
-      lock.unlock();
-      if (!trimmed && trimMs > 0 && idleTimer.milliseconds() >= trimMs) {
-        // Idle long enough: drop thread-local caches (scratch grids) so a
-        // parked pool doesn't pin memory. The next task re-warms them.
-        runWorkerTeardowns();
-        trimsCounter_->add();
-        trimmed = true;
-      }
     }
     if (idleTimed) idleHistogram_->record(idleTimer.milliseconds());
-    runWorkerTeardowns();
     t_workerIndex = -1;
   }
 
@@ -366,7 +338,6 @@ class Pool {
 
   telemetry::Counter* tasksCounter_ = nullptr;
   telemetry::Counter* stealsCounter_ = nullptr;
-  telemetry::Counter* trimsCounter_ = nullptr;
   telemetry::Histogram* idleHistogram_ = nullptr;
   telemetry::Gauge* activeGauge_ = nullptr;
   telemetry::Gauge* workersGauge_ = nullptr;
@@ -388,34 +359,14 @@ void setParallelism(int workers) {
   Pool& pool = Pool::instance();
   if (!pool.running()) return;
   // Resize semantics: a change in the effective worker count tears the
-  // old pool down right away (teardown hooks run on every worker, so
-  // scratch residency drops deterministically); the next parallelFor
-  // starts the new one lazily.
+  // old pool down right away; the next parallelFor starts the new one
+  // lazily.
   if (pool.liveThreads() != resolveWorkers() - 1) {
     pool.shutdown();
   }
 }
 
 bool inParallelRegion() { return t_parallelDepth > 0; }
-
-void registerWorkerTeardown(void (*hook)()) {
-  std::lock_guard<std::mutex> lock(teardownMutex());
-  teardownHooks().push_back(hook);
-}
-
-void runWorkerTeardowns() {
-  std::vector<void (*)()> hooks;
-  {
-    std::lock_guard<std::mutex> lock(teardownMutex());
-    hooks = teardownHooks();
-  }
-  for (void (*hook)() : hooks) hook();
-}
-
-void setPoolIdleTrimMs(int ms) {
-  MOSAIC_CHECK(ms >= 0, "idle trim interval must be >= 0");
-  g_idleTrimMs.store(ms, std::memory_order_relaxed);
-}
 
 void shutdownParallelPool() { Pool::instance().shutdown(); }
 
@@ -458,58 +409,6 @@ void parallelFor(std::size_t begin, std::size_t end,
     error = group->error;
   }
   if (error) std::rethrow_exception(error);
-}
-
-// ------------------------------------------------------------ TaskGroup
-
-struct TaskGroup::State {
-  std::shared_ptr<GroupState> group = std::make_shared<GroupState>();
-  bool waited = false;
-};
-
-TaskGroup::TaskGroup() : state_(std::make_shared<State>()) {}
-
-TaskGroup::~TaskGroup() {
-  if (!state_->waited) {
-    Pool::instance().waitGroup(state_->group);  // errors dropped; see hpp
-  }
-}
-
-void TaskGroup::run(std::function<void()> fn) {
-  const int workers = resolveWorkers();
-  Pool& pool = Pool::instance();
-  if (workers > 1) pool.ensureStarted(workers - 1);
-  if (workers <= 1 || !pool.running()) {
-    if (state_->group->abort.load(std::memory_order_relaxed)) return;
-    DepthGuard depth;
-    try {
-      fn();
-    } catch (...) {
-      state_->group->recordError(std::current_exception());
-    }
-    return;
-  }
-  pool.submit({state_->group, std::move(fn)});
-}
-
-void TaskGroup::wait() {
-  Pool::instance().waitGroup(state_->group);
-  state_->waited = true;
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(state_->group->mu);
-    error = state_->group->error;
-    state_->group->error = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void TaskGroup::cancel() {
-  state_->group->abort.store(true, std::memory_order_relaxed);
-}
-
-bool TaskGroup::canceled() const {
-  return state_->group->abort.load(std::memory_order_relaxed);
 }
 
 }  // namespace mosaic

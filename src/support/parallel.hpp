@@ -14,21 +14,17 @@
 /// pixel/corner loops and outer tile loops share one bounded worker set
 /// instead of the inner level degrading to serial.
 ///
-/// Error handling is cooperative: the first exception thrown by a task
-/// aborts its task group — sibling chunks that have not started yet are
+/// Error handling is cooperative: the first exception thrown by a chunk
+/// aborts its parallelFor — sibling chunks that have not started yet are
 /// skipped (the abort flag is checked per chunk), and the exception is
-/// rethrown on the waiting thread once the group drains.
+/// rethrown on the waiting thread once the call's chunks drain.
 ///
-/// Because workers are persistent, their thread-local state (notably the
-/// scratch grid pool, math/scratch.hpp) stays warm across parallelFor
-/// calls. Workers that stay idle past the trim interval run the
-/// registered teardown hooks to drop that state, and every worker runs
-/// them on pool resize/shutdown, so scratch.resident_bytes stays bounded.
+/// Workers park on a condition variable while idle and are joined on a
+/// resize (setParallelism), on shutdownParallelPool and at process exit.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 namespace mosaic {
 
@@ -39,9 +35,9 @@ int hardwareParallelism();
 
 /// Override the global worker count (0 restores the hardware default).
 /// If the pool is already running at a different size it is shut down
-/// synchronously — every worker runs the registered teardown hooks and
-/// joins — and the next parallelFor restarts it at the new size. Must not
-/// be called while parallel work is in flight.
+/// synchronously — every worker joins — and the next parallelFor restarts
+/// it at the new size. Must not be called while parallel work is in
+/// flight.
 void setParallelism(int workers);
 
 /// Run fn(i) for i in [begin, end). Iterations are distributed over the
@@ -63,28 +59,10 @@ void parallelFor(std::size_t begin, std::size_t end,
 /// its own group). Exposed for tests.
 bool inParallelRegion();
 
-/// Register a hook that worker threads run right before they exit and
-/// when they idle-trim, for thread-local cleanup that must not outlive
-/// the thread (the scratch grid pool registers scratch::clearThreadPool
-/// here — without it every dead or parked worker pins up to 6 cached
-/// full-size grids). Hooks run in registration order. The calling thread
-/// of a parallelFor is not torn down (it lives on); long-lived daemon
-/// workers (serve) call runWorkerTeardowns() themselves on loop exit.
-void registerWorkerTeardown(void (*hook)());
-
-/// Run every registered teardown hook on the calling thread.
-void runWorkerTeardowns();
-
-/// A pool worker idle for longer than this runs the worker teardown hooks
-/// once (dropping its cached scratch grids) and keeps sleeping; the next
-/// task re-warms its state. 0 disables trimming. Default 2000 ms. Takes
-/// effect immediately.
-void setPoolIdleTrimMs(int ms);
-
-/// Shut the pool down synchronously: every worker runs the teardown hooks
-/// and joins. The next parallelFor lazily restarts it. Called implicitly
-/// at process exit and by setParallelism resizes; daemons call it on
-/// clean shutdown so sanitizers see the threads join.
+/// Shut the pool down synchronously: every worker joins. The next
+/// parallelFor lazily restarts it. Called implicitly at process exit and
+/// by setParallelism resizes; daemons call it on clean shutdown so
+/// sanitizers see the threads join.
 void shutdownParallelPool();
 
 /// Executor counters for tests and bench (also exported live as the
@@ -94,42 +72,7 @@ struct PoolStats {
   int liveThreads = 0;             ///< persistent pool threads running now
   std::uint64_t tasksExecuted = 0;
   std::uint64_t tasksStolen = 0;   ///< tasks taken from another deque
-  std::uint64_t idleTrims = 0;
 };
 PoolStats poolStats();
-
-/// Structured nested parallelism: a group of subtasks that idle workers
-/// steal. parallelFor is built on this; it is public so library code can
-/// fan out irregular task sets (not just index ranges) onto the pool.
-///
-///   TaskGroup g;
-///   for (auto& item : items) g.run([&item] { process(item); });
-///   g.wait();  // helps execute, rethrows the first task exception
-///
-/// The first exception cancels tasks that have not started (checked per
-/// task) and is rethrown by wait(). The destructor waits but swallows
-/// errors — call wait() to observe them. A TaskGroup must be waited on
-/// the thread that created it; run() may be called from any thread until
-/// wait() returns.
-class TaskGroup {
- public:
-  TaskGroup();
-  ~TaskGroup();
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Enqueue one subtask (executed inline when the pool has no threads).
-  void run(std::function<void()> fn);
-  /// Help execute until every subtask finished; rethrow the first error.
-  void wait();
-  /// Cooperatively cancel subtasks that have not started yet.
-  void cancel();
-  /// True once a task threw or cancel() was called.
-  [[nodiscard]] bool canceled() const;
-
- private:
-  struct State;
-  std::shared_ptr<State> state_;
-};
 
 }  // namespace mosaic

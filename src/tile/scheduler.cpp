@@ -81,10 +81,7 @@ void emitChipRecord(telemetry::RunLog* runLog, const ChipResult& result) {
     obj.set("cache_quarantined",
             static_cast<unsigned long long>(cs.quarantined));
     obj.set("cache_hit_rate", cs.hitRate());
-    obj.set("cache_ordered", result.cacheOrdered);
-    if (result.cacheOrdered) {
-      obj.set("cache_representatives", result.representatives);
-    }
+    obj.set("cache_representatives", result.representatives);
   }
   if (result.eco.active) {
     obj.set("eco_base_valid", result.eco.baseValid);
@@ -295,13 +292,13 @@ ChipResult optimizeChip(const Layout& chip, const ChipConfig& cfg) {
     emitTileRecord(cfg.runLog, outcome, cacheOn);
   };
 
-  // Cache-aware scheduling (ChipConfig::cacheAwareOrder): optimize one
-  // representative of each fingerprint equivalence class first, then fan
-  // out the remaining members — by then every one of them exact-hits the
-  // store and pastes instead of optimizing. Without a store (or when the
-  // ordering is disabled) the tiles run as one wave, seed order.
-  result.cacheOrdered = cacheOn && cfg.cacheAwareOrder;
-  if (result.cacheOrdered) {
+  // Cache-aware scheduling (docs/caching.md): optimize one representative
+  // of each fingerprint equivalence class first, then fan out the
+  // remaining members — by then every one of them exact-hits the store and
+  // pastes instead of optimizing. On repetitive layouts a cold run is
+  // #classes optimizations plus #tiles - #classes pastes. Without a store
+  // the tiles run as one wave, seed order.
+  if (cacheOn) {
     std::vector<std::size_t> representatives;
     std::vector<std::size_t> members;
     std::map<std::uint64_t, std::size_t> classSeen;

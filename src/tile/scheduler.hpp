@@ -58,15 +58,6 @@ struct ChipConfig {
   std::string patternCacheDir;
   /// Byte cap for the pattern store (LRU-evicted above it; 0 = unlimited).
   long long patternCacheMaxBytes = 512ll << 20;
-  /// Cache-aware tile ordering (docs/caching.md): tiles are grouped by
-  /// fingerprint equivalence class and one *representative* per class is
-  /// optimized first; the remaining members then fan out as cheap
-  /// steal-able paste tasks that exact-hit the representative's freshly
-  /// inserted solution. On repetitive layouts this turns a cold run into
-  /// #classes optimizations plus #tiles - #classes pastes instead of
-  /// #tiles optimizations. Only meaningful when a pattern store is
-  /// active; ignored otherwise.
-  bool cacheAwareOrder = true;
   /// Incremental re-OPC: pattern-store directory of a previous run. The
   /// run uses it as the pattern cache (so unchanged tiles exact-hit) and
   /// diffs the current fingerprints against its manifest into
@@ -128,7 +119,6 @@ struct ChipResult {
   int failed = 0;     ///< tiles that fell back to the uncorrected pattern
   bool interrupted = false;  ///< cfg.cancel fired before the run finished
   bool cacheEnabled = false;        ///< a pattern store served this run
-  bool cacheOrdered = false;        ///< representatives-first scheduling ran
   int representatives = 0;          ///< tiles optimized in the first wave
   PatternStoreStats cacheStats;     ///< store counters after the run
   EcoReport eco;                    ///< populated when ecoBaseDir was set

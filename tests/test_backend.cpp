@@ -29,7 +29,6 @@
 #include "math/convolution.hpp"
 #include "math/fft.hpp"
 #include "math/grid.hpp"
-#include "math/scratch.hpp"
 #include "opc/mosaic.hpp"
 #include "opc/objective.hpp"
 #include "reference.hpp"
@@ -452,27 +451,6 @@ TEST(LithoEngine, PvBandSpectrumOverloadIdentical) {
   EXPECT_EQ(fromMask.band, fromSpectrum.band);
   EXPECT_EQ(fromMask.outer, fromSpectrum.outer);
   EXPECT_EQ(fromMask.inner, fromSpectrum.inner);
-}
-
-// The resident-bytes accounting follows the pool through
-// lease, release, and clearThreadPool, and the gauge mirrors it.
-TEST(ScratchPool, ResidentBytesTracksPoolAndClear) {
-  scratch::clearThreadPool();
-  const long long base = scratch::residentBytes();
-  {
-    scratch::RealLease lease(32, 32);
-    lease.grid().fill(1.0);
-  }  // released back to this thread's free list
-  const long long pooled = scratch::residentBytes();
-  EXPECT_GE(pooled - base, static_cast<long long>(32 * 32 * sizeof(double)));
-  EXPECT_DOUBLE_EQ(
-      telemetry::metrics().gauge("scratch.resident_bytes").value(),
-      static_cast<double>(pooled));
-  scratch::clearThreadPool();
-  EXPECT_EQ(scratch::residentBytes(), base);
-  EXPECT_DOUBLE_EQ(
-      telemetry::metrics().gauge("scratch.resident_bytes").value(),
-      static_cast<double>(base));
 }
 
 }  // namespace

@@ -21,9 +21,7 @@
 #include "math/convolution.hpp"
 #include "math/fft.hpp"
 #include "math/grid.hpp"
-#include "math/scratch.hpp"
 #include "reference.hpp"
-#include "support/telemetry/metrics.hpp"
 
 namespace mosaic {
 namespace {
@@ -467,35 +465,6 @@ TEST(FftEngine, GaussianBlurPreservesMassAndSmooths) {
   // Cyclic symmetry of the impulse response.
   EXPECT_NEAR(blurred(n / 2 + 3, n / 2), blurred(n / 2 - 3, n / 2), 1e-12);
   EXPECT_NEAR(blurred(n / 2, n / 2 + 3), blurred(n / 2, n / 2 - 3), 1e-12);
-}
-
-// -------------------------------------------------------- scratch pool
-
-TEST(FftEngine, ScratchLeaseReusesBuffers) {
-  auto& hits = telemetry::metrics().counter("scratch.hit");
-  auto& misses = telemetry::metrics().counter("scratch.miss");
-  const std::uint64_t missesBefore = misses.value();
-  {
-    scratch::ComplexLease a(40, 40);  // uncommon shape: first use misses
-    (*a)(0, 0) = {1.0, 2.0};
-  }
-  const std::uint64_t hitsBefore = hits.value();
-  {
-    scratch::ComplexLease b(40, 40);  // same shape on same thread: hit
-    EXPECT_EQ(b->rows(), 40);
-    EXPECT_EQ(b->cols(), 40);
-  }
-  EXPECT_GE(hits.value(), hitsBefore + 1);
-  EXPECT_GE(misses.value(), missesBefore + 1);
-}
-
-TEST(FftEngine, ScratchLeaseMoveTransfersOwnership) {
-  scratch::RealLease a(8, 8);
-  RealGrid* raw = &*a;
-  scratch::RealLease b = std::move(a);
-  EXPECT_EQ(&*b, raw);
-  b->fill(3.0);
-  EXPECT_DOUBLE_EQ((*b)(7, 7), 3.0);
 }
 
 // ---------------------------------------------------------- plan cache

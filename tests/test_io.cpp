@@ -71,7 +71,9 @@ TEST(Polygon, StaircaseDecomposition) {
   for (const auto& r : rects) {
     area += r.area();
     for (const auto& other : rects) {
-      if (&r != &other) EXPECT_FALSE(r.intersects(other));
+      if (&r != &other) {
+        EXPECT_FALSE(r.intersects(other));
+      }
     }
   }
   EXPECT_EQ(area, poly.area());

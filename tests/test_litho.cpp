@@ -678,14 +678,10 @@ TEST(Simulator, PoolTasksSharingOneColdSimulatorComputeEachFocusOnce) {
     LithoSimulator sim(cheapOptics());
     failpoint::ScopedFailpoints sfp("litho.kernel_load:delay=50");
     std::vector<const KernelSet*> seen(8, nullptr);
-    TaskGroup group;
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-      group.run([&sim, &seen, i] {
-        sim.warmKernels({0.0, 25.0});
-        seen[i] = &sim.kernels(25.0);
-      });
-    }
-    group.wait();
+    parallelFor(0, seen.size(), [&sim, &seen](std::size_t i) {
+      sim.warmKernels({0.0, 25.0});
+      seen[i] = &sim.kernels(25.0);
+    });
     EXPECT_EQ(failpoint::hitCount("litho.kernel_load"), 2)
         << count << " workers";
     for (const KernelSet* set : seen) EXPECT_EQ(set, seen.front());

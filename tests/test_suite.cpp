@@ -74,8 +74,9 @@ TEST(Suite, BuildAllReturnsTen) {
   const auto all = buildAllTestcases();
   ASSERT_EQ(all.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(all[static_cast<std::size_t>(i)].name,
-              "B" + std::to_string(i + 1));
+    std::string name = "B";
+    name += std::to_string(i + 1);
+    EXPECT_EQ(all[static_cast<std::size_t>(i)].name, name);
   }
 }
 

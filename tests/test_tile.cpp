@@ -412,17 +412,14 @@ TEST(TileScheduler, CacheAwareOrderingPastesMembersFromRepresentatives) {
   // Cache-aware scheduling on a cold store: one representative per
   // fingerprint class optimizes in the first wave, every other member
   // exact-hits the representative's freshly inserted solution. A warm
-  // rerun with ordering disabled (the unordered code path) must then
-  // exact-hit everything and stitch a bit-identical chip.
+  // rerun must then exact-hit everything and stitch a bit-identical chip.
   const Layout chip = replicateLayout(buildTestcase(1), 3, 3);
   ChipConfig cfg = fastChipConfig();
   cfg.patternCacheDir = ::testing::TempDir() + "mosaic_tile_order";
   std::filesystem::remove_all(cfg.patternCacheDir);  // cold means cold
 
-  cfg.cacheAwareOrder = true;
   const ChipResult ordered = optimizeChip(chip, cfg);
   ASSERT_TRUE(ordered.allOk());
-  EXPECT_TRUE(ordered.cacheOrdered);
   EXPECT_GT(ordered.representatives, 0);
   EXPECT_LT(ordered.representatives, ordered.partition.tileCount());
   int reps = 0, pasted = 0, nonEmpty = 0;
@@ -442,12 +439,12 @@ TEST(TileScheduler, CacheAwareOrderingPastesMembersFromRepresentatives) {
   EXPECT_EQ(reps, ordered.representatives);
   EXPECT_EQ(pasted, nonEmpty - reps);
 
-  cfg.cacheAwareOrder = false;
   const ChipResult warm = optimizeChip(chip, cfg);
   ASSERT_TRUE(warm.allOk());
-  EXPECT_FALSE(warm.cacheOrdered);
   for (const TileOutcome& o : warm.outcomes) {
-    if (!o.skippedEmpty) EXPECT_TRUE(o.fromCache);
+    if (!o.skippedEmpty) {
+      EXPECT_TRUE(o.fromCache);
+    }
   }
   const BitGrid& a = ordered.stitched.maskBinary;
   const BitGrid& b = warm.stitched.maskBinary;
